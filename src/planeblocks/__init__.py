@@ -1,93 +1,21 @@
 """planeblocks: block decompositions and edge-bound verification for plane
 graphs, with an exhaustive small-graph search oracle."""
 
-from .blocks import (
-    Block,
-    BlockDecomposition,
-    BlockKind,
-    Pseudoface,
-    block_boundary,
-    classify_block,
-    decompose,
-    refine_pseudofaces,
-)
-from .errors import PlaneBlocksError
-from .fixtures import FIXTURE_NAMES, load_fixture
-from .graphio import parse_graph, serialize_graph, write_report
-from .ledger import (
-    BlockContribution,
-    ContributionLedger,
-    build_ledger,
-    face_contribution,
-    vertex_contribution,
-)
-from .plane import Face, PlaneGraph, build_embedding
-from .search import (
-    ConstraintSet,
-    SearchResult,
-    enumerate_graphs,
-    extremal_search,
-    planar_embed,
-    random_plane_graph,
-)
-from .structure import StructuralStats, contains_cycle_of_length, structural_stats
-from .theorems import (
-    BoundFormula,
-    PROFILES,
-    TheoremProfile,
-    Verdict,
-    check_bound,
-    check_hypotheses,
-    derive_global_bound,
-    get_profile,
-    saturate_six_faces,
-    verify,
-    verify_per_block,
-)
+from .blocks import decompose
+from .graphio import parse_graph
+from .ledger import build_ledger
+from .search import ConstraintSet, enumerate_graphs, extremal_search
+from .theorems import PROFILES, verify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Block",
-    "BlockContribution",
-    "BlockDecomposition",
-    "BlockKind",
-    "BoundFormula",
     "ConstraintSet",
-    "ContributionLedger",
-    "FIXTURE_NAMES",
-    "Face",
     "PROFILES",
-    "PlaneBlocksError",
-    "PlaneGraph",
-    "Pseudoface",
-    "SearchResult",
-    "StructuralStats",
-    "TheoremProfile",
-    "Verdict",
-    "block_boundary",
-    "build_embedding",
     "build_ledger",
-    "check_bound",
-    "check_hypotheses",
-    "classify_block",
-    "contains_cycle_of_length",
     "decompose",
-    "derive_global_bound",
     "enumerate_graphs",
     "extremal_search",
-    "face_contribution",
-    "get_profile",
-    "load_fixture",
     "parse_graph",
-    "planar_embed",
-    "random_plane_graph",
-    "refine_pseudofaces",
-    "saturate_six_faces",
-    "serialize_graph",
-    "structural_stats",
     "verify",
-    "verify_per_block",
-    "vertex_contribution",
-    "write_report",
 ]

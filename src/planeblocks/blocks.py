@@ -210,6 +210,7 @@ def _with_kind(b: Block, mode: Mode) -> Block:
 
 
 def _classify(b: Block, mode: Mode) -> BlockKind:
+    """Isomorphism test against the block catalog of the given mode."""
     n, e = len(b.vertices), len(b.edges)
     table = _catalog_keys(mode)
     if not any(k[:2] == (n, e) for k in table):
@@ -219,11 +220,6 @@ def _classify(b: Block, mode: Mode) -> BlockKind:
         n, [(relabel[u], relabel[v]) for u, v in b.edges]
     )
     return table.get((n, e, canon.canonical_form(masks)), BlockKind.OTHER)
-
-
-def classify_block(b: Block, mode: Mode) -> BlockKind:
-    """Isomorphism test against the block catalog of the given mode."""
-    return _classify(b, mode)
 
 
 # -- exterior pseudofaces ----------------------------------------------------

@@ -2,7 +2,8 @@
 
 Exit codes: 0 = success / verified; 1 = negative verdict (failed hypotheses,
 failed bound, violations); 2 = input error (bad file, bad arguments);
-3 = internal consistency failure (conservation or catalog assertions).
+3 = internal error (conservation or catalog assertions, or any unexpected
+exception).
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     UnexpectedBlock,
 )
 from .plane import PlaneGraph
+from .structure import structural_stats
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -52,20 +54,20 @@ def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
 
 def _parse_constraints(n: int, spec: Optional[str]) -> search.ConstraintSet:
     kwargs: dict = {"n": n}
-    forbidden: list[int] = []
+    forbidden: set[int] = set()
     for token in (spec or "").split(","):
         token = token.strip().lower()
         if not token:
             continue
         if token.startswith("c") and token.endswith("free"):
             try:
-                forbidden.append(int(token[1:-4]))
+                forbidden.add(int(token[1:-4]))
             except ValueError:
                 raise _CliError(f"bad constraint token {token!r}") from None
         elif token == "bipartite":
             kwargs["bipartite"] = True
         elif token == "trianglefree":
-            kwargs["triangle_free"] = True
+            forbidden.add(3)
         elif token.startswith("mindeg="):
             kwargs["min_degree"] = int(token.split("=", 1)[1])
         elif token.startswith("exactmindeg="):
@@ -79,7 +81,7 @@ def _parse_constraints(n: int, spec: Optional[str]) -> search.ConstraintSet:
                 f"unknown constraint {token!r}; use cNfree, bipartite, "
                 "trianglefree, mindeg=K, exactmindeg=K, 2connected, deg2rule"
             )
-    kwargs["forbidden_cycles"] = tuple(forbidden)
+    kwargs["forbidden_cycles"] = tuple(sorted(forbidden))
     return search.ConstraintSet(**kwargs)
 
 
@@ -131,13 +133,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--constraints", help="comma list, e.g. 'c5free,mindeg=3,2connected'")
     p.add_argument("--ceiling", type=int, help="override the enumeration ceiling")
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="worker count (results are schedule-independent; currently "
-        "executed on a single worker)",
-    )
     p.add_argument("--witness-dir", help="dump witness graphs into this directory")
     add_common(p)
 
@@ -156,8 +151,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return EXIT_NEGATIVE
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except AssertionError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+    except Exception as exc:
+        # anything else is a bug, never a verdict: report it on one line
+        detail = " ".join(str(exc).split())
+        if not isinstance(exc, AssertionError):
+            detail = f"{type(exc).__name__}: {detail}"
+        print(f"internal error: {detail}", file=sys.stderr)
         return EXIT_INTERNAL
 
 
@@ -187,10 +186,11 @@ def _dispatch(args: argparse.Namespace) -> int:
         print(f"{profile.id}: {formula}")
         if args.graph:
             g = _read_graph(args.graph)
-            check = theorems.check_bound(g, profile, force=True)
+            stats = structural_stats(g.rotations)
+            check = theorems.check_bound(g, profile, force=True, stats=stats)
             frac = graphio.format_fraction
             print(
-                f"n={g.n} k={theorems.structural_stats(g.rotations).k}: "
+                f"n={g.n} k={stats.k}: "
                 f"bound {frac(check.bound)}, edges {check.edges}, "
                 f"slack {frac(check.slack)}"
             )
@@ -215,8 +215,6 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "search":
         cs = _parse_constraints(args.n, args.constraints)
-        if args.jobs < 1:
-            raise _CliError("--jobs must be at least 1")
         start = time.perf_counter()
         result = search.extremal_search(cs, ceiling=args.ceiling)
         elapsed = time.perf_counter() - start

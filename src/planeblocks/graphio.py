@@ -25,7 +25,7 @@ from .blocks import BlockDecomposition
 from .errors import GraphSyntaxError, MissingOuterDart
 from .ledger import ContributionLedger
 from .plane import PlaneGraph
-from .structure import structural_stats
+from .structure import StructuralStats, structural_stats
 from .theorems import Verdict
 
 FORMAT_HEADER = "planegraph"
@@ -49,6 +49,7 @@ def parse_graph(text: str) -> PlaneGraph:
     """Parse a graph file; raises GraphSyntaxError with a 1-based line number."""
     header_seen = False
     n: Optional[int] = None
+    n_lineno = 0
     rotations: dict[int, list[int]] = {}
     outer: Optional[tuple[int, int]] = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -68,12 +69,19 @@ def parse_graph(text: str) -> PlaneGraph:
             header_seen = True
             continue
         if line.startswith("n "):
+            if n is not None:
+                raise GraphSyntaxError(
+                    lineno, f"second 'n' line (first on line {n_lineno})"
+                )
+            n_lineno = lineno
             try:
                 n = int(line.split()[1])
             except (IndexError, ValueError):
                 raise GraphSyntaxError(lineno, "bad vertex count") from None
             continue
         if line.startswith("outer:"):
+            if outer is not None:
+                raise GraphSyntaxError(lineno, "second 'outer:' line")
             rest = line[len("outer:"):].strip()
             if "->" not in rest:
                 raise GraphSyntaxError(lineno, "outer line must be 'outer: u->v'")
@@ -99,11 +107,15 @@ def parse_graph(text: str) -> PlaneGraph:
         raise GraphSyntaxError(1, "missing header")
     if n is None:
         raise GraphSyntaxError(1, "missing 'n <count>' line")
-    if sorted(rotations) != list(range(n)):
-        missing = sorted(set(range(n)) - set(rotations))
-        extra = sorted(set(rotations) - set(range(n)))
+    if len(rotations) != n:
         raise GraphSyntaxError(
-            1, f"vertex ids must be exactly 0..{n - 1} (missing {missing}, extra {extra})"
+            n_lineno, f"n {n} declared but {len(rotations)} vertex lines given"
+        )
+    # n distinct ids, so all of them in 0..n-1 means exactly 0..n-1
+    outside = [v for v in rotations if not 0 <= v < n]
+    if outside:
+        raise GraphSyntaxError(
+            n_lineno, f"vertex id {min(outside)} outside 0..{n - 1}"
         )
     if outer is None:
         raise MissingOuterDart("no 'outer: u->v' line")
@@ -128,8 +140,8 @@ def serialize_graph(g: PlaneGraph, comment: Optional[str] = None) -> str:
 
 # -- reports -----------------------------------------------------------------
 
-def graph_summary(g: PlaneGraph) -> dict[str, Any]:
-    stats = structural_stats(g.rotations)
+def graph_summary(g: PlaneGraph, stats: StructuralStats) -> dict[str, Any]:
+    """The report's graph block; ``stats`` are g's structural stats."""
     return {
         "n": g.n,
         "e": g.e,
@@ -168,7 +180,7 @@ def decomposition_report(g: PlaneGraph, d: "BlockDecomposition") -> dict[str, An
     return {
         "schema": REPORT_SCHEMA,
         "kind": "decomposition",
-        "graph": graph_summary(g),
+        "graph": graph_summary(g, structural_stats(g.rotations)),
         "mode": d.mode,
         "blocks": [
             {
@@ -188,7 +200,7 @@ def ledger_report(g: PlaneGraph, led: ContributionLedger) -> dict[str, Any]:
     return {
         "schema": REPORT_SCHEMA,
         "kind": "ledger",
-        "graph": graph_summary(g),
+        "graph": graph_summary(g, structural_stats(g.rotations)),
         "mode": led.mode,
         "blocks": _ledger_blocks(led),
         "totals": {
@@ -205,7 +217,7 @@ def verdict_report(g: PlaneGraph, verdict: Verdict) -> dict[str, Any]:
     rep: dict[str, Any] = {
         "schema": REPORT_SCHEMA,
         "kind": "verdict",
-        "graph": graph_summary(g),
+        "graph": graph_summary(g, verdict.hypotheses.stats),
         "profile": verdict.profile_id,
         "forced": verdict.forced,
         "hypotheses": {

@@ -46,24 +46,6 @@ def vertex_contribution(b: Block, d: BlockDecomposition) -> Fraction:
     return total
 
 
-def face_contribution(
-    b: Block, d: BlockDecomposition, pf: Optional[PseudofaceMap] = None
-) -> Fraction:
-    """Interior face count plus the block's boundary-slot shares.
-
-    Each non-interior face hands out 1/length per boundary entry (pseudoface
-    length and entries in triangular mode, raw ones in quadrangular mode).  A
-    collapsed K4 pair is one entry owned by the K4, a bridge is two entries on
-    the same face, so slot completeness holds face by face.
-    """
-    shares = slot_table(d, pf)
-    total = Fraction(len(b.interior_faces))
-    for face_shares in shares.values():
-        if b.id in face_shares:
-            total += face_shares[b.id]
-    return total
-
-
 def slot_table(
     d: BlockDecomposition, pf: Optional[PseudofaceMap] = None
 ) -> dict[int, dict[int, Fraction]]:

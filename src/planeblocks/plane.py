@@ -200,31 +200,6 @@ class PlaneGraph:
         )
 
 
-def build_embedding(
-    rotations: Sequence[Sequence[int]], outer_dart: Dart
-) -> PlaneGraph:
-    """Validate a rotation system and trace its faces.
-
-    Raises NonSimple, AsymmetricAdjacency, Disconnected, GenusNonZero or
-    UnknownDart on bad input.
-    """
-    return PlaneGraph(rotations, outer_dart)
-
-
-def trace_faces(g: PlaneGraph) -> tuple[Face, ...]:
-    """The faces of g, ordered by smallest dart."""
-    return g.faces
-
-
-def euler_characteristic(g: PlaneGraph) -> int:
-    """v - e + f; always 2 for accepted graphs."""
-    return g.n - g.e + g.f
-
-
-def face_lengths(g: PlaneGraph) -> list[int]:
-    return sorted(f.length for f in g.faces)
-
-
 def rotations_from_edges(n: int, edges: Iterable[Edge]) -> list[list[int]]:
     """Adjacency lists (sorted, not an embedding) from an edge list."""
     adj: list[list[int]] = [[] for _ in range(n)]

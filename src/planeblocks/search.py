@@ -22,36 +22,18 @@ import networkx as nx
 
 from . import canon
 from .errors import CeilingExceeded, RetriesExhausted
-from .plane import Edge, PlaneGraph
-from .structure import (
-    is_bipartite,
-    is_connected,
-    is_two_connected,
-    structural_stats,
-)
+from .plane import Edge, PlaneGraph, rotations_from_edges
+from .structure import Hypotheses, is_bipartite, is_connected, structural_stats
 
 DEFAULT_CEILING = 10
 CEILING_ENV = "TURAN_PLANAR_CEILING"
 
 
 @dataclass(frozen=True)
-class ConstraintSet:
-    """Decidable predicates restricting the enumerated graphs."""
+class ConstraintSet(Hypotheses):
+    """A vertex count and the hypotheses the enumerated graphs satisfy."""
 
-    n: int
-    forbidden_cycles: tuple[int, ...] = ()
-    bipartite: bool = False
-    triangle_free: bool = False
-    min_degree: int = 0
-    exact_min_degree: Optional[int] = None
-    two_connected: bool = False
-    deg2_neighbor_ok: bool = False
-
-    def forbidden(self) -> tuple[int, ...]:
-        lengths = set(self.forbidden_cycles)
-        if self.triangle_free:
-            lengths.add(3)
-        return tuple(sorted(lengths))
+    n: int = field(kw_only=True)
 
 
 @dataclass
@@ -172,7 +154,7 @@ def _has_path_of_length(
 
 def _new_edge_ok(adj: canon.Masks, u: int, v: int, cs: ConstraintSet) -> bool:
     """Deletion-closed checks for the child graph adj + uv (adj excludes uv)."""
-    for length in cs.forbidden():
+    for length in cs.forbidden_cycles:
         if _has_path_of_length(adj, u, v, length - 1):
             return False
     return True
@@ -181,7 +163,7 @@ def _new_edge_ok(adj: canon.Masks, u: int, v: int, cs: ConstraintSet) -> bool:
 def _planar_cap(n: int, cs: ConstraintSet) -> int:
     if n < 3:
         return max(n - 1, 0)
-    if cs.bipartite or cs.triangle_free or 3 in cs.forbidden_cycles:
+    if cs.bipartite or 3 in cs.forbidden_cycles:
         return 2 * n - 4 if n >= 4 else n
     return 3 * n - 6
 
@@ -254,22 +236,10 @@ def enumerate_graphs(
 
 
 def _passes_emission(adj: canon.Masks, cs: ConstraintSet) -> bool:
+    """Connectivity and the non-hereditary constraints; the hereditary ones
+    (forbidden cycles, bipartiteness) were enforced on every child."""
     nbrs = canon.neighbor_lists(adj)
-    if not is_connected(nbrs):
-        return False
-    degs = [len(a) for a in nbrs]
-    mind = min(degs) if degs else 0
-    if mind < cs.min_degree:
-        return False
-    if cs.exact_min_degree is not None and mind != cs.exact_min_degree:
-        return False
-    if cs.two_connected and not is_two_connected(nbrs):
-        return False
-    if cs.deg2_neighbor_ok:
-        for u, d in enumerate(degs):
-            if d == 2 and not any(degs[w] <= 3 for w in nbrs[u]):
-                return False
-    return True
+    return is_connected(nbrs) and cs.stats_hold(structural_stats(nbrs))
 
 
 def count_connected_classes(n: int) -> int:
@@ -329,8 +299,10 @@ def random_plane_graph(
     rng = random.Random(seed)
     for _ in range(max_retries):
         edges = _random_connected_planar_edges(n, rng)
-        if cs is not None and not _satisfies(n, edges, cs):
-            continue
+        if cs is not None:
+            adj = rotations_from_edges(n, edges)
+            if not cs.holds(adj, structural_stats(adj)):
+                continue
         g = planar_embed(n, edges)
         assert g is not None
         return g
@@ -352,38 +324,40 @@ def _random_connected_planar_edges(n: int, rng: random.Random) -> list[Edge]:
     order = sorted(edges)
     rng.shuffle(order)
     keep = set(order)
-    for e in order:
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, w in order:
+        adj[u].add(w)
+        adj[w].add(u)
+    # delete each edge in turn unless it is a bridge of what is left
+    for u, w in order:
         if len(keep) <= target:
             break
-        trial = keep - {e}
-        adj: list[list[int]] = [[] for _ in range(n)]
-        for u, w in trial:
-            adj[u].append(w)
-            adj[w].append(u)
-        if all(adj) and is_connected(adj):
-            keep = trial
+        adj[u].remove(w)
+        adj[w].remove(u)
+        if _still_joined(adj, u, w):
+            keep.remove((u, w))
+        else:
+            adj[u].add(w)
+            adj[w].add(u)
     return sorted(keep)
 
 
-def _satisfies(n: int, edges: Sequence[Edge], cs: ConstraintSet) -> bool:
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    from .structure import contains_cycle_of_length
+def _still_joined(adj: Sequence[set[int]], u: int, w: int) -> bool:
+    """True iff u and w are connected in adj.
 
-    for length in cs.forbidden():
-        if contains_cycle_of_length(adj, length):
-            return False
-    stats = structural_stats(adj)
-    if cs.bipartite and not stats.bipartite:
-        return False
-    if stats.min_degree < cs.min_degree:
-        return False
-    if cs.exact_min_degree is not None and stats.min_degree != cs.exact_min_degree:
-        return False
-    if cs.two_connected and not stats.two_connected:
-        return False
-    if cs.deg2_neighbor_ok and not stats.deg2_neighbor_ok:
-        return False
-    return True
+    Searches from u and from w in turn: stops when the two searches meet, or
+    when one side runs out, having explored the whole component of its root.
+    """
+    seen = ({u}, {w})
+    todo = ([u], [w])
+    side = 0
+    while todo[side]:
+        x = todo[side].pop()
+        for y in adj[x]:
+            if y in seen[1 - side]:
+                return True
+            if y not in seen[side]:
+                seen[side].add(y)
+                todo[side].append(y)
+        side = 1 - side
+    return False

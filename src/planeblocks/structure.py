@@ -8,7 +8,7 @@ A PlaneGraph's ``rotations`` attribute is a valid adjacency-list argument.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BadLength
 
@@ -172,3 +172,94 @@ def structural_stats(adj: Adjacency) -> StructuralStats:
         two_connected=is_two_connected(adj),
         deg2_neighbor_ok=deg2_ok,
     )
+
+
+# -- hypothesis sets ---------------------------------------------------------
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    ok: bool
+    detail: str = ""
+
+
+@dataclass(frozen=True)
+class Hypotheses:
+    """A set of hypothesis predicates; a field at its default imposes nothing.
+
+    Each predicate, with its Check name and detail text, is written once
+    here.  The evaluators take the graph's StructuralStats from the caller
+    and never compute them.
+    """
+
+    forbidden_cycles: tuple[int, ...] = ()
+    bipartite: bool = False
+    min_degree: int = 0  # require delta >= this (0: no requirement)
+    exact_min_degree: Optional[int] = None  # require delta == this
+    two_connected: bool = False
+    deg2_neighbor_ok: bool = False  # every degree-2 vertex has a neighbor of degree <= 3
+
+    def checks(self, adj: Adjacency, stats: StructuralStats) -> tuple[Check, ...]:
+        """Every predicate's Check, in report order (forbidden cycles first)."""
+        return (*self._cycle_checks(adj), *self._stats_checks(stats))
+
+    def holds(self, adj: Adjacency, stats: StructuralStats) -> bool:
+        """True iff every predicate holds; stops at the first failure and
+        runs cycle search only after every check on the stats passed."""
+        return self.stats_hold(stats) and all(c.ok for c in self._cycle_checks(adj))
+
+    def stats_hold(self, stats: StructuralStats) -> bool:
+        """Every predicate decided by the stats alone (all but cycles)."""
+        return all(c.ok for c in self._stats_checks(stats))
+
+    def _cycle_checks(self, adj: Adjacency) -> Iterator[Check]:
+        for length in self.forbidden_cycles:
+            has = contains_cycle_of_length(adj, length)
+            yield Check(
+                name=f"C{length}-free",
+                ok=not has,
+                detail=f"contains a C{length}" if has else "",
+            )
+
+    def _stats_checks(self, stats: StructuralStats) -> Iterator[Check]:
+        if self.bipartite:
+            yield Check(
+                name="bipartite",
+                ok=stats.bipartite,
+                detail="" if stats.bipartite else "contains an odd cycle",
+            )
+        d = stats.min_degree
+        if self.min_degree:
+            ok = d >= self.min_degree
+            yield Check(
+                name=f"min degree >= {self.min_degree}",
+                ok=ok,
+                detail="" if ok else f"delta = {d}",
+            )
+        if self.exact_min_degree is not None:
+            detail = ""
+            if d < self.exact_min_degree:
+                detail = (
+                    f"delta = {d}; degree-1 vertices fall under the source's "
+                    "induction reduction, which is out of scope here"
+                )
+            elif d > self.exact_min_degree:
+                detail = f"delta = {d}"
+            yield Check(
+                name=f"min degree == {self.exact_min_degree}",
+                ok=d == self.exact_min_degree,
+                detail=detail,
+            )
+        if self.two_connected:
+            yield Check(
+                name="2-connected",
+                ok=stats.two_connected,
+                detail="" if stats.two_connected else "has a cut vertex or n < 3",
+            )
+        if self.deg2_neighbor_ok:
+            ok = stats.deg2_neighbor_ok
+            yield Check(
+                name="every degree-2 vertex has a neighbor of degree <= 3",
+                ok=ok,
+                detail="" if ok else "a degree-2 vertex has only high-degree neighbors",
+            )

@@ -1,6 +1,6 @@
 """Verification profiles: per-block inequalities and global edge bounds.
 
-Each profile bundles a decomposition mode, hypothesis predicates, a block
+Each profile bundles a decomposition mode, a hypothesis set, a block
 catalog, and a coefficient row (a, b, c, dk, de23) for the linear form
 
     L(B) = a*v(B) + b*e(B) + c*f(B) + dk*k(B) + de23*e23(B).
@@ -11,7 +11,7 @@ f = 2 - n + e turns the row into a global bound e <= A*n + Bk*k + Be23*e23 + C.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -30,7 +30,15 @@ from .errors import (
 )
 from .ledger import ContributionLedger, build_ledger
 from .plane import PlaneGraph
-from .structure import StructuralStats, contains_cycle_of_length, structural_stats
+# contains_cycle_of_length is not called here; it stays importable from this
+# module, where bench/tracer.py looks it up
+from .structure import (  # noqa: F401
+    Check,
+    Hypotheses,
+    StructuralStats,
+    contains_cycle_of_length,
+    structural_stats,
+)
 
 Coefficients = tuple[int, int, int, int, int]  # weights of (v, e, f, k, e23)
 
@@ -41,13 +49,7 @@ class TheoremProfile:
     mode: Mode
     coefficients: Coefficients
     catalog: tuple[BlockKind, ...]
-    forbidden_cycles: tuple[int, ...]
-    bipartite: bool = False
-    triangle_free: bool = False
-    min_degree: Optional[int] = None  # require delta >= this
-    exact_min_degree: Optional[int] = None  # require delta == this
-    two_connected: bool = False
-    deg2_neighbor_rule: bool = False
+    hypotheses: Hypotheses
     floor_n: Optional[int] = None  # bound asserted by the source for n >= floor
     integer_floor: bool = False  # round the bound down to an integer
     saturate: bool = False  # pre-saturate bounded 6-faces before decomposing
@@ -61,9 +63,9 @@ PROFILES: dict[str, TheoremProfile] = {
             mode="triangular",
             coefficients=(9, -23, 33, 0, 0),
             catalog=TRIANGULAR_KINDS,
-            forbidden_cycles=(5,),
-            min_degree=3,
-            two_connected=True,
+            hypotheses=Hypotheses(
+                forbidden_cycles=(5,), min_degree=3, two_connected=True
+            ),
             floor_n=11,
         ),
         TheoremProfile(
@@ -71,10 +73,12 @@ PROFILES: dict[str, TheoremProfile] = {
             mode="quadrangular",
             coefficients=(2, -4, 8, -2, -1),
             catalog=(BlockKind.K2, BlockKind.C4, BlockKind.K23),
-            forbidden_cycles=(6,),
-            bipartite=True,
-            exact_min_degree=2,
-            deg2_neighbor_rule=True,
+            hypotheses=Hypotheses(
+                forbidden_cycles=(6,),
+                bipartite=True,
+                exact_min_degree=2,
+                deg2_neighbor_ok=True,
+            ),
             floor_n=6,
         ),
         TheoremProfile(
@@ -82,18 +86,18 @@ PROFILES: dict[str, TheoremProfile] = {
             mode="quadrangular",
             coefficients=(0, -2, 5, 0, 0),
             catalog=QUADRANGULAR_KINDS,
-            forbidden_cycles=(8,),
-            bipartite=True,
-            min_degree=3,
+            hypotheses=Hypotheses(
+                forbidden_cycles=(8,), bipartite=True, min_degree=3
+            ),
         ),
         TheoremProfile(
             id="BI_C8C10",
             mode="quadrangular",
             coefficients=(24, -31, 42, 0, 0),
             catalog=QUADRANGULAR_KINDS,
-            forbidden_cycles=(8, 10),
-            bipartite=True,
-            min_degree=3,
+            hypotheses=Hypotheses(
+                forbidden_cycles=(8, 10), bipartite=True, min_degree=3
+            ),
             saturate=True,
         ),
         TheoremProfile(
@@ -101,9 +105,7 @@ PROFILES: dict[str, TheoremProfile] = {
             mode="quadrangular",
             coefficients=(1, -5, 10, 0, 0),
             catalog=(BlockKind.K2, BlockKind.C4),
-            forbidden_cycles=(3, 6),
-            triangle_free=True,
-            min_degree=3,
+            hypotheses=Hypotheses(forbidden_cycles=(3, 6), min_degree=3),
             integer_floor=True,
         ),
         TheoremProfile(
@@ -111,9 +113,7 @@ PROFILES: dict[str, TheoremProfile] = {
             mode="quadrangular",
             coefficients=(24, -61, 105, 0, 0),
             catalog=QUADRANGULAR_KINDS,
-            forbidden_cycles=(3, 8),
-            triangle_free=True,
-            min_degree=3,
+            hypotheses=Hypotheses(forbidden_cycles=(3, 8), min_degree=3),
         ),
     )
 }
@@ -131,13 +131,6 @@ def get_profile(profile_id: str) -> TheoremProfile:
 # -- hypothesis checks -------------------------------------------------------
 
 @dataclass(frozen=True)
-class Check:
-    name: str
-    ok: bool
-    detail: str = ""
-
-
-@dataclass(frozen=True)
 class HypothesisReport:
     profile_id: str
     checks: tuple[Check, ...]
@@ -150,71 +143,18 @@ class HypothesisReport:
 
 
 def check_hypotheses(g: PlaneGraph, p: TheoremProfile) -> HypothesisReport:
-    """Evaluate every hypothesis predicate of the profile; never raises."""
-    stats = structural_stats(g.rotations)
-    checks: list[Check] = []
-    warnings: list[str] = []
+    """Evaluate every hypothesis predicate of the profile; never raises.
 
-    for length in p.forbidden_cycles:
-        has = length <= g.n and contains_cycle_of_length(g.rotations, length)
-        checks.append(
-            Check(
-                name=f"C{length}-free",
-                ok=not has,
-                detail=f"contains a C{length}" if has else "",
-            )
-        )
-    if p.bipartite:
-        checks.append(
-            Check(
-                name="bipartite",
-                ok=stats.bipartite,
-                detail="" if stats.bipartite else "contains an odd cycle",
-            )
-        )
-    if p.min_degree is not None:
-        ok = stats.min_degree >= p.min_degree
-        checks.append(
-            Check(
-                name=f"min degree >= {p.min_degree}",
-                ok=ok,
-                detail="" if ok else f"delta = {stats.min_degree}",
-            )
-        )
-    if p.exact_min_degree is not None:
-        d = stats.min_degree
-        ok = d == p.exact_min_degree
-        detail = ""
-        if d < p.exact_min_degree:
-            detail = (
-                f"delta = {d}; degree-1 vertices fall under the source's "
-                "induction reduction, which is out of scope here"
-            )
-        elif d > p.exact_min_degree:
-            detail = f"delta = {d}"
-            warnings.append(
-                "no planar bipartite C6-free graph with min degree >= 3 "
-                "exists, so this input cannot satisfy the other hypotheses"
-            )
-        checks.append(
-            Check(name=f"min degree == {p.exact_min_degree}", ok=ok, detail=detail)
-        )
-    if p.two_connected:
-        checks.append(
-            Check(
-                name="2-connected",
-                ok=stats.two_connected,
-                detail="" if stats.two_connected else "has a cut vertex or n < 3",
-            )
-        )
-    if p.deg2_neighbor_rule:
-        ok = stats.deg2_neighbor_ok
-        checks.append(
-            Check(
-                name="every degree-2 vertex has a neighbor of degree <= 3",
-                ok=ok,
-                detail="" if ok else "a degree-2 vertex has only high-degree neighbors",
-            )
+    This is the one place a verify computes the graph's structural stats;
+    the report carries them to every later step.
+    """
+    stats = structural_stats(g.rotations)
+    warnings: list[str] = []
+    exact = p.hypotheses.exact_min_degree
+    if exact is not None and stats.min_degree > exact:
+        warnings.append(
+            "no planar bipartite C6-free graph with min degree >= 3 "
+            "exists, so this input cannot satisfy the other hypotheses"
         )
     if p.floor_n is not None and g.n < p.floor_n:
         warnings.append(
@@ -223,7 +163,7 @@ def check_hypotheses(g: PlaneGraph, p: TheoremProfile) -> HypothesisReport:
         )
     return HypothesisReport(
         profile_id=p.id,
-        checks=tuple(checks),
+        checks=p.hypotheses.checks(g.rotations, stats),
         warnings=tuple(warnings),
         stats=stats,
     )
@@ -282,7 +222,10 @@ def evaluate_row(coeffs: Coefficients, v, e, f, k, e23) -> Fraction:
 
 
 def verify_per_block(
-    g: PlaneGraph, p: TheoremProfile, force: bool = False
+    g: PlaneGraph,
+    p: TheoremProfile,
+    force: bool = False,
+    hyp: Optional[HypothesisReport] = None,
 ) -> Verdict:
     """Evaluate L(B) for every block; list violations (L(B) > 0).
 
@@ -290,8 +233,10 @@ def verify_per_block(
     then blocks outside the profile catalog are tolerated.  On a
     hypothesis-satisfying graph an out-of-catalog block is an internal error
     (the source proves the catalogs exhaustive) and raises UnexpectedBlock.
+    ``hyp``, when given, is g's report from check_hypotheses.
     """
-    hyp = check_hypotheses(g, p)
+    if hyp is None:
+        hyp = check_hypotheses(g, p)
     verdict = Verdict(profile_id=p.id, hypotheses=hyp, forced=force)
     if not hyp.ok and not force:
         return verdict
@@ -299,7 +244,7 @@ def verify_per_block(
     warnings = list(hyp.warnings)
     work = g
     if p.saturate and hyp.ok:
-        sat = saturate_six_faces(g)
+        sat = saturate_six_faces(g, require_hypotheses=False)
         work = sat.graph
         verdict.chords_added = sat.chords
         if sat.chords:
@@ -346,7 +291,7 @@ def verify_per_block(
 
     total = sum((bv.value for bv in values), Fraction(0))
     # re-derive the total from graph quantities; disagreement is a ledger bug
-    stats = structural_stats(work.rotations)
+    stats = hyp.stats if work is g else structural_stats(work.rotations)
     k = stats.k if p.mode == "quadrangular" else 0
     e23 = stats.e23 if p.mode == "quadrangular" else 0
     expect = evaluate_row(
@@ -427,17 +372,28 @@ def derive_global_bound(p: TheoremProfile) -> BoundFormula:
 
 
 def check_bound(
-    g: PlaneGraph, p: TheoremProfile, force: bool = False
+    g: PlaneGraph,
+    p: TheoremProfile,
+    force: bool = False,
+    stats: Optional[StructuralStats] = None,
 ) -> BoundCheck:
-    """Compare e_G against the profile's derived bound, exactly."""
-    hyp = check_hypotheses(g, p)
-    if not hyp.ok and not force:
-        failed = [c.name for c in hyp.checks if not c.ok]
-        raise HypothesisViolated(
-            f"profile {p.id} hypotheses not satisfied: {', '.join(failed)}"
-        )
+    """Compare e_G against the profile's derived bound, exactly.
+
+    Unless forced, the hypotheses must hold.  A forced check reads only k and
+    e23 from ``stats`` (g's structural stats, computed here when not given).
+    """
+    if not force:
+        hyp = check_hypotheses(g, p)
+        if not hyp.ok:
+            failed = [c.name for c in hyp.checks if not c.ok]
+            raise HypothesisViolated(
+                f"profile {p.id} hypotheses not satisfied: {', '.join(failed)}"
+            )
+        stats = hyp.stats
+    elif stats is None:
+        stats = structural_stats(g.rotations)
     formula = derive_global_bound(p)
-    bound = formula.evaluate(g.n, k=hyp.stats.k, e23=hyp.stats.e23)
+    bound = formula.evaluate(g.n, k=stats.k, e23=stats.e23)
     slack = bound - g.e
     return BoundCheck(
         formula=formula,
@@ -451,12 +407,11 @@ def check_bound(
 
 def verify(g: PlaneGraph, p: TheoremProfile, force: bool = False) -> Verdict:
     """Hypotheses, per-block inequalities and the global bound in one verdict."""
-    verdict = verify_per_block(g, p, force=force)
-    if verdict.hypotheses.ok or force:
-        try:
-            verdict.bound = check_bound(g, p, force=force)
-        except DegenerateProfile:
-            raise
+    hyp = check_hypotheses(g, p)
+    verdict = verify_per_block(g, p, force=force, hyp=hyp)
+    if hyp.ok or force:
+        # the hypotheses were just checked; the bound needs only the stats
+        verdict.bound = check_bound(g, p, force=True, stats=hyp.stats)
     return verdict
 
 
@@ -475,21 +430,18 @@ def saturate_six_faces(
 
     Each chord joins two face-distance-3 vertices of a bounded 6-face,
     splitting it into two 4-faces; that choice keeps the graph bipartite.
-    The input must be bipartite, C8-free, C10-free with min degree >= 3
-    (disable with require_hypotheses for mechanical testing); the same
-    properties are asserted after every insertion — the source proves they
+    The input must satisfy the BI_C8C10 hypotheses: bipartite, C8-free,
+    C10-free with min degree >= 3 (skip the check with require_hypotheses,
+    for mechanical testing or when the caller has just made it).  The
+    hypotheses are asserted after every insertion; the source proves they
     cannot break, so a failure here is an implementation bug.
     """
+    hypotheses = PROFILES["BI_C8C10"].hypotheses
+    # chords only raise degrees, so these are the hypotheses one could break
+    breakable = replace(hypotheses, min_degree=0)
     if require_hypotheses:
-        stats = structural_stats(g.rotations)
-        problems = []
-        if not stats.bipartite:
-            problems.append("not bipartite")
-        if stats.min_degree < 3:
-            problems.append(f"min degree {stats.min_degree} < 3")
-        for length in (8, 10):
-            if length <= g.n and contains_cycle_of_length(g.rotations, length):
-                problems.append(f"contains a C{length}")
+        checks = hypotheses.checks(g.rotations, structural_stats(g.rotations))
+        problems = [f"{c.name} ({c.detail})" for c in checks if not c.ok]
         if problems:
             raise HypothesisViolated(
                 "saturation requires a bipartite C8/C10-free graph with "
@@ -523,9 +475,7 @@ def saturate_six_faces(
         rotations[v3].insert(rotations[v3].index(walk[2]) + 1, v0)
         g = PlaneGraph(rotations, g.outer_dart)
         chords.append((min(v0, v3), max(v0, v3)))
-        assert structural_stats(g.rotations).bipartite, "chord broke bipartiteness"
-        for length in (8, 10):
-            assert not (
-                length <= g.n and contains_cycle_of_length(g.rotations, length)
-            ), f"chord created a C{length}"
+        assert breakable.holds(
+            g.rotations, structural_stats(g.rotations)
+        ), f"chord {chords[-1]} broke a saturation hypothesis"
     return SaturationResult(graph=g, chords=tuple(chords))

@@ -62,6 +62,19 @@ def test_bad_graph_file_is_input_error(tmp_path, capsys):
     assert "line 3" in capsys.readouterr().err
 
 
+def test_unexpected_exception_is_internal_error(fixture_dir, capsys, monkeypatch):
+    from planeblocks import theorems
+
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(theorems, "verify", boom)
+    assert main(["verify", path(fixture_dir, "cube"), "--theorem", "C5"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error:") and "boom" in err
+    assert err.count("\n") == 1
+
+
 def test_bound_formula_and_evaluation(fixture_dir, capsys):
     assert main(["bound", "--theorem", "TRI_C6", "--n", "13"]) == 0
     out = capsys.readouterr().out
@@ -117,7 +130,6 @@ def test_search_constraint_parsing(capsys):
     assert rep["search"]["max_edges"] == 6
     assert main(["search", "--n", "5", "--constraints", "banana"]) == 2
     assert "unknown constraint" in capsys.readouterr().err
-    assert main(["search", "--n", "5", "--jobs", "0"]) == 2
 
 
 def test_search_ceiling(capsys):

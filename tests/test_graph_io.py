@@ -47,6 +47,12 @@ def test_random_round_trips():
         ("planegraph 1\nn 2\n0: 1\n0: 1\n", 4),
         ("planegraph 1\nn 2\n0: 1\n1: 0\nouter: zero->1\n", 5),
         ("planegraph 1\nn 2\nhello\n", 3),
+        # a second header line is rejected where it appears
+        ("planegraph 1\nn 2\nn 2\n0: 1\n1: 0\nouter: 0->1\n", 3),
+        ("planegraph 1\nn 2\n0: 1\n1: 0\nouter: 0->1\nouter: 1->0\n", 6),
+        # vertex lines that disagree with n are reported at the n line
+        ("planegraph 1\n# c\nn 3\n0: 1\n1: 0\nouter: 0->1\n", 3),
+        ("planegraph 1\nn 2\n0: 5\n5: 0\nouter: 0->5\n", 2),
     ],
 )
 def test_syntax_errors_carry_line_numbers(text, lineno):
@@ -65,6 +71,14 @@ def test_missing_or_bad_outer_dart():
 def test_vertex_id_gap_rejected():
     with pytest.raises(GraphSyntaxError):
         graphio.parse_graph("planegraph 1\nn 3\n0: 1\n1: 0\nouter: 0->1\n")
+
+
+def test_huge_declared_n_fails_with_a_short_message():
+    text = "planegraph 1\nn 3000000\n0: 1 2 3\n1: 0\n2: 0\n3: 0\nouter: 0->1\n"
+    with pytest.raises(GraphSyntaxError) as exc:
+        graphio.parse_graph(text)
+    assert exc.value.line == 2
+    assert len(str(exc.value)) < 200
 
 
 def test_format_fraction():

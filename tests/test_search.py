@@ -89,7 +89,7 @@ def test_extremal_search_k4_is_extremal():
 
 
 def test_extremal_search_triangle_free():
-    res = search.extremal_search(search.ConstraintSet(n=5, triangle_free=True))
+    res = search.extremal_search(search.ConstraintSet(n=5, forbidden_cycles=(3,)))
     assert res.max_edges == 6  # K_{2,3}
     for w in res.witnesses:
         assert w.e == 6

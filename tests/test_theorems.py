@@ -1,9 +1,10 @@
 import dataclasses
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from planeblocks import theorems
+from planeblocks import graphio, search, structure, theorems
 from planeblocks.blocks import BlockKind
 from planeblocks.errors import (
     DegenerateProfile,
@@ -113,6 +114,30 @@ def test_c4_under_bipartite_c6_profile(fixture_graphs):
     (bv,) = v.block_values
     assert bv.kind == BlockKind.C4 and bv.value == 0
     assert v.bound.tight and not v.bound.asserted  # n = 4 < 6
+
+
+def test_verify_checks_hypotheses_and_computes_stats_once(
+    fixture_graphs, monkeypatch
+):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(theorems, "check_hypotheses",
+                        counted("hypotheses", theorems.check_hypotheses))
+    stats_fn = structure.structural_stats
+    for module in (structure, theorems, graphio, search):
+        monkeypatch.setattr(module, "structural_stats", counted("stats", stats_fn))
+    g = fixture_graphs["cube"]
+    for pid, p in PROFILES.items():
+        counts.clear()
+        graphio.verdict_report(g, verify(g, p, force=True))
+        assert (counts["hypotheses"], counts["stats"]) == (1, 1), pid
 
 
 def test_mindeg3_warning_for_bipartite_c6_profile(fixture_graphs):
