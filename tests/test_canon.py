@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 
@@ -86,3 +87,20 @@ def test_edges_masks_round_trip():
 def test_trivial_sizes():
     assert canon.canonical_form((0,)) == 0
     assert canon.canonical_form(()) == 0
+
+
+# SHA-256 of the sorted "n code" lines of every connected planar class with
+# n <= 7 (775 classes): a change to canonical_form that moves any code of a
+# small graph breaks this.
+SMALL_CLASS_CODES_SHA256 = (
+    "4553324d01422b562601241e0b2f7723dd2d33eddec7165bb87ec274d5300f26"
+)
+
+
+def test_codes_of_small_classes_are_pinned(corpus7):
+    pairs = sorted(
+        (n, canon.canonical_form(adj)) for n, graphs in corpus7.items() for adj in graphs
+    )
+    assert len(pairs) == 775
+    text = "".join(f"{n} {code}\n" for n, code in pairs)
+    assert hashlib.sha256(text.encode()).hexdigest() == SMALL_CLASS_CODES_SHA256
