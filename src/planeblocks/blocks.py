@@ -64,6 +64,9 @@ QUADRANGULAR_KINDS = (
     BlockKind.Q7,
 )
 
+# (n, e) of every catalog graph; a block of another size is Other
+_CATALOG_SIZES = frozenset((n, len(edges)) for n, edges in _CATALOG.values())
+
 _CATALOG_KEYS: dict[Mode, dict[tuple[int, int, int], BlockKind]] = {}
 
 
@@ -105,13 +108,9 @@ class BlockDecomposition:
     interior_face_block: dict[int, int]  # face id -> owning block id
 
 
-def _block_face_length(mode: Mode) -> int:
-    return 3 if mode == "triangular" else 4
-
-
 def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
     """Partition E(G) into triangular or quadrangular blocks."""
-    m = _block_face_length(mode)
+    m = 3 if mode == "triangular" else 4
     edges = g.sorted_edges()
     index = {e: i for i, e in enumerate(edges)}
     parent = list(range(len(edges)))
@@ -122,70 +121,69 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
             x = parent[x]
         return x
 
-    def union(x: int, y: int) -> None:
-        rx, ry = find(x), find(y)
-        if rx != ry:
-            parent[max(rx, ry)] = min(rx, ry)
-
     block_faces = []
     for face in g.faces:
         if face.is_outer or face.length != m:
             continue
-        verts = {u for u, _ in face.darts}
-        if len(verts) != m:
+        if len({u for u, _ in face.darts}) != m:
             continue  # boundary walk revisits a vertex; not an m-cycle
-        block_faces.append(face)
         fe = face.edges()
-        base = index[fe[0]]
+        block_faces.append((face.id, fe[0]))
+        base = find(index[fe[0]])
         for e in fe[1:]:
-            union(base, index[e])
+            r = find(index[e])
+            if r != base:
+                parent[max(r, base)] = min(r, base)
+                base = min(r, base)
 
-    groups: dict[int, list[Edge]] = {}
-    for e, i in index.items():
-        groups.setdefault(find(i), []).append(e)
-    # deterministic block order: by smallest edge
-    roots = sorted(groups, key=lambda r: min(groups[r]))
-    root_to_id = {r: bid for bid, r in enumerate(roots)}
+    # edges in sorted order, so block ids follow each block's smallest edge
+    edge_to_block: dict[Edge, int] = {}
+    root_block: dict[int, int] = {}
+    block_edges: list[list[Edge]] = []
+    for i, e in enumerate(edges):
+        r = find(i)
+        bid = root_block.get(r)
+        if bid is None:
+            bid = root_block[r] = len(block_edges)
+            block_edges.append([])
+        block_edges[bid].append(e)
+        edge_to_block[e] = bid
 
     interior_face_block: dict[int, int] = {}
-    for face in block_faces:
-        interior_face_block[face.id] = root_to_id[find(index[face.edges()[0]])]
+    interior: list[list[int]] = [[] for _ in block_edges]
+    for fid, e in block_faces:  # in face-id order
+        bid = edge_to_block[e]
+        interior_face_block[fid] = bid
+        interior[bid].append(fid)
 
-    edge_to_block = {e: root_to_id[find(i)] for e, i in index.items()}
-    vertex_blocks: dict[int, set[int]] = {v: set() for v in range(g.n)}
-    for (u, v), bid in edge_to_block.items():
-        vertex_blocks[u].add(bid)
-        vertex_blocks[v].add(bid)
-    vertex_block_count = {v: len(s) for v, s in vertex_blocks.items()}
+    block_vertices = [frozenset(v for e in bes for v in e) for bes in block_edges]
+    counts = [0] * g.n
+    for bverts in block_vertices:
+        for v in bverts:
+            counts[v] += 1
+    vertex_block_count = dict(enumerate(counts))
 
+    dart_face = g.dart_face
     blocks = []
-    for bid, r in enumerate(roots):
-        bedges = frozenset(groups[r])
-        bverts = frozenset(v for e in bedges for v in e)
-        interior = tuple(
-            sorted(f for f, owner in interior_face_block.items() if owner == bid)
-        )
-        interior_set = set(interior)
+    for bid, bes in enumerate(block_edges):
         exterior = frozenset(
-            e
-            for e in bedges
-            if any(
-                face.id not in interior_set for face in g.faces_of_edge(e)
+            (u, v)
+            for u, v in bes
+            if dart_face[(u, v)] not in interior_face_block
+            or dart_face[(v, u)] not in interior_face_block
+        )
+        bverts = block_vertices[bid]
+        blocks.append(
+            Block(
+                id=bid,
+                edges=frozenset(bes),
+                vertices=bverts,
+                kind=_classify(mode, bverts, bes),
+                interior_faces=tuple(interior[bid]),
+                exterior_edges=exterior,
+                junction_vertices=frozenset(v for v in bverts if counts[v] >= 2),
             )
         )
-        junctions = frozenset(
-            v for v in bverts if vertex_block_count[v] >= 2
-        )
-        block = Block(
-            id=bid,
-            edges=bedges,
-            vertices=bverts,
-            kind=BlockKind.OTHER,  # patched below
-            interior_faces=interior,
-            exterior_edges=exterior,
-            junction_vertices=junctions,
-        )
-        blocks.append(_with_kind(block, mode))
 
     return BlockDecomposition(
         mode=mode,
@@ -197,29 +195,32 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
     )
 
 
-def _with_kind(b: Block, mode: Mode) -> Block:
-    return Block(
-        id=b.id,
-        edges=b.edges,
-        vertices=b.vertices,
-        kind=_classify(b, mode),
-        interior_faces=b.interior_faces,
-        exterior_edges=b.exterior_edges,
-        junction_vertices=b.junction_vertices,
-    )
+# (mode, relabelled masks) -> kind, for blocks of a catalog (n, e); at most
+# one entry per labelled graph on 7 or fewer vertices
+_KIND_MEMO: dict[tuple[Mode, canon.Masks], BlockKind] = {}
 
 
-def _classify(b: Block, mode: Mode) -> BlockKind:
-    """Isomorphism test against the block catalog of the given mode."""
-    n, e = len(b.vertices), len(b.edges)
-    table = _catalog_keys(mode)
-    if not any(k[:2] == (n, e) for k in table):
+def _classify(mode: Mode, vertices: frozenset[int], edges: list[Edge]) -> BlockKind:
+    """Isomorphism test against the block catalog of the given mode.
+
+    A single edge is K2 without a canonical form; other blocks of a catalog
+    size are looked up by their vertex-order relabelling, and canonical_form
+    runs once per new relabelled graph.
+    """
+    e = len(edges)
+    if e == 1:
+        return BlockKind.K2
+    n = len(vertices)
+    if (n, e) not in _CATALOG_SIZES:
         return BlockKind.OTHER
-    relabel = {v: i for i, v in enumerate(sorted(b.vertices))}
-    masks = canon.masks_from_edges(
-        n, [(relabel[u], relabel[v]) for u, v in b.edges]
-    )
-    return table.get((n, e, canon.canonical_form(masks)), BlockKind.OTHER)
+    relabel = {v: i for i, v in enumerate(sorted(vertices))}
+    masks = canon.masks_from_edges(n, [(relabel[u], relabel[v]) for u, v in edges])
+    key = (mode, masks)
+    kind = _KIND_MEMO.get(key)
+    if kind is None:
+        code = canon.canonical_form(masks)
+        kind = _KIND_MEMO[key] = _catalog_keys(mode).get((n, e, code), BlockKind.OTHER)
+    return kind
 
 
 # -- exterior pseudofaces ----------------------------------------------------

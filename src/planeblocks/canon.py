@@ -3,8 +3,9 @@
 Graphs are adjacency bitmask tuples: ``adj[v]`` has bit ``w`` set iff vw is an
 edge.  The canonical form is the minimum upper-triangle bit encoding over all
 labelings reachable by color refinement plus individualization backtracking;
-two graphs are isomorphic iff their (n, code) pairs match.  Intended for the
-desk-scale n used by the exhaustive search (n <= ~12).
+two graphs are isomorphic iff their (n, code) pairs match.  Any n works; the
+search tree is small for the desk-scale n of the exhaustive search and for
+the blocks of a decomposition.
 """
 
 from __future__ import annotations
@@ -54,9 +55,23 @@ def edge_count(adj: Masks) -> int:
     return sum(bin(m).count("1") for m in adj) // 2
 
 
-# per-color weights for refinement signatures: neighbor counts per color fit
-# in 4 bits at the desk-scale n this module supports
-_W = [1 << (i << 2) for i in range(16)]
+_WEIGHTS: dict[int, tuple[list[int], int]] = {}
+
+
+def _weights(n: int) -> tuple[list[int], int]:
+    """Per-color weights and the own-color shift of refinement signatures.
+
+    Colors and per-color neighbor counts of an n-vertex graph are below n, so
+    fields of max(4, bits(n - 1)) bits keep every signature exact.  For
+    n <= 14 these are 16 four-bit fields below an own-color shift of 56.
+    """
+    try:
+        return _WEIGHTS[n]
+    except KeyError:
+        bits = max(4, (n - 1).bit_length())
+        out = [1 << (i * bits) for i in range(max(16, n))], max(56, n * bits)
+        _WEIGHTS[n] = out
+        return out
 
 
 def _refine(
@@ -67,10 +82,10 @@ def _refine(
     Signatures pack (own color, neighbor-color multiset) into one int.
     Returns rank-normalized colors (0..k-1, ordered by signature) and k.
     """
-    w = _W
+    w, shift = _weights(len(nbrs))
     while True:
         sigs = [
-            (colors[v] << 56) + sum([w[colors[u]] for u in nb])
+            (colors[v] << shift) + sum([w[colors[u]] for u in nb])
             for v, nb in enumerate(nbrs)
         ]
         order: dict[int, int] = {}

@@ -74,9 +74,12 @@ def parse_graph(text: str) -> PlaneGraph:
                     lineno, f"second 'n' line (first on line {n_lineno})"
                 )
             n_lineno = lineno
+            parts = line.split()
+            if len(parts) != 2:
+                raise GraphSyntaxError(lineno, "'n' line must be 'n <count>'")
             try:
-                n = int(line.split()[1])
-            except (IndexError, ValueError):
+                n = int(parts[1])
+            except ValueError:
                 raise GraphSyntaxError(lineno, "bad vertex count") from None
             continue
         if line.startswith("outer:"):

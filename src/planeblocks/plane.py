@@ -10,6 +10,7 @@ connectivity and the Euler characteristic v - e + f = 2.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -76,7 +77,8 @@ class PlaneGraph:
             raise GenusNonZero(
                 f"v - e + f = {self.n} - {self.e} + {self.f} != 2"
             )
-        self._dart_face = {
+        # dart -> id of the face on its left; read-only
+        self.dart_face: dict[Dart, int] = {
             d: face.id for face in self.faces for d in face.darts
         }
 
@@ -158,12 +160,12 @@ class PlaneGraph:
 
     @property
     def outer_face(self) -> Face:
-        return self.faces[self._dart_face[self.outer_dart]]
+        return self.faces[self.dart_face[self.outer_dart]]
 
     def face_of_dart(self, d: Dart) -> Face:
-        if d not in self._dart_face:
+        if d not in self.dart_face:
             raise UnknownDart(f"{d[0]}->{d[1]} is not a dart of the graph")
-        return self.faces[self._dart_face[d]]
+        return self.faces[self.dart_face[d]]
 
     def faces_of_edge(self, e: Edge) -> tuple[Face, Face]:
         """The two face sides of an edge (equal for a bridge)."""
@@ -177,8 +179,23 @@ class PlaneGraph:
         return self.rotations[v]
 
     def with_outer(self, outer_dart: Dart) -> "PlaneGraph":
-        """Same embedding with a different declared outer face."""
-        return PlaneGraph(self.rotations, outer_dart)
+        """Same embedding with a different declared outer face.
+
+        The rotations are already validated and face tracing does not depend
+        on the outer dart, so only the faces' ``is_outer`` flags change.
+        """
+        outer_dart = (int(outer_dart[0]), int(outer_dart[1]))
+        if outer_dart not in self.dart_face:
+            u, v = outer_dart
+            raise UnknownDart(f"outer dart {u}->{v} is not a dart of the graph")
+        outer_id = self.dart_face[outer_dart]
+        h = copy.copy(self)
+        h.outer_dart = outer_dart
+        h.faces = tuple(
+            Face(id=f.id, darts=f.darts, is_outer=f.id == outer_id)
+            for f in self.faces
+        )
+        return h
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)

@@ -239,7 +239,9 @@ def _passes_emission(adj: canon.Masks, cs: ConstraintSet) -> bool:
     """Connectivity and the non-hereditary constraints; the hereditary ones
     (forbidden cycles, bipartiteness) were enforced on every child."""
     nbrs = canon.neighbor_lists(adj)
-    return is_connected(nbrs) and cs.stats_hold(structural_stats(nbrs))
+    if not is_connected(nbrs):
+        return False
+    return not cs.needs_stats or cs.stats_hold(structural_stats(nbrs))
 
 
 def count_connected_classes(n: int) -> int:

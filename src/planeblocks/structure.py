@@ -7,7 +7,7 @@ A PlaneGraph's ``rotations`` attribute is a valid adjacency-list argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterator, Optional, Sequence
 
 from .errors import BadLength
@@ -211,6 +211,15 @@ class Hypotheses:
     def stats_hold(self, stats: StructuralStats) -> bool:
         """Every predicate decided by the stats alone (all but cycles)."""
         return all(c.ok for c in self._stats_checks(stats))
+
+    @property
+    def needs_stats(self) -> bool:
+        """True iff some predicate decided by the stats is set (off its default)."""
+        return any(
+            getattr(self, f.name) != f.default
+            for f in fields(Hypotheses)
+            if f.name != "forbidden_cycles"
+        )
 
     def _cycle_checks(self, adj: Adjacency) -> Iterator[Check]:
         for length in self.forbidden_cycles:

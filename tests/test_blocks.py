@@ -1,9 +1,8 @@
 import random
-from fractions import Fraction
 
 import pytest
 
-from planeblocks import blocks, ledger, search
+from planeblocks import blocks, canon, ledger, search
 from planeblocks.blocks import BlockKind, decompose, refine_pseudofaces
 from planeblocks.errors import WrongMode
 from planeblocks.plane import PlaneGraph, edge_of
@@ -242,9 +241,9 @@ def test_slot_completeness_random():
         for mode in ("triangular", "quadrangular"):
             d = decompose(g, mode)
             pf = refine_pseudofaces(d) if mode == "triangular" else None
-            table = ledger.slot_table(d, pf)
+            denom, table = ledger.slot_table(d, pf)
             for fid, shares in table.items():
-                assert sum(shares.values(), Fraction(0)) == 1, (seed, mode, fid)
+                assert sum(shares.values()) == denom, (seed, mode, fid)
 
 
 def test_interior_faces_partition_block_faces(fixture_graphs):
@@ -262,3 +261,33 @@ def test_interior_faces_partition_block_faces(fixture_graphs):
             for fid, bid in d.interior_face_block.items():
                 face = next(f for f in g.faces if f.id == fid)
                 assert all(edge_of(u, v) in d.blocks[bid].edges for u, v in face.darts)
+
+
+def test_memoized_kinds_match_a_direct_catalog_lookup(corpus7):
+    for n, graphs in corpus7.items():
+        for adj in graphs:
+            if n < 2:
+                continue
+            g = search.planar_embed(n, canon.edges_from_masks(adj))
+            for mode in ("triangular", "quadrangular"):
+                for b in decompose(g, mode).blocks:
+                    relabel = {v: i for i, v in enumerate(sorted(b.vertices))}
+                    masks = canon.masks_from_edges(
+                        len(b.vertices), [(relabel[u], relabel[v]) for u, v in b.edges]
+                    )
+                    key = (len(b.vertices), len(b.edges), canon.canonical_form(masks))
+                    assert b.kind == blocks._catalog_keys(mode).get(key, BlockKind.OTHER)
+
+
+def test_classification_skips_canonical_form_when_it_can(monkeypatch, fixture_graphs):
+    calls = []
+    real = canon.canonical_form
+    monkeypatch.setattr(canon, "canonical_form", lambda adj: calls.append(1) or real(adj))
+    d = decompose(fixture_graphs["cube"], "triangular")
+    assert [b.kind for b in d.blocks] == [BlockKind.K2] * 12
+    assert calls == []  # single edges are K2 outright
+    decompose(fixture_graphs["q7"], "quadrangular")
+    calls.clear()
+    d = decompose(fixture_graphs["q7"], "quadrangular")
+    assert [b.kind for b in d.blocks] == [BlockKind.Q7]
+    assert calls == []  # a relabelled block seen before is not canonized again

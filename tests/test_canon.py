@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import random
 
+import networkx as nx
 from hypothesis import given, settings, strategies as st
 
 from planeblocks import canon
@@ -104,3 +105,44 @@ def test_codes_of_small_classes_are_pinned(corpus7):
     assert len(pairs) == 775
     text = "".join(f"{n} {code}\n" for n, code in pairs)
     assert hashlib.sha256(text.encode()).hexdigest() == SMALL_CLASS_CODES_SHA256
+
+
+def to_nx(adj):
+    g = nx.Graph()
+    g.add_nodes_from(range(len(adj)))
+    g.add_edges_from(canon.edges_from_masks(adj))
+    return g
+
+
+def test_large_graphs_agree_with_networkx():
+    # past 16 vertices refinement needs more colours, and per-colour
+    # neighbour counts, than 16 four-bit fields hold
+    rng = random.Random(17)
+    cases = []
+    for n in range(17, 41):
+        star = canon.masks_from_edges(n, [(0, v) for v in range(1, n)])
+        cycle = canon.masks_from_edges(n, [(v, (v + 1) % n) for v in range(n)])
+        half = n // 2
+        two_cycles = canon.masks_from_edges(
+            n,
+            [(v, (v + 1) % half) for v in range(half)]
+            + [(half + v, half + (v + 1) % (n - half)) for v in range(n - half)],
+        )
+        a = random_masks(rng, n, rng.randint(n - 1, 2 * n))
+        swapped = to_nx(a)
+        nx.double_edge_swap(swapped, nswap=1, max_tries=1000, seed=rng.randrange(1 << 30))
+        b = canon.masks_from_edges(n, swapped.edges())  # same degree sequence
+        perm = list(range(n))
+        rng.shuffle(perm)
+        cases += [
+            (star, relabel(star, perm)),
+            (cycle, relabel(cycle, perm)),
+            (a, relabel(a, perm)),
+            (a, b),
+        ]
+        if n <= 20:  # nothing refines two disjoint cycles: a large search tree
+            cases.append((cycle, two_cycles))
+    for x, y in cases:
+        assert (canon.canonical_form(x) == canon.canonical_form(y)) == nx.is_isomorphic(
+            to_nx(x), to_nx(y)
+        )

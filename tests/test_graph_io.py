@@ -44,6 +44,8 @@ def test_random_round_trips():
         ("nonsense 1\n", 1),
         ("planegraph 2\n", 1),
         ("planegraph 1\nn x\n", 2),
+        # trailing tokens on the n line are not ignored
+        ("planegraph 1\nn 2 7\n0: 1\n1: 0\nouter: 0->1\n", 2),
         ("planegraph 1\nn 2\n0: 1\n0: 1\n", 4),
         ("planegraph 1\nn 2\n0: 1\n1: 0\nouter: zero->1\n", 5),
         ("planegraph 1\nn 2\nhello\n", 3),

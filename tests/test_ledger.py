@@ -5,7 +5,7 @@ import pytest
 
 from planeblocks import ledger, search
 from planeblocks.blocks import BlockKind, decompose
-from planeblocks.errors import MissingPseudoface, WrongMode
+from planeblocks.errors import MissingPseudoface
 from planeblocks.ledger import build_ledger
 from planeblocks.plane import PlaneGraph
 
@@ -107,13 +107,6 @@ def test_slot_table_requires_pseudofaces_in_triangular_mode(fixture_graphs):
     d = decompose(fixture_graphs["k4"], "triangular")
     with pytest.raises(MissingPseudoface):
         ledger.slot_table(d, None)
-
-
-def test_aux_contributions_rejects_triangular_mode(fixture_graphs):
-    g = fixture_graphs["theta4"]
-    d = decompose(g, "triangular")
-    with pytest.raises(WrongMode):
-        ledger.aux_contributions(d.blocks[0], g, d)
 
 
 def test_aux_degrees_taken_in_whole_graph():

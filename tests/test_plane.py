@@ -60,6 +60,20 @@ def test_with_outer_changes_only_the_flag(fixture_graphs):
     assert {f.darts for f in h.faces} == {f.darts for f in g.faces}
 
 
+def test_with_outer_matches_a_fresh_build(fixture_graphs):
+    for g in fixture_graphs.values():
+        before = g.faces
+        for d in g.darts:
+            h = g.with_outer(d)
+            fresh = PlaneGraph(g.rotations, d)
+            assert h == fresh
+            assert h.faces == fresh.faces
+            assert h.outer_face == fresh.outer_face
+        assert g.faces == before  # the source graph keeps its own flags
+        with pytest.raises(UnknownDart):
+            g.with_outer((0, 0))
+
+
 def test_loop_rejected():
     with pytest.raises(NonSimple):
         PlaneGraph([[0, 1], [0]], (0, 1))

@@ -40,6 +40,23 @@ def test_class_counts_small():
         [1, 1, 2, 6, 20, 99, 646]
 
 
+def test_emission_computes_stats_only_when_a_constraint_reads_them(monkeypatch):
+    calls = []
+    real = search.structural_stats
+    monkeypatch.setattr(search, "structural_stats", lambda adj: calls.append(1) or real(adj))
+    assert sum(1 for _ in search.enumerate_graphs(search.ConstraintSet(n=6))) == 99
+    assert sum(1 for _ in search.enumerate_graphs(
+        search.ConstraintSet(n=6, forbidden_cycles=(3,)))) == 18
+    assert calls == []
+    for field, value in [("bipartite", True), ("min_degree", 2), ("exact_min_degree", 2),
+                         ("two_connected", True), ("deg2_neighbor_ok", True)]:
+        cs = search.ConstraintSet(n=5, **{field: value})
+        assert cs.needs_stats, field
+        calls.clear()
+        list(search.enumerate_graphs(cs))
+        assert calls, field
+
+
 def test_enumeration_is_deterministic():
     cs = search.ConstraintSet(n=6, bipartite=True)
     first = list(search.enumerate_graphs(cs))
