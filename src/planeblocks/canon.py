@@ -65,13 +65,10 @@ def _weights(n: int) -> tuple[list[int], int]:
     fields of max(4, bits(n - 1)) bits keep every signature exact.  For
     n <= 14 these are 16 four-bit fields below an own-color shift of 56.
     """
-    try:
-        return _WEIGHTS[n]
-    except KeyError:
+    if n not in _WEIGHTS:
         bits = max(4, (n - 1).bit_length())
-        out = [1 << (i * bits) for i in range(max(16, n))], max(56, n * bits)
-        _WEIGHTS[n] = out
-        return out
+        _WEIGHTS[n] = [1 << (i * bits) for i in range(max(16, n))], max(56, n * bits)
+    return _WEIGHTS[n]
 
 
 def _refine(

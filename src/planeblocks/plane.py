@@ -184,13 +184,9 @@ class PlaneGraph:
         The rotations are already validated and face tracing does not depend
         on the outer dart, so only the faces' ``is_outer`` flags change.
         """
-        outer_dart = (int(outer_dart[0]), int(outer_dart[1]))
-        if outer_dart not in self.dart_face:
-            u, v = outer_dart
-            raise UnknownDart(f"outer dart {u}->{v} is not a dart of the graph")
-        outer_id = self.dart_face[outer_dart]
         h = copy.copy(self)
-        h.outer_dart = outer_dart
+        h.outer_dart = (int(outer_dart[0]), int(outer_dart[1]))
+        outer_id = self.face_of_dart(h.outer_dart).id  # UnknownDart if absent
         h.faces = tuple(
             Face(id=f.id, darts=f.darts, is_outer=f.id == outer_id)
             for f in self.faces
