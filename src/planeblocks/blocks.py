@@ -127,7 +127,7 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
             continue
         if len({u for u, _ in face.darts}) != m:
             continue  # boundary walk revisits a vertex; not an m-cycle
-        fe = face.edges()
+        fe = face.edges
         block_faces.append((face.id, fe[0]))
         base = find(index[fe[0]])
         for e in fe[1:]:
@@ -265,7 +265,7 @@ def refine_pseudofaces(
     for face in g.faces:
         if face.id in d.interior_face_block:
             continue
-        seq = list(face.edges())
+        seq = list(face.edges)
         reductions: list[Reduction] = []
         degenerate = False
         while True:
@@ -351,7 +351,7 @@ def block_boundary(
     for face in g.faces:
         if face.id in d.interior_face_block:
             continue
-        entries = pf[face.id].edges if pf is not None else face.edges()
+        entries = (pf[face.id] if pf is not None else face).edges
         mine = [e for e in entries if d.edge_to_block[e] == b.id]
         if mine:
             slots[face.id] = mine

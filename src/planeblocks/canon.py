@@ -3,9 +3,11 @@
 Graphs are adjacency bitmask tuples: ``adj[v]`` has bit ``w`` set iff vw is an
 edge.  The canonical form is the minimum upper-triangle bit encoding over all
 labelings reachable by color refinement plus individualization backtracking;
-two graphs are isomorphic iff their (n, code) pairs match.  Any n works; the
-search tree is small for the desk-scale n of the exhaustive search and for
-the blocks of a decomposition.
+two graphs are isomorphic iff their (n, code) pairs match.  One search gives
+the code, the labelling that attains it and generators of the automorphism
+group, whose orbits prune the search tree.  Any n works; the tree is small
+for the desk-scale n of the exhaustive search and for the blocks of a
+decomposition.
 """
 
 from __future__ import annotations
@@ -71,13 +73,15 @@ def _weights(n: int) -> tuple[list[int], int]:
     return _WEIGHTS[n]
 
 
-def _refine(
+def refine(
     nbrs: Sequence[Sequence[int]], colors: list[int], ncolors: int = -1
 ) -> tuple[list[int], int]:
     """Color refinement to a stable partition.
 
     Signatures pack (own color, neighbor-color multiset) into one int.
     Returns rank-normalized colors (0..k-1, ordered by signature) and k.
+    Relabelling the graph and its colors relabels the result, so colors
+    computed from degrees are isomorphism invariants of the vertices.
     """
     w, shift = _weights(len(nbrs))
     while True:
@@ -95,17 +99,6 @@ def _refine(
         ncolors = k
 
 
-def _encode(adj: Masks, perm: Sequence[int]) -> int:
-    """Upper-triangle adjacency bits of the relabeled graph, row-major."""
-    n = len(adj)
-    code = 0
-    for i in range(n):
-        ai = adj[perm[i]]
-        for j in range(i + 1, n):
-            code = (code << 1) | ((ai >> perm[j]) & 1)
-    return code
-
-
 def decode(n: int, code: int) -> Masks:
     """Inverse of the canonical encoding: rebuild adjacency masks."""
     adj = [0] * n
@@ -120,18 +113,55 @@ def decode(n: int, code: int) -> Masks:
     return tuple(adj)
 
 
-def canonical_form(adj: Masks) -> int:
-    """Minimum encoding over the individualization-refinement search tree."""
+Perm = tuple[int, ...]
+Labelling = tuple[int, Perm, list[Perm]]
+
+
+def _orbit_roots(n: int, gens: Iterable[Perm]) -> list[int]:
+    """The smallest vertex of each vertex's orbit under the group of gens."""
+    root = list(range(n))
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for g in gens:
+        for x in range(n):
+            a, b = find(x), find(g[x])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(x) for x in range(n)]
+
+
+def canonical_labelling(adj: Masks) -> Labelling:
+    """Canonical code, canonical vertex order and automorphism generators.
+
+    The code is the minimum encoding over the leaves of the
+    individualization-refinement search tree.  ``order[i]`` is the vertex at
+    position i of the leaf that attains it, so relabelling adj by position
+    gives ``decode(n, code)``.  Each generator ``g`` is an automorphism
+    (``g[v]`` is the image of v), taken from a leaf whose code equals the best
+    one found so far or from two cell vertices whose transposition is an
+    automorphism.  A child of a tree node is skipped when it lies in the orbit
+    of an explored sibling under the generators that fix the node's path, so
+    the skipped subtree is an image of an explored one and holds the same
+    codes.  Every automorphism maps the best leaf to an equal-coded leaf that
+    was either explored, and so compared with the best leaf, or skipped as an
+    image of one; so the generators generate the whole automorphism group.
+    """
     n = len(adj)
     if n <= 1:
-        return 0
+        return 0, tuple(range(n)), []
     nbrs = [_bits_of(m) for m in adj]
-    colors, nc = _refine(nbrs, [len(nb) for nb in nbrs])
+    gens: list[Perm] = []
     best: int | None = None
+    best_order: list[int] = []
     verts = range(n)
 
-    def search(colors: list[int], nc: int) -> None:
-        nonlocal best
+    def search(colors: list[int], nc: int, path: list[int]) -> None:
+        nonlocal best, best_order
         order = sorted(verts, key=colors.__getitem__)
         split = -1
         for i in range(n - 1):
@@ -145,31 +175,49 @@ def canonical_form(adj: Masks) -> int:
                 for j in range(i + 1, n):
                     code = code + code + ((ai >> order[j]) & 1)
             if best is None or code < best:
-                best = code
+                best, best_order = code, order
+            elif code == best:
+                g = [0] * n
+                for a, b in zip(best_order, order):
+                    g[a] = b
+                gens.append(tuple(g))
             return
         c = colors[order[split]]
         cell = [v for v in order[split:] if colors[v] == c]
-        # Skip vertices interchangeable with an earlier cell member: the
-        # transposition is an automorphism, so both branches encode equally.
-        reps: list[int] = []
+        explored: list[int] = []
+        known = -1
+        roots: list[int] = []
         for v in cell:
-            dup = any(
-                adj[w] & ~(1 << v) == adj[v] & ~(1 << w) for w in reps
-            )
-            if not dup:
-                reps.append(v)
-        for v in reps:
+            if explored:
+                if known != len(gens):
+                    known = len(gens)
+                    roots = _orbit_roots(
+                        n, (g for g in gens if all(g[x] == x for x in path))
+                    )
+                if any(roots[v] == roots[w] for w in explored):
+                    continue
+                twin = next(
+                    (w for w in explored if adj[w] & ~(1 << v) == adj[v] & ~(1 << w)),
+                    -1,
+                )
+                if twin >= 0:
+                    g = list(verts)
+                    g[v], g[twin] = twin, v
+                    gens.append(tuple(g))
+                    continue
+            explored.append(v)
             branched = list(colors)
             branched[v] = nc
-            search(*_refine(nbrs, branched))
+            search(*refine(nbrs, branched), path + [v])
 
-    search(colors, nc)
+    search(*refine(nbrs, [len(nb) for nb in nbrs]), [])
     assert best is not None
-    return best
+    return best, tuple(best_order), gens
 
 
-def canonical_key(adj: Masks) -> tuple[int, int]:
-    return (len(adj), canonical_form(adj))
+def canonical_form(adj: Masks) -> int:
+    """The canonical code: equal for two graphs on n vertices iff isomorphic."""
+    return canonical_labelling(adj)[0]
 
 
 def are_isomorphic(adj_a: Masks, adj_b: Masks) -> bool:

@@ -57,7 +57,7 @@ def slot_table(
             "triangular face contributions need the pseudoface map"
         )
     boundaries = {
-        face.id: pf[face.id].edges if pf is not None else face.edges()
+        face.id: (pf[face.id] if pf is not None else face).edges
         for face in d.graph.faces
         if face.id not in d.interior_face_block
     }

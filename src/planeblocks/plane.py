@@ -11,7 +11,7 @@ connectivity and the Euler characteristic v - e + f = 2.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -36,20 +36,18 @@ class Face:
     """One face of a plane graph: a cyclic walk of darts.
 
     The walk starts at the face's smallest dart.  A bridge edge appears twice
-    (once per dart), so its length counts toward the face twice.
+    (once per dart), so its length counts toward the face twice.  ``edges``
+    is the edge sequence of the walk (repeats for bridges).
     """
 
     id: int
     darts: tuple[Dart, ...]
     is_outer: bool
+    edges: tuple[Edge, ...]
 
     @property
     def length(self) -> int:
         return len(self.darts)
-
-    def edges(self) -> tuple[Edge, ...]:
-        """Edge sequence of the boundary walk (repeats for bridges)."""
-        return tuple(edge_of(u, v) for u, v in self.darts)
 
 
 class PlaneGraph:
@@ -146,7 +144,12 @@ class PlaneGraph:
             if self.outer_dart in walk:
                 outer_id = fid
         return tuple(
-            Face(id=fid, darts=tuple(walk), is_outer=(fid == outer_id))
+            Face(
+                id=fid,
+                darts=tuple(walk),
+                is_outer=fid == outer_id,
+                edges=tuple(edge_of(u, v) for u, v in walk),
+            )
             for fid, walk in enumerate(faces)
         )
 
@@ -187,10 +190,7 @@ class PlaneGraph:
         h = copy.copy(self)
         h.outer_dart = (int(outer_dart[0]), int(outer_dart[1]))
         outer_id = self.face_of_dart(h.outer_dart).id  # UnknownDart if absent
-        h.faces = tuple(
-            Face(id=f.id, darts=f.darts, is_outer=f.id == outer_id)
-            for f in self.faces
-        )
+        h.faces = tuple(replace(f, is_outer=f.id == outer_id) for f in self.faces)
         return h
 
     def sorted_edges(self) -> list[Edge]:

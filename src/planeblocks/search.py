@@ -2,12 +2,23 @@
 
 The enumeration yields exactly one representative per isomorphism class of
 connected simple planar graphs on n vertices satisfying a constraint set.  It
-works level by level on edge count: children of a level are produced by adding
-one edge, pruned by the deletion-closed constraints (forbidden cycles,
-bipartiteness, planarity), and deduplicated by canonical form.  Constraints
+works level by level on edge count, by canonical deletion (McKay,
+"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Each level
+maps a canonical code to the class's canonical representative and generators
+of its automorphism group.  A parent gets one child per orbit of its
+non-edges under those generators.  A child is pruned by the deletion-closed
+constraints (forbidden cycles, bipartiteness), then kept only if its new edge
+lies in the orbit of its canonical edge, the edge whose deletion defines its
+parent; see ``_canonical_deletion``.  Only the children that pass are tested
+for planarity, and each planar one gets one canonical labelling.  So every
+class is produced from exactly one parent class, and most children need no
+labelling.  A parent's generators need only be automorphisms: a missing one
+would repeat a child, and the level dict, keyed by canonical code, drops the
+repeat.  The test needs the child's whole automorphism group, which the
+generators from ``canon.canonical_labelling`` generate.  Constraints
 that are not deletion-closed (minimum degree, 2-connectivity, the degree-2
 neighbor rule) are filtered at emission.  Because level sets store canonical
-codes, the result is independent of generation schedule.
+representatives, the result is independent of generation schedule.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ import networkx as nx
 
 from . import canon
 from .errors import CeilingExceeded, RetriesExhausted
-from .plane import Edge, PlaneGraph, rotations_from_edges
+from .plane import Edge, PlaneGraph, edge_of, rotations_from_edges
 from .structure import Hypotheses, is_bipartite, is_connected, structural_stats
 
 DEFAULT_CEILING = 10
@@ -38,9 +49,9 @@ class ConstraintSet(Hypotheses):
 
 @dataclass
 class SearchStats:
-    candidates: int = 0  # unique classes tested for planarity
+    candidates: int = 0  # children passing canonical deletion; each tested for planarity
     expanded: int = 0  # planar classes kept in some level
-    children: int = 0  # edge-augmented children generated
+    children: int = 0  # edge-augmented children generated, one per non-edge orbit
     emitted: int = 0  # connected graphs passing all constraints
     elapsed: float = 0.0
 
@@ -168,6 +179,98 @@ def _planar_cap(n: int, cs: ConstraintSet) -> int:
     return 3 * n - 6
 
 
+def _pair_orbit(p: Edge, gens: list[canon.Perm]) -> set[Edge]:
+    """The orbit of a vertex pair under the group generated by gens."""
+    orbit = {p}
+    todo = [p]
+    while todo:
+        x, y = todo.pop()
+        for g in gens:
+            q = edge_of(g[x], g[y])
+            if q not in orbit:
+                orbit.add(q)
+                todo.append(q)
+    return orbit
+
+
+def _non_edge_orbits(adj: canon.Masks, gens: list[canon.Perm]) -> list[Edge]:
+    """One non-edge per orbit of the group generated by gens, the first in
+    lexicographic order."""
+    n = len(adj)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not (adj[u] >> v) & 1]
+    if not gens:
+        return pairs
+    seen: set[Edge] = set()
+    reps = []
+    for p in pairs:
+        if p not in seen:
+            reps.append(p)
+            seen |= _pair_orbit(p, gens)
+    return reps
+
+
+def _positions(order: canon.Perm) -> list[int]:
+    """The inverse of a canonical order: the position of each vertex."""
+    pos = [0] * len(order)
+    for i, x in enumerate(order):
+        pos[x] = i
+    return pos
+
+
+def _canonical_deletion(
+    child: canon.Masks, new: Edge
+) -> tuple[bool, Optional[canon.Labelling]]:
+    """Whether the new edge lies in the orbit of the child's canonical edge.
+
+    The canonical edge has the largest sorted degree pair; ties go to the
+    largest sorted pair of refined colors, then to the smallest sorted pair
+    of canonical positions.  Every tier is invariant under isomorphism, so
+    each class is accepted from exactly one parent class and one non-edge
+    orbit of it.  Returns the child's labelling when the last tier had to
+    compute it.
+    """
+    nbrs = canon.neighbor_lists(child)
+    deg = [len(nb) for nb in nbrs]
+    u, v = new
+    key = (deg[u], deg[v]) if deg[u] < deg[v] else (deg[v], deg[u])
+    ties = []
+    for x, nb in enumerate(nbrs):
+        dx = deg[x]
+        if dx < key[0]:
+            continue
+        for y in nb:
+            if y < x:
+                continue
+            dy = deg[y]
+            k = (dx, dy) if dx < dy else (dy, dx)
+            if k > key:
+                return False, None
+            if k == key:
+                ties.append((x, y))
+    if len(ties) == 1:
+        return True, None
+    colors, _ = canon.refine(nbrs, deg)
+    key = tuple(sorted((colors[u], colors[v])))
+    keyed = [(tuple(sorted((colors[x], colors[y]))), (x, y)) for x, y in ties]
+    if max(keyed)[0] > key:
+        return False, None
+    ties = [e for k, e in keyed if k == key]
+    if len(ties) == 1:
+        return True, None
+    labelling = canon.canonical_labelling(child)
+    _, order, gens = labelling
+    pos = _positions(order)
+    best = min(ties, key=lambda e: sorted((pos[e[0]], pos[e[1]])))
+    return new in _pair_orbit(best, gens), labelling
+
+
+def _on_representative(order: canon.Perm, gens: list[canon.Perm]) -> list[canon.Perm]:
+    """Generators conjugated onto the canonical representative, whose vertex
+    i is order[i]."""
+    pos = _positions(order)
+    return [tuple(pos[g[x]] for x in order) for g in gens]
+
+
 def enumerate_graphs(
     cs: ConstraintSet,
     ceiling: Optional[int] = None,
@@ -191,45 +294,43 @@ def enumerate_graphs(
             yield n, empty
         return
     cap = _planar_cap(n, cs)
-    level: dict[int, canon.Masks] = {canon.canonical_form(empty): empty}
+    code, order, gens = canon.canonical_labelling(empty)
+    level = {code: (empty, _on_representative(order, gens))}
     edge_total = 0
     while level and edge_total < cap:
-        next_level: dict[int, canon.Masks] = {}
-        rejected: set[int] = set()
-        for code in sorted(level):
-            adj = level[code]
-            if cs.bipartite and not is_bipartite(canon.neighbor_lists(adj))[0]:
-                continue  # cannot happen; guards future constraint edits
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if (adj[u] >> v) & 1:
-                        continue
-                    stats.children += 1
-                    if not _new_edge_ok(adj, u, v, cs):
-                        continue
-                    child = list(adj)
-                    child[u] |= 1 << v
-                    child[v] |= 1 << u
-                    child_t = tuple(child)
-                    if cs.bipartite and not is_bipartite(
-                        canon.neighbor_lists(child_t)
-                    )[0]:
-                        continue
-                    ccode = canon.canonical_form(child_t)
-                    if ccode in next_level or ccode in rejected:
-                        continue
-                    stats.candidates += 1
-                    if is_planar(n, canon.edges_from_masks(child_t)):
-                        # store the canonical representative so output does
-                        # not depend on which parent produced the class
-                        next_level[ccode] = canon.decode(n, ccode)
-                    else:
-                        rejected.add(ccode)
+        next_level: dict[int, tuple[canon.Masks, list[canon.Perm]]] = {}
+        for adj, gens in level.values():
+            for u, v in _non_edge_orbits(adj, gens):
+                stats.children += 1
+                if not _new_edge_ok(adj, u, v, cs):
+                    continue
+                child = list(adj)
+                child[u] |= 1 << v
+                child[v] |= 1 << u
+                child_t = tuple(child)
+                if cs.bipartite and not is_bipartite(
+                    canon.neighbor_lists(child_t)
+                )[0]:
+                    continue
+                accepted, labelling = _canonical_deletion(child_t, (u, v))
+                if not accepted:
+                    continue
+                stats.candidates += 1
+                if not is_planar(n, canon.edges_from_masks(child_t)):
+                    continue
+                code, order, cgens = labelling or canon.canonical_labelling(child_t)
+                if code not in next_level:
+                    # store the canonical representative so output does not
+                    # depend on which parent produced the class
+                    next_level[code] = (
+                        canon.decode(n, code),
+                        _on_representative(order, cgens),
+                    )
         edge_total += 1
         level = next_level
         stats.expanded += len(level)
         for code in sorted(level):
-            adj = level[code]
+            adj = level[code][0]
             if _passes_emission(adj, cs):
                 stats.emitted += 1
                 yield n, adj

@@ -19,7 +19,7 @@ def worklist_decompose(g, mode, edge_order):
             continue
         if len({u for u, _ in face.darts}) != m:
             continue
-        faces.append(frozenset(face.edges()))
+        faces.append(frozenset(face.edges))
     unassigned = list(edge_order)
     partition = []
     while unassigned:
@@ -152,7 +152,7 @@ def test_pseudoface_pair_reduction():
     for q in pf.values():
         if not q.reductions and not q.degenerate:
             f = next(f for f in g.faces if f.id == q.face_id)
-            assert q.edges == f.edges()
+            assert q.edges == f.edges
 
 
 def test_pseudoface_reduction_order_independent():
@@ -170,7 +170,7 @@ def test_pseudoface_reduction_order_independent():
             continue
         for seed in range(6):
             rng = random.Random(seed)
-            seq = list(face.edges())
+            seq = list(face.edges)
             while True:
                 n = len(seq)
                 options = []

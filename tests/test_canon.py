@@ -134,15 +134,60 @@ def test_large_graphs_agree_with_networkx():
             (a, relabel(a, perm)),
             (a, b),
         ]
-        if n <= 20:  # nothing refines two disjoint cycles: a large search tree
-            half = n // 2
-            two_cycles = canon.masks_from_edges(
-                n,
-                [(v, (v + 1) % half) for v in range(half)]
-                + [(half + v, half + (v + 1) % (n - half)) for v in range(n - half)],
-            )
-            cases.append((cycle, two_cycles))
+        # nothing refines two disjoint cycles: only orbit pruning keeps the
+        # search tree small
+        half = n // 2
+        two_cycles = canon.masks_from_edges(
+            n,
+            [(v, (v + 1) % half) for v in range(half)]
+            + [(half + v, half + (v + 1) % (n - half)) for v in range(n - half)],
+        )
+        cases.append((cycle, two_cycles))
     for x, y in cases:
         assert (canon.canonical_form(x) == canon.canonical_form(y)) == nx.is_isomorphic(
             to_nx(x), to_nx(y)
         )
+
+
+def non_edge_orbits(adj, perms):
+    """The orbits of the non-edges under the group the automorphisms perms
+    generate."""
+    n = len(adj)
+    root = {(u, v): (u, v) for u in range(n) for v in range(u + 1, n) if not (adj[u] >> v) & 1}
+
+    def find(p):
+        while root[p] != p:
+            p = root[p]
+        return p
+
+    for g in perms:
+        for u, v in root:
+            a, b = find((u, v)), find(tuple(sorted((g[u], g[v]))))
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    orbits = {}
+    for p in root:
+        orbits.setdefault(find(p), set()).add(p)
+    return {frozenset(o) for o in orbits.values()}
+
+
+def test_labelling_generates_the_automorphism_group():
+    # every graph on 2..6 vertices, connected or not, from networkx's atlas
+    rng = random.Random(6)
+    for atlas_graph in nx.graph_atlas_g():
+        n = atlas_graph.number_of_nodes()
+        if not 2 <= n <= 6:
+            continue
+        base = canon.masks_from_edges(n, atlas_graph.edges())
+        for _ in range(3):
+            perm = list(range(n))
+            rng.shuffle(perm)
+            adj = relabel(base, perm)
+            code, order, gens = canon.canonical_labelling(adj)
+            assert code == canon.canonical_form(base)
+            # position i of decode(code) is vertex order[i]
+            assert relabel(adj, [order.index(v) for v in range(n)]) == canon.decode(n, code)
+            for g in gens:
+                assert relabel(adj, g) == adj
+            autos = [p for p in itertools.permutations(range(n)) if relabel(adj, p) == adj]
+            assert non_edge_orbits(adj, gens) == non_edge_orbits(adj, autos)

@@ -4,7 +4,7 @@ import pytest
 
 from planeblocks import canon, search
 from planeblocks.errors import CeilingExceeded, RetriesExhausted
-from planeblocks.structure import is_connected, structural_stats
+from planeblocks.structure import is_bipartite, is_connected, structural_stats
 
 
 def brute_classes(n):
@@ -32,6 +32,78 @@ def test_enumeration_matches_labeled_quotient(n):
         assert code not in got, "class emitted twice"
         got[code] = canon.edge_count(adj)
     assert got == expected
+
+
+def edge_by_edge(cs):
+    """Reference enumerator: every child of every kept class, deduplicated by
+    canonical form, level by level (the generator enumerate_graphs replaced)."""
+    n = cs.n
+    empty = tuple([0] * n)
+    if n == 1:
+        if search._passes_emission(empty, cs):
+            yield n, empty
+        return
+    level = {canon.canonical_form(empty): empty}
+    for _ in range(search._planar_cap(n, cs)):
+        next_level = {}
+        rejected = set()
+        for code in sorted(level):
+            adj = level[code]
+            for u in range(n):
+                for v in range(u + 1, n):
+                    if (adj[u] >> v) & 1 or not search._new_edge_ok(adj, u, v, cs):
+                        continue
+                    child = list(adj)
+                    child[u] |= 1 << v
+                    child[v] |= 1 << u
+                    child = tuple(child)
+                    if cs.bipartite and not is_bipartite(canon.neighbor_lists(child))[0]:
+                        continue
+                    ccode = canon.canonical_form(child)
+                    if ccode in next_level or ccode in rejected:
+                        continue
+                    if search.is_planar(n, canon.edges_from_masks(child)):
+                        next_level[ccode] = canon.decode(n, ccode)
+                    else:
+                        rejected.add(ccode)
+        level = next_level
+        for code in sorted(level):
+            if search._passes_emission(level[code], cs):
+                yield n, level[code]
+
+
+# every constraint set the tests, the CLI cases and the bench enumerate, at n <= 8
+PARITY_SETS = (
+    [dict(n=n) for n in range(1, 9)]
+    + [dict(n=n, forbidden_cycles=(3,)) for n in (5, 6)]
+    + [dict(n=5, **{field: value}) for field, value in [
+        ("bipartite", True), ("min_degree", 2), ("exact_min_degree", 2),
+        ("two_connected", True), ("deg2_neighbor_ok", True)]]
+    + [
+        dict(n=5, forbidden_cycles=(3,), min_degree=2),
+        dict(n=6, bipartite=True),
+        dict(n=6, bipartite=True, forbidden_cycles=(6,)),
+        dict(n=6, forbidden_cycles=(4,), min_degree=2, two_connected=True),
+        dict(n=6, exact_min_degree=2, deg2_neighbor_ok=True),
+        dict(n=8, forbidden_cycles=(4,), two_connected=True),
+        dict(n=8, bipartite=True, forbidden_cycles=(6,)),
+        dict(n=8, forbidden_cycles=(5,), min_degree=3, two_connected=True),
+    ]
+    + [dict(n=n, bipartite=True, forbidden_cycles=(6,), min_degree=3) for n in range(1, 9)]
+    + [dict(n=n, bipartite=True, forbidden_cycles=(6,), min_degree=2, deg2_neighbor_ok=True)
+       for n in (6, 7, 8)]
+    + [dict(n=n, bipartite=True, forbidden_cycles=(8, 10), min_degree=3) for n in range(1, 9)]
+)
+
+
+def set_id(kwargs):
+    return ",".join(f"{k}={v}" for k, v in kwargs.items()).replace(" ", "")
+
+
+@pytest.mark.parametrize("kwargs", PARITY_SETS, ids=set_id)
+def test_enumeration_matches_edge_by_edge_reference(kwargs):
+    cs = search.ConstraintSet(**kwargs)
+    assert list(search.enumerate_graphs(cs)) == list(edge_by_edge(cs))
 
 
 def test_class_counts_small():
