@@ -14,12 +14,12 @@ replaced by the block's third exterior edge).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Literal, Optional
+from dataclasses import dataclass
+from typing import Literal
 
 from . import canon
 from .errors import WrongMode
-from .plane import Edge, PlaneGraph, edge_of
+from .plane import Edge, PlaneGraph
 
 Mode = Literal["triangular", "quadrangular"]
 
@@ -237,16 +237,15 @@ class Pseudoface:
     face_id: int
     edges: tuple[Edge, ...]  # reduced cyclic edge sequence
     reductions: tuple[Reduction, ...] = ()
-    degenerate: bool = False  # a reducible pattern was left untouched
+    # two consecutive edges of `edges` are exterior edges of one K4 block
+    degenerate: bool = False
 
     @property
     def length(self) -> int:
         return len(self.edges)
 
 
-def refine_pseudofaces(
-    d: BlockDecomposition, g: Optional[PlaneGraph] = None
-) -> dict[int, Pseudoface]:
+def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
     """Pseudoface of every face of G that is not interior to a block.
 
     Pairs are found left-to-right along the boundary walk; a pattern of three
@@ -255,14 +254,13 @@ def refine_pseudofaces(
     """
     if d.mode != "triangular":
         raise WrongMode("pseudofaces are defined for triangular decompositions")
-    g = g if g is not None else d.graph
     k4_ext: dict[Edge, int] = {}
     for b in d.blocks:
         if b.kind == BlockKind.K4:
             for e in b.exterior_edges:
                 k4_ext[e] = b.id
     out: dict[int, Pseudoface] = {}
-    for face in g.faces:
+    for face in d.graph.faces:
         if face.id in d.interior_face_block:
             continue
         seq = list(face.edges)
@@ -299,13 +297,6 @@ def refine_pseudofaces(
             if not applied:
                 break
             degenerate = False  # re-judge after the rewrite
-        # final degeneracy scan (a leftover pattern may persist)
-        n = len(seq)
-        for i in range(n):
-            e1, e2 = seq[i], seq[(i + 1) % n]
-            bid = k4_ext.get(e1)
-            if bid is not None and k4_ext.get(e2) == bid and e1 != e2:
-                degenerate = True
         out[face.id] = Pseudoface(
             face_id=face.id,
             edges=tuple(seq),
@@ -313,53 +304,3 @@ def refine_pseudofaces(
             degenerate=degenerate,
         )
     return out
-
-
-# -- exterior labeling -------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundaryLabeling:
-    block_id: int
-    exterior_vertices: frozenset[int]
-    exterior_edges: frozenset[Edge]
-    exterior_faces: tuple[int, ...]
-    junction_vertices: frozenset[int]
-    # per exterior face: this block's entries on the (pseudo)face boundary
-    slots: dict[int, tuple[Edge, ...]] = field(default_factory=dict)
-
-
-def block_boundary(
-    b: Block,
-    d: BlockDecomposition,
-    pf: Optional[dict[int, Pseudoface]] = None,
-) -> BoundaryLabeling:
-    """Exterior vertices/edges/faces of a block and its boundary slots.
-
-    With a pseudoface map (triangular mode), slots follow the reduced
-    boundaries, so a collapsed K4 pair appears as its single replacement edge.
-    """
-    g = d.graph
-    interior = set(b.interior_faces)
-    ext_vertices = frozenset(
-        v
-        for v in b.vertices
-        if any(
-            g.face_of_dart((v, w)).id not in interior for w in g.neighbors(v)
-        )
-    )
-    slots: dict[int, list[Edge]] = {}
-    for face in g.faces:
-        if face.id in d.interior_face_block:
-            continue
-        entries = (pf[face.id] if pf is not None else face).edges
-        mine = [e for e in entries if d.edge_to_block[e] == b.id]
-        if mine:
-            slots[face.id] = mine
-    return BoundaryLabeling(
-        block_id=b.id,
-        exterior_vertices=ext_vertices,
-        exterior_edges=b.exterior_edges,
-        exterior_faces=tuple(sorted(slots)),
-        junction_vertices=b.junction_vertices,
-        slots={f: tuple(es) for f, es in slots.items()},
-    )

@@ -219,8 +219,3 @@ def canonical_form(adj: Masks) -> int:
     """The canonical code: equal for two graphs on n vertices iff isomorphic."""
     return canonical_labelling(adj)[0]
 
-
-def are_isomorphic(adj_a: Masks, adj_b: Masks) -> bool:
-    if len(adj_a) != len(adj_b) or edge_count(adj_a) != edge_count(adj_b):
-        return False
-    return canonical_form(adj_a) == canonical_form(adj_b)

@@ -187,7 +187,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.graph:
             g = _read_graph(args.graph)
             stats = structural_stats(g.rotations)
-            check = theorems.check_bound(g, profile, force=True, stats=stats)
+            check = theorems.check_bound(g, profile, stats)
             frac = graphio.format_fraction
             print(
                 f"n={g.n} k={stats.k}: "

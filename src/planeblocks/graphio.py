@@ -21,7 +21,7 @@ import json
 from fractions import Fraction
 from typing import Any, Optional
 
-from .blocks import BlockDecomposition
+from .blocks import Block, BlockDecomposition
 from .errors import GraphSyntaxError, MissingOuterDart
 from .ledger import ContributionLedger
 from .plane import PlaneGraph
@@ -37,10 +37,6 @@ def format_fraction(x: Fraction) -> str:
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_fraction(s: str) -> Fraction:
-    return Fraction(s)
 
 
 # -- graph files -------------------------------------------------------------
@@ -157,44 +153,39 @@ def graph_summary(g: PlaneGraph, stats: StructuralStats) -> dict[str, Any]:
     }
 
 
+def _block_row(b: Block) -> dict[str, Any]:
+    """The keys every report gives a block."""
+    return {
+        "id": b.id,
+        "kind": b.kind.value,
+        "edges": [list(e) for e in sorted(b.edges)],
+        "junctions": len(b.junction_vertices),
+        "interior_faces": len(b.interior_faces),
+    }
+
+
 def _ledger_blocks(led: ContributionLedger) -> list[dict[str, Any]]:
-    d = led.decomposition
-    out = []
-    for entry in led.entries:
-        b = d.blocks[entry.block_id]
-        out.append(
-            {
-                "id": b.id,
-                "kind": b.kind.value,
-                "edges": [list(e) for e in sorted(b.edges)],
-                "junctions": len(b.junction_vertices),
-                "interior_faces": len(b.interior_faces),
-                "v": format_fraction(entry.v),
-                "e": entry.e,
-                "f": format_fraction(entry.f),
-                "k": format_fraction(entry.k),
-                "e23": entry.e23,
-            }
-        )
-    return out
+    blocks = led.decomposition.blocks
+    return [
+        {
+            **_block_row(blocks[entry.block_id]),
+            "v": format_fraction(entry.v),
+            "e": entry.e,
+            "f": format_fraction(entry.f),
+            "k": format_fraction(entry.k),
+            "e23": entry.e23,
+        }
+        for entry in led.entries
+    ]
 
 
-def decomposition_report(g: PlaneGraph, d: "BlockDecomposition") -> dict[str, Any]:
+def decomposition_report(g: PlaneGraph, d: BlockDecomposition) -> dict[str, Any]:
     return {
         "schema": REPORT_SCHEMA,
         "kind": "decomposition",
         "graph": graph_summary(g, structural_stats(g.rotations)),
         "mode": d.mode,
-        "blocks": [
-            {
-                "id": b.id,
-                "kind": b.kind.value,
-                "edges": [list(e) for e in sorted(b.edges)],
-                "junctions": len(b.junction_vertices),
-                "interior_faces": len(b.interior_faces),
-            }
-            for b in d.blocks
-        ],
+        "blocks": [_block_row(b) for b in d.blocks],
     }
 
 

@@ -170,16 +170,8 @@ class PlaneGraph:
             raise UnknownDart(f"{d[0]}->{d[1]} is not a dart of the graph")
         return self.faces[self.dart_face[d]]
 
-    def faces_of_edge(self, e: Edge) -> tuple[Face, Face]:
-        """The two face sides of an edge (equal for a bridge)."""
-        u, v = e
-        return self.face_of_dart((u, v)), self.face_of_dart((v, u))
-
     def degree(self, v: int) -> int:
         return len(self.rotations[v])
-
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.rotations[v]
 
     def with_outer(self, outer_dart: Dart) -> "PlaneGraph":
         """Same embedding with a different declared outer face.

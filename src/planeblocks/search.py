@@ -23,9 +23,7 @@ representatives, the result is independent of generation schedule.
 
 from __future__ import annotations
 
-import os
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Sequence
 
@@ -37,7 +35,7 @@ from .plane import Edge, PlaneGraph, edge_of, rotations_from_edges
 from .structure import Hypotheses, is_bipartite, is_connected, structural_stats
 
 DEFAULT_CEILING = 10
-CEILING_ENV = "TURAN_PLANAR_CEILING"
+WITNESS_CAP = 100  # most witnesses one extremal search keeps
 
 
 @dataclass(frozen=True)
@@ -53,7 +51,6 @@ class SearchStats:
     expanded: int = 0  # planar classes kept in some level
     children: int = 0  # edge-augmented children generated, one per non-edge orbit
     emitted: int = 0  # connected graphs passing all constraints
-    elapsed: float = 0.0
 
 
 @dataclass
@@ -62,13 +59,6 @@ class SearchResult:
     max_edges: int
     witnesses: list[PlaneGraph]
     stats: SearchStats = field(default_factory=SearchStats)
-
-
-def configured_ceiling() -> int:
-    raw = os.environ.get(CEILING_ENV)
-    if raw is not None:
-        return int(raw)
-    return DEFAULT_CEILING
 
 
 # -- planarity ---------------------------------------------------------------
@@ -142,9 +132,7 @@ def _sparse_components(n: int, edges: Sequence[Edge]) -> bool:
 def _has_path_of_length(
     adj: canon.Masks, u: int, v: int, length: int
 ) -> bool:
-    """Simple u-v path with exactly `length` edges, not using edge uv."""
-    if length < 2:
-        return False  # the uv edge itself is excluded
+    """Simple u-v path with exactly `length` >= 2 edges, not using edge uv."""
 
     def walk(last: int, depth: int, visited: int) -> bool:
         m = adj[last] & ~visited
@@ -280,7 +268,7 @@ def enumerate_graphs(
     graphs on cs.n vertices satisfying cs, in ascending edge count and
     canonical-code order."""
     n = cs.n
-    limit = ceiling if ceiling is not None else configured_ceiling()
+    limit = ceiling if ceiling is not None else DEFAULT_CEILING
     if n > limit:
         raise CeilingExceeded(f"n={n} above ceiling {limit}")
     if n < 1:
@@ -354,17 +342,16 @@ def count_connected_classes(n: int) -> int:
 # -- extremal search ---------------------------------------------------------
 
 def extremal_search(
-    cs: ConstraintSet,
-    ceiling: Optional[int] = None,
-    witness_cap: int = 100,
+    cs: ConstraintSet, ceiling: Optional[int] = None
 ) -> SearchResult:
     """Maximum edge count over the enumerated graphs, with all witnesses.
 
     No bound-based pruning is applied: the search is the independent oracle
     against which derived bounds are checked, so it must not assume them.
     """
+    if cs.n < 1:
+        raise ValueError(f"search needs n >= 1, got {cs.n}")
     stats = SearchStats()
-    start = time.perf_counter()
     best = -1
     witnesses: list[canon.Masks] = []
     for n, adj in enumerate_graphs(cs, ceiling=ceiling, stats=stats):
@@ -372,9 +359,8 @@ def extremal_search(
         if e > best:
             best = e
             witnesses = [adj]
-        elif e == best and len(witnesses) < witness_cap:
+        elif e == best and len(witnesses) < WITNESS_CAP:
             witnesses.append(adj)
-    stats.elapsed = time.perf_counter() - start
     embedded = []
     for adj in witnesses:
         if len(adj) == 1:

@@ -7,7 +7,7 @@ A PlaneGraph's ``rotations`` attribute is a valid adjacency-list argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence
 
 from .errors import BadLength
@@ -26,7 +26,6 @@ class StructuralStats:
     k: int  # number of degree-2 vertices
     e23: int  # edges joining a degree-2 and a degree-3 vertex
     bipartite: bool
-    coloring: Optional[tuple[int, ...]] = field(default=None, compare=False)
     two_connected: bool = False
     deg2_neighbor_ok: bool = True  # every degree-2 vertex has a neighbor of degree <= 3
 
@@ -154,7 +153,7 @@ def structural_stats(adj: Adjacency) -> StructuralStats:
         for v in adj[u]:
             if u < v and {degrees[u], degrees[v]} == {2, 3}:
                 e23 += 1
-    bip, coloring = is_bipartite(adj)
+    bip, _ = is_bipartite(adj)
     deg2_ok = all(
         any(degrees[w] <= 3 for w in adj[u])
         for u in range(n)
@@ -168,7 +167,6 @@ def structural_stats(adj: Adjacency) -> StructuralStats:
         k=hist.get(2, 0),
         e23=e23,
         bipartite=bip,
-        coloring=coloring,
         two_connected=is_two_connected(adj),
         deg2_neighbor_ok=deg2_ok,
     )
@@ -198,6 +196,11 @@ class Hypotheses:
     exact_min_degree: Optional[int] = None  # require delta == this
     two_connected: bool = False
     deg2_neighbor_ok: bool = False  # every degree-2 vertex has a neighbor of degree <= 3
+
+    def __post_init__(self) -> None:
+        shortest = min(self.forbidden_cycles, default=3)
+        if shortest < 3:
+            raise BadLength(f"cycle length must be >= 3, got {shortest}")
 
     def checks(self, adj: Adjacency, stats: StructuralStats) -> tuple[Check, ...]:
         """Every predicate's Check, in report order (forbidden cycles first)."""

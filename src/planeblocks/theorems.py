@@ -222,25 +222,16 @@ def evaluate_row(coeffs: Coefficients, v, e, f, k, e23) -> Fraction:
 
 
 def verify_per_block(
-    g: PlaneGraph,
-    p: TheoremProfile,
-    force: bool = False,
-    hyp: Optional[HypothesisReport] = None,
+    g: PlaneGraph, p: TheoremProfile, hyp: HypothesisReport
 ) -> Verdict:
     """Evaluate L(B) for every block; list violations (L(B) > 0).
 
-    With failing hypotheses the per-block check only runs when forced, and
-    then blocks outside the profile catalog are tolerated.  On a
+    ``hyp`` is g's report from check_hypotheses.  With failing hypotheses,
+    blocks outside the profile catalog are tolerated.  On a
     hypothesis-satisfying graph an out-of-catalog block is an internal error
     (the source proves the catalogs exhaustive) and raises UnexpectedBlock.
-    ``hyp``, when given, is g's report from check_hypotheses.
     """
-    if hyp is None:
-        hyp = check_hypotheses(g, p)
-    verdict = Verdict(profile_id=p.id, hypotheses=hyp, forced=force)
-    if not hyp.ok and not force:
-        return verdict
-
+    verdict = Verdict(profile_id=p.id, hypotheses=hyp)
     warnings = list(hyp.warnings)
     work = g
     if p.saturate and hyp.ok:
@@ -372,26 +363,12 @@ def derive_global_bound(p: TheoremProfile) -> BoundFormula:
 
 
 def check_bound(
-    g: PlaneGraph,
-    p: TheoremProfile,
-    force: bool = False,
-    stats: Optional[StructuralStats] = None,
+    g: PlaneGraph, p: TheoremProfile, stats: StructuralStats
 ) -> BoundCheck:
     """Compare e_G against the profile's derived bound, exactly.
 
-    Unless forced, the hypotheses must hold.  A forced check reads only k and
-    e23 from ``stats`` (g's structural stats, computed here when not given).
+    Reads only k and e23 from ``stats``, g's structural stats.
     """
-    if not force:
-        hyp = check_hypotheses(g, p)
-        if not hyp.ok:
-            failed = [c.name for c in hyp.checks if not c.ok]
-            raise HypothesisViolated(
-                f"profile {p.id} hypotheses not satisfied: {', '.join(failed)}"
-            )
-        stats = hyp.stats
-    elif stats is None:
-        stats = structural_stats(g.rotations)
     formula = derive_global_bound(p)
     bound = formula.evaluate(g.n, k=stats.k, e23=stats.e23)
     slack = bound - g.e
@@ -406,12 +383,17 @@ def check_bound(
 
 
 def verify(g: PlaneGraph, p: TheoremProfile, force: bool = False) -> Verdict:
-    """Hypotheses, per-block inequalities and the global bound in one verdict."""
+    """Hypotheses, per-block inequalities and the global bound in one verdict.
+
+    With failing hypotheses the blocks and the bound are evaluated only when
+    forced.
+    """
     hyp = check_hypotheses(g, p)
-    verdict = verify_per_block(g, p, force=force, hyp=hyp)
-    if hyp.ok or force:
-        # the hypotheses were just checked; the bound needs only the stats
-        verdict.bound = check_bound(g, p, force=True, stats=hyp.stats)
+    if not (hyp.ok or force):
+        return Verdict(profile_id=p.id, hypotheses=hyp)
+    verdict = verify_per_block(g, p, hyp)
+    verdict.forced = force
+    verdict.bound = check_bound(g, p, hyp.stats)
     return verdict
 
 

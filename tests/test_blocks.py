@@ -204,22 +204,40 @@ def test_standalone_k4_outer_face_flagged_degenerate(fixture_graphs):
     assert p.reductions == ()
 
 
+def test_degenerate_iff_a_k4_pair_is_left():
+    """A pseudoface is degenerate iff two consecutive edges of its reduced
+    boundary are exterior edges of one K4 block."""
+    rng = random.Random(21)
+    seen = set()
+    for seed in range(1000):
+        g = search.random_plane_graph(rng.randint(4, 14), 5000 + seed)
+        d = decompose(g, "triangular")
+        k4_of = {
+            e: b.id for b in d.blocks if b.kind == BlockKind.K4 for e in b.exterior_edges
+        }
+        for p in refine_pseudofaces(d).values():
+            m = len(p.edges)
+            pair = any(
+                p.edges[i] in k4_of and k4_of.get(p.edges[(i + 1) % m]) == k4_of[p.edges[i]]
+                for i in range(m)
+            )
+            assert p.degenerate == pair, (seed, p)
+            seen.add((pair, bool(p.reductions)))
+    assert {(True, False), (False, True), (False, False)} <= seen
+
+
 def test_refine_pseudofaces_requires_triangular(fixture_graphs):
     d = decompose(fixture_graphs["c4"], "quadrangular")
     with pytest.raises(WrongMode):
         refine_pseudofaces(d)
 
 
-def test_block_boundary_standalone_c4(fixture_graphs):
-    g = fixture_graphs["c4"]
-    d = decompose(g, "quadrangular")
-    lab = blocks.block_boundary(d.blocks[0], d)
-    assert lab.junction_vertices == frozenset()
-    assert lab.exterior_faces == (g.outer_face.id,)
-    assert lab.exterior_vertices == frozenset(range(4))
+def test_standalone_c4_has_no_junctions(fixture_graphs):
+    d = decompose(fixture_graphs["c4"], "quadrangular")
+    assert d.blocks[0].junction_vertices == frozenset()
 
 
-def test_block_boundary_c4_with_pendants():
+def test_c4_with_pendants():
     # C4 plus a pendant edge at each corner (pendants drawn outside),
     # giving 4 junction vertices on the C4
     rotations = [[1, 4, 3], [2, 5, 0], [3, 6, 1], [0, 7, 2]] + [[i] for i in range(4)]
@@ -228,10 +246,10 @@ def test_block_boundary_c4_with_pendants():
     d = decompose(g, "quadrangular")
     c4 = next(b for b in d.blocks if b.kind == BlockKind.C4)
     assert c4.junction_vertices == frozenset(range(4))
-    lab = blocks.block_boundary(c4, d)
-    assert lab.exterior_edges == c4.edges
-    total = sum(len(v) for v in lab.slots.values())
-    assert total == 4  # each C4 edge appears once on a non-interior face
+    assert c4.exterior_edges == c4.edges
+    denom, table = ledger.slot_table(d)
+    # each C4 edge appears once on the outer face, whose length is 12
+    assert table[g.outer_face.id][c4.id] * 12 == 4 * denom
 
 
 def test_slot_completeness_random():

@@ -132,6 +132,18 @@ def test_search_constraint_parsing(capsys):
     assert "unknown constraint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["c2free", "c1free", "c-4free"])
+def test_search_rejects_cycle_length_below_three(token, capsys):
+    assert main(["search", "--n", "5", "--constraints", token]) == 2
+    assert "cycle length must be >= 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-2"])
+def test_search_rejects_n_below_one(n, capsys):
+    assert main(["search", "--n", n]) == 2
+    assert "n >= 1" in capsys.readouterr().err
+
+
 def test_search_ceiling(capsys):
     assert main(["search", "--n", "12"]) == 2
     assert "ceiling" in capsys.readouterr().err

@@ -86,7 +86,6 @@ def test_huge_declared_n_fails_with_a_short_message():
 def test_format_fraction():
     assert graphio.format_fraction(Fraction(3)) == "3"
     assert graphio.format_fraction(Fraction(-11, 8)) == "-11/8"
-    assert graphio.parse_fraction("2/3") == Fraction(2, 3)
 
 
 def make_reports(fixture_graphs):

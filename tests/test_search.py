@@ -188,7 +188,6 @@ def test_extremal_stats_populated():
     res = search.extremal_search(search.ConstraintSet(n=4))
     assert res.stats.emitted >= 6
     assert res.stats.candidates >= res.stats.expanded
-    assert res.stats.elapsed >= 0
 
 
 def test_random_plane_graph_deterministic():
@@ -219,9 +218,7 @@ def test_default_ceiling_guard():
         next(search.enumerate_graphs(search.ConstraintSet(n=12)))
 
 
-def test_ceiling_env_override(monkeypatch):
-    monkeypatch.setenv(search.CEILING_ENV, "4")
-    assert search.configured_ceiling() == 4
+def test_ceiling_argument():
     with pytest.raises(CeilingExceeded):
-        next(search.enumerate_graphs(search.ConstraintSet(n=5)))
+        next(search.enumerate_graphs(search.ConstraintSet(n=5), ceiling=4))
     assert search.count_connected_classes(4) == 6  # explicit ceiling still works

@@ -6,6 +6,7 @@ import pytest
 from planeblocks import canon
 from planeblocks.errors import BadLength
 from planeblocks.structure import (
+    Hypotheses,
     articulation_vertices,
     contains_cycle_of_length,
     is_bipartite,
@@ -57,6 +58,12 @@ def test_cycle_detection_matches_oracle_sampled(corpus7):
 def test_cycle_length_below_three_rejected(length):
     with pytest.raises(BadLength):
         contains_cycle_of_length([[1], [0]], length)
+
+
+@pytest.mark.parametrize("length", [-4, 0, 1, 2])
+def test_forbidden_cycle_below_three_rejected(length):
+    with pytest.raises(BadLength):
+        Hypotheses(forbidden_cycles=(5, length))
 
 
 def test_fixture_cycles(fixture_graphs):

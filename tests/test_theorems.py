@@ -15,7 +15,6 @@ from planeblocks.errors import (
 from planeblocks.plane import PlaneGraph
 from planeblocks.theorems import (
     PROFILES,
-    check_bound,
     check_hypotheses,
     derive_global_bound,
     get_profile,
@@ -146,13 +145,8 @@ def test_mindeg3_warning_for_bipartite_c6_profile(fixture_graphs):
     assert any("min degree" in w for w in rep.warnings)
 
 
-def test_check_bound_raises_without_force(fixture_graphs):
-    with pytest.raises(HypothesisViolated):
-        check_bound(fixture_graphs["cube"], PROFILES["BI_C8"])  # has a C8
-
-
 def test_forced_run_tolerates_out_of_catalog_blocks(fixture_graphs):
-    v = verify_per_block(fixture_graphs["cube"], PROFILES["BI_C8"], force=True)
+    v = verify(fixture_graphs["cube"], PROFILES["BI_C8"], force=True)
     assert not v.hypotheses.ok and v.forced
     assert v.ledger is not None
     assert any("outside the BI_C8 catalog" in w for w in v.warnings)
@@ -167,7 +161,8 @@ def test_unforced_run_stops_at_failed_hypotheses(fixture_graphs):
 def test_out_of_catalog_on_satisfying_graph_is_internal(fixture_graphs):
     shrunk = dataclasses.replace(PROFILES["C5"], catalog=(BlockKind.K3,))
     with pytest.raises(UnexpectedBlock):
-        verify_per_block(fixture_graphs["cube"], shrunk)
+        g = fixture_graphs["cube"]
+        verify_per_block(g, shrunk, check_hypotheses(g, shrunk))
 
 
 def test_unknown_profile():
