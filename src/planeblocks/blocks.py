@@ -93,10 +93,6 @@ class Block:
     exterior_edges: frozenset[Edge]  # edges bordering a non-interior face
     junction_vertices: frozenset[int]
 
-    @property
-    def trivial(self) -> bool:
-        return len(self.edges) == 1
-
 
 @dataclass
 class BlockDecomposition:

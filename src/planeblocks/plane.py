@@ -156,12 +156,6 @@ class PlaneGraph:
     # -- queries -------------------------------------------------------------
 
     @property
-    def darts(self) -> tuple[Dart, ...]:
-        return tuple(
-            sorted((u, v) for u in range(self.n) for v in self.rotations[u])
-        )
-
-    @property
     def outer_face(self) -> Face:
         return self.faces[self.dart_face[self.outer_dart]]
 
@@ -169,9 +163,6 @@ class PlaneGraph:
         if d not in self.dart_face:
             raise UnknownDart(f"{d[0]}->{d[1]} is not a dart of the graph")
         return self.faces[self.dart_face[d]]
-
-    def degree(self, v: int) -> int:
-        return len(self.rotations[v])
 
     def with_outer(self, outer_dart: Dart) -> "PlaneGraph":
         """Same embedding with a different declared outer face.

@@ -4,38 +4,51 @@ The enumeration yields exactly one representative per isomorphism class of
 connected simple planar graphs on n vertices satisfying a constraint set.  It
 works level by level on edge count, by canonical deletion (McKay,
 "Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Each level
-maps a canonical code to the class's canonical representative and generators
-of its automorphism group.  A parent gets one child per orbit of its
-non-edges under those generators.  A child is pruned by the deletion-closed
-constraints (forbidden cycles, bipartiteness), then kept only if its new edge
-lies in the orbit of its canonical edge, the edge whose deletion defines its
-parent; see ``_canonical_deletion``.  Only the children that pass are tested
-for planarity, and each planar one gets one canonical labelling.  So every
-class is produced from exactly one parent class, and most children need no
-labelling.  A parent's generators need only be automorphisms: a missing one
-would repeat a child, and the level dict, keyed by canonical code, drops the
-repeat.  The test needs the child's whole automorphism group, which the
-generators from ``canon.canonical_labelling`` generate.  Constraints
-that are not deletion-closed (minimum degree, 2-connectivity, the degree-2
-neighbor rule) are filtered at emission.  Because level sets store canonical
-representatives, the result is independent of generation schedule.
+maps a canonical code to the class's canonical representative, generators
+of its automorphism group and a planar rotation system of the
+representative.  A parent gets one child per orbit of its non-edges under
+those generators.  A child is pruned by the deletion-closed constraints
+(forbidden cycles, bipartiteness), then kept only if its new edge lies in
+the orbit of its canonical edge, the edge whose deletion defines its parent;
+see ``_canonical_deletion``.  The planarity of a child that passes is read
+from the parent's embedding, as in generation by embedding (Brinkmann and
+McKay, "Fast generation of planar graphs", MATCH 58, 2007); see
+``_ParentEmbedding``.  If the new edge joins two components, or its ends
+share a face of the parent, the child is planar and its embedding is the
+parent's with the edge added there.  Otherwise, if their component is
+3-connected, the child is not planar: by Whitney (1932) that component has
+one embedding up to mirror image, and it has no face for the edge.  Only the
+children left go to networkx, whose embedding is kept.  Each planar child
+gets one canonical labelling.  So every class is produced from exactly one
+parent class, and most children need no labelling.  A parent's generators
+need only be automorphisms: a missing one would repeat a child, and the
+level dict, keyed by canonical code, drops the repeat.  The test needs the
+child's whole automorphism group, which the generators from
+``canon.canonical_labelling`` generate.  Constraints that are not
+deletion-closed (minimum degree, 2-connectivity, the degree-2 neighbor rule)
+are filtered at emission.  Because level sets store canonical
+representatives and planarity does not depend on the embedding, the result
+is independent of generation schedule.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 import networkx as nx
 
 from . import canon
 from .errors import CeilingExceeded, RetriesExhausted
-from .plane import Edge, PlaneGraph, edge_of, rotations_from_edges
+from .plane import Dart, Edge, PlaneGraph, edge_of, rotations_from_edges
 from .structure import Hypotheses, is_bipartite, is_connected, structural_stats
 
 DEFAULT_CEILING = 10
 WITNESS_CAP = 100  # most witnesses one extremal search keeps
+
+Rotations = tuple[tuple[int, ...], ...]  # neighbor order around each vertex
 
 
 @dataclass(frozen=True)
@@ -71,15 +84,9 @@ def planar_embed(n: int, edges: Sequence[Edge]) -> Optional[PlaneGraph]:
     """
     if n < 2 or not edges:
         raise ValueError("planar_embed needs at least one edge")
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(sorted(edges))
-    ok, emb = nx.check_planarity(graph)
-    if not ok:
+    rotations = _networkx_rotations(n, edges)
+    if rotations is None:
         return None
-    rotations = [
-        tuple(reversed(list(emb.neighbors_cw_order(v)))) for v in range(n)
-    ]
     first = next(v for v in range(n) if rotations[v])
     g = PlaneGraph(rotations, (first, rotations[first][0]))
     # outer face: maximum length, ties broken by smallest dart
@@ -94,12 +101,19 @@ def planar_embed(n: int, edges: Sequence[Edge]) -> Optional[PlaneGraph]:
 
 
 def is_planar(n: int, edges: Sequence[Edge]) -> bool:
-    if _sparse_components(n, edges):
-        return True
+    return _sparse_components(n, edges) or _networkx_rotations(n, edges) is not None
+
+
+def _networkx_rotations(n: int, edges: Sequence[Edge]) -> Optional[Rotations]:
+    """Counterclockwise rotations of networkx's planar embedding of the
+    graph, or None if it is not planar."""
     graph = nx.Graph()
     graph.add_nodes_from(range(n))
-    graph.add_edges_from(edges)
-    return nx.check_planarity(graph, counterexample=False)[0]
+    graph.add_edges_from(sorted(edges))
+    ok, emb = nx.check_planarity(graph)
+    if not ok:
+        return None
+    return tuple(tuple(reversed(list(emb.neighbors_cw_order(v)))) for v in range(n))
 
 
 def _sparse_components(n: int, edges: Sequence[Edge]) -> bool:
@@ -252,11 +266,106 @@ def _canonical_deletion(
     return new in _pair_orbit(best, gens), labelling
 
 
+class _ParentEmbedding:
+    """A parent graph with a planar rotation system, deciding the planarity
+    of each child adj + uv from it.
+
+    The faces and vertex face masks are computed on first use and kept for
+    the parent's other children.
+    """
+
+    def __init__(self, adj: canon.Masks, rotations: Rotations):
+        self.adj = adj
+        self.rotations = rotations
+
+    @cached_property
+    def faces(self) -> list[list[Dart]]:
+        """The traced faces: (v, w) follows (u, v) when w follows u at v."""
+        succ: dict[Dart, Dart] = {}
+        for v, rot in enumerate(self.rotations):
+            for i, u in enumerate(rot):
+                succ[(u, v)] = (v, rot[(i + 1) % len(rot)])
+        faces = []
+        while succ:
+            start, d = succ.popitem()
+            walk = [start]
+            while d != start:
+                walk.append(d)
+                d = succ.pop(d)
+            faces.append(walk)
+        return faces
+
+    @cached_property
+    def face_masks(self) -> list[int]:
+        """Bit f of entry v is set iff vertex v lies on face f."""
+        masks = [0] * len(self.adj)
+        for f, walk in enumerate(self.faces):
+            for _, v in walk:
+                masks[v] |= 1 << f
+        return masks
+
+    def child(self, u: int, v: int) -> Optional[Rotations]:
+        """A planar rotation system of adj + uv, or None if it is not planar."""
+        adj, rot = self.adj, self.rotations
+        comp = _reach(adj, 1 << u, (1 << len(adj)) - 1)
+        if not (comp >> v) & 1:
+            out = list(rot)
+            out[u] = rot[u] + (v,)
+            out[v] = rot[v] + (u,)
+            return tuple(out)
+        common = self.face_masks[u] & self.face_masks[v]
+        if common:
+            walk = self.faces[(common & -common).bit_length() - 1]
+            out = list(rot)
+            for x, y in ((u, v), (v, u)):
+                # the face's corner at x lies after the tail of a dart into x
+                a = next(t for t, h in walk if h == x)
+                i = rot[x].index(a) + 1
+                out[x] = rot[x][:i] + (y,) + rot[x][i:]
+            return tuple(out)
+        if _three_connected(adj, comp):
+            return None
+        return _networkx_rotations(len(adj), canon.edges_from_masks(adj) + [(u, v)])
+
+
+def _reach(adj: canon.Masks, seed: int, within: int) -> int:
+    """The mask of vertices reachable from those of seed inside within."""
+    seen = frontier = seed
+    while frontier:
+        reach = 0
+        m = frontier
+        while m:
+            b = m & -m
+            reach |= adj[b.bit_length() - 1]
+            m ^= b
+        frontier = reach & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def _three_connected(adj: canon.Masks, comp: int) -> bool:
+    """Whether the component with vertex mask comp has at least 4 vertices
+    and stays connected after deleting any two of them."""
+    verts = [x for x in range(len(adj)) if (comp >> x) & 1]
+    if len(verts) < 4 or any(bin(adj[x]).count("1") < 3 for x in verts):
+        return False
+    for i, a in enumerate(verts):
+        for b in verts[i + 1:]:
+            rest = comp & ~(1 << a) & ~(1 << b)
+            if _reach(adj, rest & -rest, rest) != rest:
+                return False
+    return True
+
+
 def _on_representative(order: canon.Perm, gens: list[canon.Perm]) -> list[canon.Perm]:
     """Generators conjugated onto the canonical representative, whose vertex
     i is order[i]."""
     pos = _positions(order)
     return [tuple(pos[g[x]] for x in order) for g in gens]
+
+
+# a level entry: canonical representative, automorphism generators, embedding
+_Entry = tuple[canon.Masks, list[canon.Perm], Rotations]
 
 
 def enumerate_graphs(
@@ -268,11 +377,11 @@ def enumerate_graphs(
     graphs on cs.n vertices satisfying cs, in ascending edge count and
     canonical-code order."""
     n = cs.n
+    if n < 1:
+        raise ValueError(f"search needs n >= 1, got {n}")
     limit = ceiling if ceiling is not None else DEFAULT_CEILING
     if n > limit:
         raise CeilingExceeded(f"n={n} above ceiling {limit}")
-    if n < 1:
-        return
     if stats is None:
         stats = SearchStats()
     empty = tuple([0] * n)
@@ -283,11 +392,14 @@ def enumerate_graphs(
         return
     cap = _planar_cap(n, cs)
     code, order, gens = canon.canonical_labelling(empty)
-    level = {code: (empty, _on_representative(order, gens))}
+    level: dict[int, _Entry] = {
+        code: (empty, _on_representative(order, gens), ((),) * n)
+    }
     edge_total = 0
     while level and edge_total < cap:
-        next_level: dict[int, tuple[canon.Masks, list[canon.Perm]]] = {}
-        for adj, gens in level.values():
+        next_level: dict[int, _Entry] = {}
+        for adj, gens, rotations in level.values():
+            parent = _ParentEmbedding(adj, rotations)
             for u, v in _non_edge_orbits(adj, gens):
                 stats.children += 1
                 if not _new_edge_ok(adj, u, v, cs):
@@ -304,15 +416,18 @@ def enumerate_graphs(
                 if not accepted:
                     continue
                 stats.candidates += 1
-                if not is_planar(n, canon.edges_from_masks(child_t)):
+                child_rot = parent.child(u, v)
+                if child_rot is None:
                     continue
                 code, order, cgens = labelling or canon.canonical_labelling(child_t)
                 if code not in next_level:
                     # store the canonical representative so output does not
                     # depend on which parent produced the class
+                    pos = _positions(order)
                     next_level[code] = (
                         canon.decode(n, code),
                         _on_representative(order, cgens),
+                        tuple(tuple(pos[w] for w in child_rot[x]) for x in order),
                     )
         edge_total += 1
         level = next_level
@@ -333,12 +448,6 @@ def _passes_emission(adj: canon.Masks, cs: ConstraintSet) -> bool:
     return not cs.needs_stats or cs.stats_hold(structural_stats(nbrs))
 
 
-def count_connected_classes(n: int) -> int:
-    """Number of isomorphism classes of connected planar graphs on n vertices."""
-    cs = ConstraintSet(n=n)
-    return sum(1 for _ in enumerate_graphs(cs, ceiling=max(n, DEFAULT_CEILING)))
-
-
 # -- extremal search ---------------------------------------------------------
 
 def extremal_search(
@@ -349,8 +458,6 @@ def extremal_search(
     No bound-based pruning is applied: the search is the independent oracle
     against which derived bounds are checked, so it must not assume them.
     """
-    if cs.n < 1:
-        raise ValueError(f"search needs n >= 1, got {cs.n}")
     stats = SearchStats()
     best = -1
     witnesses: list[canon.Masks] = []

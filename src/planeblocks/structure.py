@@ -22,7 +22,6 @@ class StructuralStats:
     n: int
     e: int
     min_degree: int
-    degree_histogram: dict[int, int]
     k: int  # number of degree-2 vertices
     e23: int  # edges joining a degree-2 and a degree-3 vertex
     bipartite: bool
@@ -144,9 +143,6 @@ def is_two_connected(adj: Adjacency) -> bool:
 def structural_stats(adj: Adjacency) -> StructuralStats:
     n = len(adj)
     degrees = [len(a) for a in adj]
-    hist: dict[int, int] = {}
-    for d in degrees:
-        hist[d] = hist.get(d, 0) + 1
     e = sum(degrees) // 2
     e23 = 0
     for u in range(n):
@@ -163,8 +159,7 @@ def structural_stats(adj: Adjacency) -> StructuralStats:
         n=n,
         e=e,
         min_degree=min(degrees) if degrees else 0,
-        degree_histogram=hist,
-        k=hist.get(2, 0),
+        k=degrees.count(2),
         e23=e23,
         bipartite=bip,
         two_connected=is_two_connected(adj),

@@ -26,9 +26,9 @@ def corpus7():
 def corpus9():
     """All connected planar isomorphism classes, n = 1..9.
 
-    This is the expensive shared oracle (about 90 s with Python 3.11, most of
-    it networkx's planarity test on n = 9); tests that only need small graphs
-    should use corpus7 instead.
+    This is the expensive shared oracle (about 37 s with Python 3.11, most of
+    it canonical labelling and the canonical-deletion test on n = 9); tests
+    that only need small graphs should use corpus7 instead.
     """
     out = {}
     for n in range(1, 10):

@@ -6,6 +6,7 @@ session.  Set PLANEBLOCKS_EXTENDED=1 to run the larger gates (criterion 5 at
 n <= 11, criterion 7 at n <= 10).
 """
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -58,6 +59,9 @@ def test_criterion_1_bound_formulas(criterion):
 def test_criterion_2_conservation(criterion, corpus9):
     # the corpus is every connected planar class: OEIS A003094
     assert [len(corpus9[n]) for n in range(1, 10)] == [1, 1, 2, 6, 20, 99, 646, 5974, 71885]
+    # the n = 9 representatives and their order are pinned, not just counted
+    digest = hashlib.sha256(repr([(9, adj) for adj in corpus9[9]]).encode()).hexdigest()
+    assert digest == "4344ace7e7eb8857d32389b1a1fffc6f952af8f0ee3cf136e320c661b03b4dd7"
     checked = 0
     rng = random.Random(2024)
     graphs = []

@@ -66,7 +66,7 @@ def test_fixture_decompositions(fixture_graphs):
 
     d = decompose(fixture_graphs["cube"], "triangular")
     assert len(d.blocks) == 12
-    assert all(b.kind == BlockKind.K2 and b.trivial for b in d.blocks)
+    assert all(b.kind == BlockKind.K2 and len(b.edges) == 1 for b in d.blocks)
 
     d = decompose(fixture_graphs["q7"], "quadrangular")
     assert [b.kind for b in d.blocks] == [BlockKind.Q7]

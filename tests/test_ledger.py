@@ -95,7 +95,7 @@ def test_conservation_on_random_graphs():
             tv, te, tf, tk, te23 = led.totals
             assert (tv, te, tf) == (F(g.n), g.e, F(g.f))
             if mode == "quadrangular":
-                assert tk == sum(1 for v in range(g.n) if g.degree(v) == 2)
+                assert tk == sum(1 for rot in g.rotations if len(rot) == 2)
 
 
 def test_triangular_entries_carry_no_aux_terms(fixture_graphs):

@@ -63,7 +63,7 @@ def test_with_outer_changes_only_the_flag(fixture_graphs):
 def test_with_outer_matches_a_fresh_build(fixture_graphs):
     for g in fixture_graphs.values():
         before = g.faces
-        for d in g.darts:
+        for d in g.dart_face:
             h = g.with_outer(d)
             fresh = PlaneGraph(g.rotations, d)
             assert h == fresh

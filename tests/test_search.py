@@ -4,6 +4,8 @@ import pytest
 
 from planeblocks import canon, search
 from planeblocks.errors import CeilingExceeded, RetriesExhausted
+from planeblocks.fixtures import load_fixture
+from planeblocks.plane import PlaneGraph
 from planeblocks.structure import is_bipartite, is_connected, structural_stats
 
 
@@ -106,10 +108,114 @@ def test_enumeration_matches_edge_by_edge_reference(kwargs):
     assert list(search.enumerate_graphs(cs)) == list(edge_by_edge(cs))
 
 
+def class_count(n, **kwargs):
+    return sum(1 for _ in search.enumerate_graphs(search.ConstraintSet(n=n), **kwargs))
+
+
 def test_class_counts_small():
     # connected planar simple graphs per vertex count
-    assert [search.count_connected_classes(n) for n in range(1, 8)] == \
-        [1, 1, 2, 6, 20, 99, 646]
+    assert [class_count(n) for n in range(1, 8)] == [1, 1, 2, 6, 20, 99, 646]
+
+
+def genus_zero(n, edges, rotations):
+    """Whether the rotation system lists exactly these edges and every
+    component, an isolated vertex with its one face included, has
+    v - e + f = 2."""
+    assert sorted((u, v) for u in range(n) for v in rotations[u] if u < v) == sorted(edges)
+    assert all(len(set(rot)) == len(rot) for rot in rotations)
+    darts = {(u, v) for u in range(n) for v in rotations[u]}
+    faces = sum(1 for v in range(n) if not rotations[v])
+    while darts:
+        start = d = darts.pop()
+        while True:
+            u, v = d
+            rot = rotations[v]
+            d = (v, rot[(rot.index(u) + 1) % len(rot)])
+            if d == start:
+                break
+            darts.remove(d)
+        faces += 1
+    root = list(range(n))
+    for u, v in edges:
+        while root[u] != u:
+            u = root[u]
+        while root[v] != v:
+            v = root[v]
+        root[u] = v
+    components = sum(1 for v in range(n) if root[v] == v)
+    return n - len(edges) + faces == 2 * components
+
+
+def check_children(adj, rotations):
+    """Decide every child adj + uv from the embedding and check each decision
+    against is_planar; returns the decisions."""
+    n = len(adj)
+    parent = search._ParentEmbedding(adj, rotations)
+    decisions = []
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (adj[u] >> v) & 1:
+                continue
+            edges = canon.edges_from_masks(adj) + [(u, v)]
+            child = parent.child(u, v)
+            assert (child is not None) == search.is_planar(n, edges), (adj, u, v)
+            if child is not None:
+                assert genus_zero(n, edges, child), (adj, u, v)
+                if is_connected(child):
+                    assert PlaneGraph(child, (u, v)).e == len(edges)
+            decisions.append(child is not None)
+    return decisions
+
+
+def test_children_decided_from_the_parent_embedding(corpus7):
+    decided = 0
+    for n in range(2, 8):
+        for adj in corpus7[n]:
+            g = search.planar_embed(n, canon.edges_from_masks(adj))
+            decided += len(check_children(adj, g.rotations))
+    assert decided == 7706  # the non-edges of all 774 classes on 2 to 7 vertices
+    # disconnected parents, as the search keeps them: two triangles, and an
+    # edge and an isolated vertex beside a 4-cycle
+    for n, edges in [(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+                     (7, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])]:
+        adj = canon.masks_from_edges(n, edges)
+        rotations = tuple(tuple(nb) for nb in canon.neighbor_lists(adj))
+        assert all(check_children(adj, rotations))
+
+
+def counting_check_planarity(monkeypatch):
+    calls = []
+    real = search.nx.check_planarity
+    monkeypatch.setattr(search.nx, "check_planarity", lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+def test_whitney_rejects_a_3_connected_parent_without_networkx(monkeypatch):
+    cube = load_fixture("cube")
+    adj = canon.masks_from_edges(cube.n, cube.edges)
+    # the vertex no face of the cube shares with vertex 0 is its antipode
+    (far,) = [v for v in range(cube.n) if v != 0 and not any(
+        {0, v} <= {x for x, _ in f.darts} for f in cube.faces)]
+    calls = counting_check_planarity(monkeypatch)
+    parent = search._ParentEmbedding(adj, cube.rotations)
+    assert parent.child(0, far) is None
+    assert calls == []
+    assert not search.is_planar(cube.n, sorted(cube.edges) + [(0, far)])
+
+
+def test_networkx_decides_when_the_embedding_cannot(monkeypatch):
+    # K_{2,4} with hubs 0, 1 and rim 2, 3, 4, 5 in that order around both
+    # hubs: 2 and 4 share no face, and the graph is not 3-connected
+    adj = canon.masks_from_edges(6, [(h, r) for h in (0, 1) for r in (2, 3, 4, 5)])
+    rotations = ((2, 3, 4, 5), (5, 4, 3, 2), (0, 1), (0, 1), (0, 1), (0, 1))
+    parent = search._ParentEmbedding(adj, rotations)
+    calls = counting_check_planarity(monkeypatch)
+    for u, v in [(0, 1), (2, 3), (2, 5)]:
+        assert parent.child(u, v) is not None
+    assert calls == []
+    assert parent.child(2, 4) is not None
+    assert len(calls) == 1
+    assert all(check_children(adj, rotations))
 
 
 def test_emission_computes_stats_only_when_a_constraint_reads_them(monkeypatch):
@@ -213,6 +319,12 @@ def test_random_plane_graph_retries_exhausted():
         search.random_plane_graph(3, 1, cs=cs, max_retries=20)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_enumeration_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match="n >= 1"):
+        next(search.enumerate_graphs(search.ConstraintSet(n=n)))
+
+
 def test_default_ceiling_guard():
     with pytest.raises(CeilingExceeded):
         next(search.enumerate_graphs(search.ConstraintSet(n=12)))
@@ -221,4 +333,4 @@ def test_default_ceiling_guard():
 def test_ceiling_argument():
     with pytest.raises(CeilingExceeded):
         next(search.enumerate_graphs(search.ConstraintSet(n=5), ceiling=4))
-    assert search.count_connected_classes(4) == 6  # explicit ceiling still works
+    assert class_count(4, ceiling=4) == 6  # a graph at the ceiling is enumerated
