@@ -17,8 +17,8 @@ are rendered as canonical "p/q" strings, never floats.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from typing import Any, Optional
 
 from .blocks import Block, BlockDecomposition
@@ -256,13 +256,71 @@ def verdict_report(g: PlaneGraph, verdict: Verdict) -> dict[str, Any]:
 def write_report(report: dict[str, Any], fmt: str = "json") -> bytes:
     """Serialize a report; JSON output is byte-stable for identical reports."""
     if fmt == "json":
-        return (
-            json.dumps(report, sort_keys=True, indent=2, ensure_ascii=True)
-            + "\n"
-        ).encode()
+        return (_json_text(report) + "\n").encode()
     if fmt == "text":
         return _render_text(report).encode()
     raise ValueError(f"unknown report format {fmt!r}")
+
+
+def _json_text(value: Any, newline: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)``,
+    with ``newline`` starting every line break.
+
+    Covers only what a report holds: dicts with str keys, lists, tuples,
+    str, int, bool and None; anything else raises TypeError.  Lists of ints
+    and of int pairs, the bulk of a large report, take a shortcut.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    inner = newline + "  "
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        if all(type(x) is int for x in value):
+            items = map(int.__repr__, value)
+        elif all(_is_int_pair(x) for x in value):
+            deeper = inner + "  "
+            pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
+            items = [pair % (u, v) for u, v in value]
+        else:
+            items = [_json_text(x, inner) for x in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        # encode_basestring_ascii raises TypeError for a key that is no str;
+        # str and int values, most of a report, are written in place
+        items = [
+            encode_basestring_ascii(key)
+            + ": "
+            + (
+                encode_basestring_ascii(item)
+                if type(item) is str
+                else int.__repr__(item)
+                if type(item) is int
+                else _json_text(item, inner)
+            )
+            for key, item in sorted(value.items())
+        ]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _is_int_pair(x: Any) -> bool:
+    return (
+        type(x) in (list, tuple)
+        and len(x) == 2
+        and type(x[0]) is int
+        and type(x[1]) is int
+    )
 
 
 def _render_text(rep: dict[str, Any]) -> str:

@@ -22,6 +22,7 @@ from .errors import ConservationViolation, MissingPseudoface
 from .plane import PlaneGraph
 
 PseudofaceMap = dict[int, Pseudoface]
+_DEGREE_CLASS = {2: 1, 3: 2}
 
 
 @dataclass(frozen=True)
@@ -41,6 +42,8 @@ class ContributionLedger:
     pseudofaces: Optional[PseudofaceMap]
     entries: tuple[BlockContribution, ...]
     totals: tuple[Fraction, int, Fraction, Fraction, int]  # (v, e, f, k, e23)
+    vden: int  # every v and k is a multiple of 1/vden
+    fden: int  # every f is a multiple of 1/fden
 
 
 def slot_table(
@@ -89,7 +92,9 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     vden = lcm(*counts.values())
     vshare = {v: vden // c for v, c in counts.items()}
     quad = mode == "quadrangular"
-    deg = [len(rot) for rot in g.rotations]
+    # degree class in G: 1 for degree 2, 2 for degree 3, else 0, so an edge
+    # joins degrees 2 and 3 exactly when its ends' classes sum to 3
+    dclass = [_DEGREE_CLASS.get(len(rot), 0) for rot in g.rotations]
     zero = Fraction(0)
 
     entries = []
@@ -98,10 +103,10 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
         vnum = sum([vshare[v] for v in b.vertices])
         vtotal += vnum
         if quad:  # degrees are taken in G, not within the block
-            knum = sum([vshare[v] for v in b.vertices if deg[v] == 2])
+            knum = sum([vshare[v] for v in b.vertices if dclass[v] == 1])
             ktotal += knum
             k = Fraction(knum, vden)
-            e23 = sum(1 for u, v in b.edges if {deg[u], deg[v]} == {2, 3})
+            e23 = sum([1 for u, v in b.edges if dclass[u] + dclass[v] == 3])
         else:
             k, e23 = zero, 0
         entries.append(
@@ -125,8 +130,8 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     _check(Fraction(te), Fraction(g.e), "edge", g)
     _check(tf, Fraction(g.f), "face", g)
     if quad:
-        deg2 = sum(1 for v in range(g.n) if deg[v] == 2)
-        e23_g = sum(1 for u, v in g.edges if {deg[u], deg[v]} == {2, 3})
+        deg2 = dclass.count(1)
+        e23_g = sum([1 for u, v in g.edges if dclass[u] + dclass[v] == 3])
         _check(tk, Fraction(deg2), "degree-2", g)
         _check(Fraction(te23), Fraction(e23_g), "(2,3)-edge", g)
 
@@ -136,6 +141,8 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
         pseudofaces=pf,
         entries=tuple(entries),
         totals=(tv, te, tf, tk, te23),
+        vden=vden,
+        fden=fden,
     )
 
 

@@ -7,6 +7,7 @@ A PlaneGraph's ``rotations`` attribute is a valid adjacency-list argument.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence
 
@@ -33,15 +34,31 @@ def contains_cycle_of_length(adj: Adjacency, length: int) -> bool:
     """True iff the graph has a (not necessarily induced) cycle on exactly
     ``length`` vertices.
 
-    Exact backtracking path search; each cycle is rooted at its smallest
-    vertex, and the search never visits vertices below the root.
+    Every cycle lies in one biconnected component, so each component with at
+    least ``length`` vertices is searched on its own.  Within one, an exact
+    backtracking path search roots each cycle at its smallest vertex and
+    never visits vertices below the root.
     """
     if length < 3:
         raise BadLength(f"cycle length must be >= 3, got {length}")
     n = len(adj)
     if length > n:
         return False
+    for comp in biconnected_components(adj):
+        if len(comp) < length:
+            continue
+        if len(comp) == n:
+            local = adj
+        else:
+            # an edge between two vertices of one component belongs to it
+            index = {v: i for i, v in enumerate(comp)}
+            local = [[index[w] for w in adj[v] if w in index] for v in comp]
+        if _has_cycle(local, length):
+            return True
+    return False
 
+
+def _has_cycle(adj: Adjacency, length: int) -> bool:
     def search(root: int, last: int, depth: int, visited: int) -> bool:
         for w in adj[last]:
             if w == root and depth == length:
@@ -51,10 +68,10 @@ def contains_cycle_of_length(adj: Adjacency, length: int) -> bool:
                     return True
         return False
 
-    for root in range(n):
-        if len(adj[root]) >= 2 and search(root, root, 1, 1 << root):
-            return True
-    return False
+    return any(
+        len(adj[root]) >= 2 and search(root, root, 1, 1 << root)
+        for root in range(len(adj))
+    )
 
 
 def is_bipartite(adj: Adjacency) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -92,52 +109,58 @@ def is_connected(adj: Adjacency) -> bool:
     return len(seen) == n
 
 
-def articulation_vertices(adj: Adjacency) -> set[int]:
-    """Cut vertices via iterative lowpoint DFS."""
+def biconnected_components(adj: Adjacency) -> Iterator[list[int]]:
+    """Vertex lists of the blocks (maximal 2-connected subgraphs and
+    bridges), each yielded as soon as it is complete; an isolated vertex is
+    in none.
+
+    Iterative lowpoint DFS: when a child's subtree cannot reach above its
+    parent, the vertices discovered since the child, with the parent, form
+    one component.
+    """
     n = len(adj)
     disc = [-1] * n
     low = [0] * n
-    parent = [-1] * n
-    cuts: set[int] = set()
     timer = 0
     for s in range(n):
         if disc[s] != -1:
             continue
-        root_children = 0
-        stack: list[tuple[int, int]] = [(s, 0)]
         disc[s] = low[s] = timer
         timer += 1
+        found = [s]  # discovered vertices not yet assigned to a component
+        stack = [(s, -1, iter(adj[s]))]
         while stack:
-            u, i = stack.pop()
-            if i < len(adj[u]):
-                stack.append((u, i + 1))
-                v = adj[u][i]
+            u, parent, nbrs = stack[-1]
+            for v in nbrs:
                 if disc[v] == -1:
-                    parent[v] = u
-                    if u == s:
-                        root_children += 1
                     disc[v] = low[v] = timer
                     timer += 1
-                    stack.append((v, 0))
-                elif v != parent[u]:
-                    low[u] = min(low[u], disc[v])
+                    found.append(v)
+                    stack.append((v, u, iter(adj[v])))
+                    break
+                if v != parent and disc[v] < low[u]:
+                    low[u] = disc[v]
             else:
-                p = parent[u]
-                if p != -1:
-                    low[p] = min(low[p], low[u])
-                    if p != s and low[u] >= disc[p]:
-                        cuts.add(p)
-        if root_children >= 2:
-            cuts.add(s)
-    return cuts
+                stack.pop()
+                if parent == -1:
+                    continue
+                if low[u] < low[parent]:
+                    low[parent] = low[u]
+                if low[u] >= disc[parent]:
+                    # found is in discovery order and u was found first
+                    at = bisect_left(found, disc[u], key=disc.__getitem__)
+                    yield [parent, *found[at:]]
+                    del found[at:]
 
 
 def is_two_connected(adj: Adjacency) -> bool:
     """Connected, at least 3 vertices, and no articulation vertex."""
     n = len(adj)
-    if n < 3 or not is_connected(adj):
+    if n < 3:
         return False
-    return not articulation_vertices(adj)
+    # a component holding every vertex is the only one
+    first = next(biconnected_components(adj), [])
+    return len(first) == n
 
 
 def structural_stats(adj: Adjacency) -> StructuralStats:
@@ -196,6 +219,12 @@ class Hypotheses:
         shortest = min(self.forbidden_cycles, default=3)
         if shortest < 3:
             raise BadLength(f"cycle length must be >= 3, got {shortest}")
+        for name in ("min_degree", "exact_min_degree"):
+            degree = getattr(self, name)
+            if degree is not None and degree < 0:
+                raise ValueError(
+                    f"{name.replace('_', ' ')} must be >= 0, got {degree}"
+                )
 
     def checks(self, adj: Adjacency, stats: StructuralStats) -> tuple[Check, ...]:
         """Every predicate's Check, in report order (forbidden cycles first)."""

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
 from .blocks import (
@@ -247,6 +248,10 @@ def verify_per_block(
     verdict.ledger = led
     d = led.decomposition
 
+    # every L(B) is an integer numerator over one common denominator
+    denom = lcm(led.vden, led.fden)
+    a, b, c, dk, de23 = p.coefficients
+    nums = []
     values = []
     violations = []
     for entry in led.entries:
@@ -261,12 +266,19 @@ def verify_per_block(
                 f"block {block.id} has kind {block.kind.value}, outside the "
                 f"{p.id} catalog (hypotheses not satisfied)"
             )
-        val = evaluate_row(
-            p.coefficients, entry.v, entry.e, entry.f, entry.k, entry.e23
+        v, f, k = entry.v, entry.f, entry.k
+        num = (
+            a * v.numerator * (denom // v.denominator)
+            + c * f.numerator * (denom // f.denominator)
+            + dk * k.numerator * (denom // k.denominator)
+            + (b * entry.e + de23 * entry.e23) * denom
         )
-        bv = BlockValue(block_id=block.id, kind=block.kind, value=val)
+        nums.append(num)
+        bv = BlockValue(
+            block_id=block.id, kind=block.kind, value=Fraction(num, denom)
+        )
         values.append(bv)
-        if val > 0:
+        if num > 0:
             if (
                 p.floor_n is not None
                 and work.n < p.floor_n
@@ -275,12 +287,12 @@ def verify_per_block(
                 warnings.append(
                     f"block {block.id} spans the whole graph below the "
                     f"theorem floor (n = {work.n} < {p.floor_n}); "
-                    f"L(B) = {val} not counted as a violation"
+                    f"L(B) = {bv.value} not counted as a violation"
                 )
             else:
                 violations.append(bv)
 
-    total = sum((bv.value for bv in values), Fraction(0))
+    total = Fraction(sum(nums), denom)
     # re-derive the total from graph quantities; disagreement is a ledger bug
     stats = hyp.stats if work is g else structural_stats(work.rotations)
     k = stats.k if p.mode == "quadrangular" else 0

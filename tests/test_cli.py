@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import planeblocks
 from planeblocks import graphio
 from planeblocks.cli import main
 from planeblocks.fixtures import FIXTURE_NAMES, fixture_text
@@ -138,6 +143,12 @@ def test_search_rejects_cycle_length_below_three(token, capsys):
     assert "cycle length must be >= 3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["exactmindeg=-1", "mindeg=-3"])
+def test_search_rejects_negative_min_degree(token, capsys):
+    assert main(["search", "--n", "5", "--constraints", token]) == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("n", ["0", "-2"])
 def test_search_rejects_n_below_one(n, capsys):
     assert main(["search", "--n", n]) == 2
@@ -176,3 +187,15 @@ def test_fixtures_command(tmp_path, capsys):
     assert len(listed) == len(FIXTURE_NAMES)
     for line in listed:
         graphio.parse_graph(open(line).read())
+
+
+def test_python_m_planeblocks_runs_the_cli(fixture_dir, capsys):
+    argv = ["verify", "--theorem", "C5", path(fixture_dir, "cube")]
+    src = str(Path(planeblocks.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "planeblocks", *argv],
+        capture_output=True, env=env, check=False,
+    )
+    code = main(argv)
+    assert (proc.returncode, proc.stdout.decode()) == (code, capsys.readouterr().out)

@@ -5,6 +5,7 @@ from importlib import resources
 
 import jsonschema
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from planeblocks import graphio, ledger, search, theorems
 from planeblocks.blocks import decompose
@@ -133,3 +134,55 @@ def test_text_rendering_mentions_the_essentials(fixture_graphs):
     assert "totals: v=8 e=12 f=6" in ledger_text
     with pytest.raises(ValueError):
         graphio.write_report(reps["ledger"], fmt="yaml")
+
+
+def json_dumps_bytes(value):
+    text = json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)
+    return (text + "\n").encode()
+
+
+# keys and strings lean on what needs escaping: quotes, backslashes, control
+# characters and non-ASCII, astral code points included; sizes stay small,
+# since drawing large values costs far more than encoding them
+texts = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u00e9\u2028\U0001F600 ab') | st.characters(),
+    max_size=8,
+)
+ints = st.integers() | st.integers(min_value=-(10**60), max_value=10**60)
+pairs = st.lists(
+    st.tuples(ints, ints) | st.lists(ints, min_size=2, max_size=2), max_size=6
+)
+json_values = st.recursive(
+    st.none() | st.booleans() | ints | texts | st.lists(ints, max_size=6) | pairs,
+    lambda children: st.lists(children, max_size=5)
+    | st.lists(children, max_size=5).map(tuple)
+    | st.dictionaries(texts, children, max_size=5),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(json_values)
+@example({})
+@example([])
+@example(())
+@example({"": [], "a": {}, "b": ()})
+@example([[1, 2], [3, True], (4, 5)])
+@example([[1, 2], [3, 4, 5]])
+@example([1, True, None, -(10**100)])
+@example({"edges": [[0, 1], [1, 2]], "ids": [3, 1, 2], "n": 10**100})
+def test_writer_matches_json_dumps(value):
+    assert graphio.write_report(value) == json_dumps_bytes(value)
+
+
+@pytest.mark.parametrize(
+    "value", [1.5, {"a": 0.0}, [[1, 2], [3, 4.0]], {1, 2}, {"a": frozenset()}, {1: 2}]
+)
+def test_writer_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        graphio.write_report(value)
+
+
+def test_reports_match_json_dumps(fixture_graphs):
+    for rep in make_reports(fixture_graphs).values():
+        assert graphio.write_report(rep) == json_dumps_bytes(rep)

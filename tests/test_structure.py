@@ -1,13 +1,15 @@
 import itertools
 import random
+import time
 
+import networkx as nx
 import pytest
 
 from planeblocks import canon
 from planeblocks.errors import BadLength
 from planeblocks.structure import (
     Hypotheses,
-    articulation_vertices,
+    biconnected_components,
     contains_cycle_of_length,
     is_bipartite,
     is_connected,
@@ -111,11 +113,30 @@ def test_bipartite_coloring_is_proper():
     assert is_bipartite([[1, 2], [0, 2], [0, 1]]) == (False, None)
 
 
-def test_articulation_vertices_on_path_and_cycle():
+def components(adj):
+    return sorted(sorted(c) for c in biconnected_components(adj))
+
+
+def test_biconnected_components_on_path_and_cycle():
     path = [[1], [0, 2], [1, 3], [2]]
-    assert articulation_vertices(path) == {1, 2}
+    assert components(path) == [[0, 1], [1, 2], [2, 3]]
     cycle = [[1, 3], [0, 2], [1, 3], [2, 0]]
-    assert articulation_vertices(cycle) == set()
+    assert components(cycle) == [[0, 1, 2, 3]]
+    assert components([[], [2], [1]]) == [[1, 2]]  # an isolated vertex is in none
+
+
+def test_biconnected_components_match_networkx():
+    rng = random.Random(11)
+    for _ in range(500):
+        n = rng.randint(1, 14)
+        graph = nx.gnp_random_graph(n, rng.random() * 0.5, seed=rng.randrange(10**6))
+        adj = [list(graph[v]) for v in range(n)]
+        for nbrs in adj:
+            rng.shuffle(nbrs)
+        assert components(adj) == sorted(
+            sorted(c) for c in nx.biconnected_components(graph)
+        ), adj
+        assert is_two_connected(adj) == (n >= 3 and nx.is_biconnected(graph))
 
 
 def test_two_connected_edge_cases():
@@ -125,4 +146,42 @@ def test_two_connected_edge_cases():
     bowtie = [[1, 2], [0, 2], [0, 1, 3, 4], [2, 4], [2, 3]]
     assert is_connected(bowtie)
     assert not is_two_connected(bowtie)
-    assert articulation_vertices(bowtie) == {2}
+    assert components(bowtie) == [[0, 1, 2], [2, 3, 4]]
+
+
+def hub_chain(hubs, m):
+    """Hubs 0..hubs-1; each consecutive pair joined by m paths of length 2."""
+    adj = [[] for _ in range(hubs)]
+    for h in range(hubs - 1):
+        for _ in range(m):
+            x = len(adj)
+            adj.append([h, h + 1])
+            adj[h].append(x)
+            adj[h + 1].append(x)
+    return adj
+
+
+def test_cycle_search_stays_inside_biconnected_components():
+    # bipartite, and every cycle lies in one K2,40, so only 4-cycles exist;
+    # a search over the whole graph takes time growing like m^4 here
+    adj = hub_chain(5, 40)
+    start = time.perf_counter()
+    assert not contains_cycle_of_length(adj, 8)
+    assert time.perf_counter() - start < 1.0
+    assert [contains_cycle_of_length(adj, n) for n in (4, 6, 8, 10)] == \
+        [True, False, False, False]
+
+
+def test_cycle_across_a_bridge_is_not_found():
+    # two triangles joined by the bridge 2-3: no 4-, 5- or 6-cycle
+    adj = [[1, 2], [0, 2], [0, 1, 3], [2, 4, 5], [3, 5], [3, 4]]
+    assert [contains_cycle_of_length(adj, n) for n in (3, 4, 5, 6)] == \
+        [True, False, False, False]
+
+
+@pytest.mark.parametrize(
+    "kwargs", [dict(min_degree=-3), dict(exact_min_degree=-1)]
+)
+def test_negative_min_degree_rejected(kwargs):
+    with pytest.raises(ValueError, match="must be >= 0"):
+        Hypotheses(**kwargs)

@@ -1,4 +1,5 @@
 import dataclasses
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from planeblocks.theorems import (
     PROFILES,
     check_hypotheses,
     derive_global_bound,
+    evaluate_row,
     get_profile,
     saturate_six_faces,
     verify,
@@ -217,3 +219,31 @@ def test_profile_catalogs():
     assert PROFILES["TRI_C6"].catalog == (BlockKind.K2, BlockKind.C4)
     for pid in ("BI_C8", "BI_C8C10", "TRI_C8"):
         assert PROFILES[pid].catalog == theorems.QUADRANGULAR_KINDS
+
+
+@pytest.mark.parametrize("pid", sorted(PROFILES))
+def test_integer_rows_match_fraction_rows(pid, fixture_graphs):
+    """Each L(B), the total and the violations equal those of evaluate_row."""
+    p = PROFILES[pid]
+    rng = random.Random(7)
+    graphs = [*fixture_graphs.values()]
+    graphs += [
+        search.random_plane_graph(rng.randint(3, 30), 4100 + i) for i in range(50)
+    ]
+    for g in graphs:
+        v = verify_per_block(g, p, check_hypotheses(g, p))
+        blocks = v.ledger.decomposition.blocks
+        want = [
+            evaluate_row(p.coefficients, c.v, c.e, c.f, c.k, c.e23)
+            for c in v.ledger.entries
+        ]
+        assert [bv.value for bv in v.block_values] == want
+        assert all(type(bv.value) is Fraction for bv in v.block_values)
+        assert type(v.total) is Fraction and v.total == sum(want, F(0))
+        below_floor = p.floor_n is not None and g.n < p.floor_n
+        assert v.violations == tuple(
+            bv
+            for bv in v.block_values
+            if bv.value > 0
+            and not (below_floor and len(blocks[bv.block_id].vertices) == g.n)
+        )
