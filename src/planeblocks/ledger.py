@@ -20,9 +20,9 @@ from typing import Optional
 from .blocks import BlockDecomposition, Mode, Pseudoface, decompose, refine_pseudofaces
 from .errors import ConservationViolation, MissingPseudoface
 from .plane import PlaneGraph
+from .structure import count_23_edges, degree_classes
 
 PseudofaceMap = dict[int, Pseudoface]
-_DEGREE_CLASS = {2: 1, 3: 2}
 
 
 @dataclass(frozen=True)
@@ -92,9 +92,7 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     vden = lcm(*counts.values())
     vshare = {v: vden // c for v, c in counts.items()}
     quad = mode == "quadrangular"
-    # degree class in G: 1 for degree 2, 2 for degree 3, else 0, so an edge
-    # joins degrees 2 and 3 exactly when its ends' classes sum to 3
-    dclass = [_DEGREE_CLASS.get(len(rot), 0) for rot in g.rotations]
+    dclass = degree_classes(g.rotations)  # degrees in G, not within a block
     zero = Fraction(0)
 
     entries = []
@@ -102,11 +100,11 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     for b in d.blocks:
         vnum = sum([vshare[v] for v in b.vertices])
         vtotal += vnum
-        if quad:  # degrees are taken in G, not within the block
+        if quad:
             knum = sum([vshare[v] for v in b.vertices if dclass[v] == 1])
             ktotal += knum
             k = Fraction(knum, vden)
-            e23 = sum([1 for u, v in b.edges if dclass[u] + dclass[v] == 3])
+            e23 = count_23_edges(dclass, b.edges)
         else:
             k, e23 = zero, 0
         entries.append(
@@ -131,7 +129,7 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     _check(tf, Fraction(g.f), "face", g)
     if quad:
         deg2 = dclass.count(1)
-        e23_g = sum([1 for u, v in g.edges if dclass[u] + dclass[v] == 3])
+        e23_g = count_23_edges(dclass, g.edges)
         _check(tk, Fraction(deg2), "degree-2", g)
         _check(Fraction(te23), Fraction(e23_g), "(2,3)-edge", g)
 

@@ -21,6 +21,7 @@ from .errors import (
     NonSimple,
     UnknownDart,
 )
+from .structure import is_connected
 
 Dart = tuple[int, int]
 Edge = tuple[int, int]
@@ -104,53 +105,18 @@ class PlaneGraph:
     def _validate_connected(self) -> None:
         if self.n == 0:
             raise Disconnected("empty graph")
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for v in self.rotations[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        if len(seen) != self.n:
-            raise Disconnected(f"only {len(seen)} of {self.n} vertices reachable")
+        if not is_connected(self.rotations):
+            raise Disconnected(f"graph on {self.n} vertices is not connected")
 
     def _trace_faces(self) -> tuple[Face, ...]:
-        # nxt[(v, u)] = neighbor following u in the rotation at v
-        nxt: dict[Dart, int] = {}
-        for v, rot in enumerate(self.rotations):
-            deg = len(rot)
-            for i, u in enumerate(rot):
-                nxt[(v, u)] = rot[(i + 1) % deg]
-        faces = []
-        visited: set[Dart] = set()
-        for start in sorted(nxt.keys()):
-            # nxt keys are darts (v, u); iterate in sorted dart order so face
-            # ids are ordered by smallest dart and walks start at it.
-            if start in visited:
-                continue
-            walk = []
-            d = start
-            while True:
-                walk.append(d)
-                visited.add(d)
-                u, v = d
-                d = (v, nxt[(v, u)])
-                if d == start:
-                    break
-            faces.append(walk)
-        outer_id = None
-        for fid, walk in enumerate(faces):
-            if self.outer_dart in walk:
-                outer_id = fid
         return tuple(
             Face(
                 id=fid,
                 darts=tuple(walk),
-                is_outer=fid == outer_id,
+                is_outer=self.outer_dart in walk,
                 edges=tuple(edge_of(u, v) for u, v in walk),
             )
-            for fid, walk in enumerate(faces)
+            for fid, walk in enumerate(trace_faces(self.rotations))
         )
 
     # -- queries -------------------------------------------------------------
@@ -194,6 +160,36 @@ class PlaneGraph:
             f"PlaneGraph(n={self.n}, e={self.e}, f={self.f}, "
             f"outer={self.outer_dart[0]}->{self.outer_dart[1]})"
         )
+
+
+def trace_faces(rotations: Sequence[Sequence[int]]) -> list[list[Dart]]:
+    """The faces of a rotation system as dart walks: (v, w) follows (u, v)
+    when w follows u at v.  Walks come in order of their smallest dart and
+    each starts at it, so a face's index is stable for a fixed rotation system.
+    """
+    # nxt[(v, u)] = the neighbor following u in the rotation at v; the keys
+    # are exactly the darts
+    nxt: dict[Dart, int] = {}
+    for v, rot in enumerate(rotations):
+        deg = len(rot)
+        for i, u in enumerate(rot):
+            nxt[(v, u)] = rot[(i + 1) % deg]
+    faces = []
+    visited: set[Dart] = set()
+    for start in sorted(nxt):
+        if start in visited:
+            continue
+        walk = []
+        d = start
+        while True:
+            walk.append(d)
+            visited.add(d)
+            u, v = d
+            d = (v, nxt[(v, u)])
+            if d == start:
+                break
+        faces.append(walk)
+    return faces
 
 
 def rotations_from_edges(n: int, edges: Iterable[Edge]) -> list[list[int]]:

@@ -27,8 +27,11 @@ child's whole automorphism group, which the generators from
 ``canon.canonical_labelling`` generate.  Constraints that are not
 deletion-closed (minimum degree, 2-connectivity, the degree-2 neighbor rule)
 are filtered at emission.  Because level sets store canonical
-representatives and planarity does not depend on the embedding, the result
-is independent of generation schedule.
+representatives and planarity does not depend on the embedding, the classes
+are independent of generation schedule.  Each class is yielded with the
+rotation system its level entry holds, relabelled onto the representative,
+so callers need no second embedding; which of the class's embeddings that is
+depends on the parent that produced it first.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import networkx as nx
 
 from . import canon
 from .errors import CeilingExceeded, RetriesExhausted
-from .plane import Dart, Edge, PlaneGraph, edge_of, rotations_from_edges
+from .plane import Dart, Edge, PlaneGraph, edge_of, rotations_from_edges, trace_faces
 from .structure import Hypotheses, is_bipartite, is_connected, structural_stats
 
 DEFAULT_CEILING = 10
@@ -77,31 +80,30 @@ class SearchResult:
 # -- planarity ---------------------------------------------------------------
 
 def planar_embed(n: int, edges: Sequence[Edge]) -> Optional[PlaneGraph]:
-    """A genus-zero embedding of the graph, or None if it is not planar.
-
-    The outer face is the traced face of maximum length, ties broken by
-    smallest dart, making the embedding deterministic for a fixed edge list.
-    """
+    """A genus-zero embedding of the graph, or None if it is not planar; its
+    outer face is chosen as in ``plane_graph``."""
     if n < 2 or not edges:
         raise ValueError("planar_embed needs at least one edge")
     rotations = _networkx_rotations(n, edges)
-    if rotations is None:
-        return None
-    first = next(v for v in range(n) if rotations[v])
+    return None if rotations is None else plane_graph(rotations)
+
+
+def plane_graph(rotations: Rotations) -> PlaneGraph:
+    """The plane graph of a connected planar rotation system with at least
+    one edge.
+
+    The outer face is the traced face of maximum length, ties broken by
+    smallest dart, so it depends on the rotation system alone.
+    """
+    first = next(v for v, rot in enumerate(rotations) if rot)
     g = PlaneGraph(rotations, (first, rotations[first][0]))
-    # outer face: maximum length, ties broken by smallest dart
-    longest = max(f.length for f in g.faces)
-    target = min(
-        (f for f in g.faces if f.length == longest),
-        key=lambda f: min(f.darts),
-    )
-    if target.is_outer:
-        return g
-    return g.with_outer(min(target.darts))
+    # faces come in smallest-dart order, and max keeps the first maximum
+    target = max(g.faces, key=lambda f: f.length)
+    return g if target.is_outer else g.with_outer(target.darts[0])
 
 
 def is_planar(n: int, edges: Sequence[Edge]) -> bool:
-    return _sparse_components(n, edges) or _networkx_rotations(n, edges) is not None
+    return _networkx_rotations(n, edges) is not None
 
 
 def _networkx_rotations(n: int, edges: Sequence[Edge]) -> Optional[Rotations]:
@@ -114,31 +116,6 @@ def _networkx_rotations(n: int, edges: Sequence[Edge]) -> Optional[Rotations]:
     if not ok:
         return None
     return tuple(tuple(reversed(list(emb.neighbors_cw_order(v)))) for v in range(n))
-
-
-def _sparse_components(n: int, edges: Sequence[Edge]) -> bool:
-    """True if every component has at most (its vertex count) + 2 edges.
-
-    Such components are planar outright: a K5 or K3,3 subdivision inside one
-    component forces at least n + 3 edges there, so no Kuratowski subgraph fits.
-    """
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in edges:
-        parent[find(u)] = find(v)
-    nodes = [0] * n
-    count = [0] * n
-    for v in range(n):
-        nodes[find(v)] += 1
-    for u, v in edges:
-        count[find(u)] += 1
-    return all(count[r] <= nodes[r] + 2 for r in range(n) if parent[r] == r)
 
 
 # -- enumeration -------------------------------------------------------------
@@ -280,20 +257,7 @@ class _ParentEmbedding:
 
     @cached_property
     def faces(self) -> list[list[Dart]]:
-        """The traced faces: (v, w) follows (u, v) when w follows u at v."""
-        succ: dict[Dart, Dart] = {}
-        for v, rot in enumerate(self.rotations):
-            for i, u in enumerate(rot):
-                succ[(u, v)] = (v, rot[(i + 1) % len(rot)])
-        faces = []
-        while succ:
-            start, d = succ.popitem()
-            walk = [start]
-            while d != start:
-                walk.append(d)
-                d = succ.pop(d)
-            faces.append(walk)
-        return faces
+        return trace_faces(self.rotations)
 
     @cached_property
     def face_masks(self) -> list[int]:
@@ -372,10 +336,10 @@ def enumerate_graphs(
     cs: ConstraintSet,
     ceiling: Optional[int] = None,
     stats: Optional[SearchStats] = None,
-) -> Iterator[tuple[int, canon.Masks]]:
+) -> Iterator[tuple[canon.Masks, Rotations]]:
     """One representative per isomorphism class of connected simple planar
     graphs on cs.n vertices satisfying cs, in ascending edge count and
-    canonical-code order."""
+    canonical-code order, each with a planar rotation system of it."""
     n = cs.n
     if n < 1:
         raise ValueError(f"search needs n >= 1, got {n}")
@@ -388,7 +352,7 @@ def enumerate_graphs(
     if n == 1:
         if _passes_emission(empty, cs):
             stats.emitted += 1
-            yield n, empty
+            yield empty, ((),)
         return
     cap = _planar_cap(n, cs)
     code, order, gens = canon.canonical_labelling(empty)
@@ -433,10 +397,10 @@ def enumerate_graphs(
         level = next_level
         stats.expanded += len(level)
         for code in sorted(level):
-            adj = level[code][0]
+            adj, _, rotations = level[code]
             if _passes_emission(adj, cs):
                 stats.emitted += 1
-                yield n, adj
+                yield adj, rotations
 
 
 def _passes_emission(adj: canon.Masks, cs: ConstraintSet) -> bool:
@@ -461,7 +425,7 @@ def extremal_search(
     stats = SearchStats()
     best = -1
     witnesses: list[canon.Masks] = []
-    for n, adj in enumerate_graphs(cs, ceiling=ceiling, stats=stats):
+    for adj, _ in enumerate_graphs(cs, ceiling=ceiling, stats=stats):
         e = canon.edge_count(adj)
         if e > best:
             best = e

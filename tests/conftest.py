@@ -14,24 +14,18 @@ def fixture_graphs():
 
 @pytest.fixture(scope="session")
 def corpus7():
-    """All connected planar isomorphism classes, n = 1..7, as adjacency masks."""
-    out = {}
-    for n in range(1, 8):
-        cs = search.ConstraintSet(n=n)
-        out[n] = [adj for _, adj in search.enumerate_graphs(cs)]
-    return out
+    """All connected planar isomorphism classes, n = 1..7, as (adjacency
+    masks, rotation system) pairs."""
+    return {n: list(search.enumerate_graphs(search.ConstraintSet(n=n))) for n in range(1, 8)}
 
 
 @pytest.fixture(scope="session")
 def corpus9():
-    """All connected planar isomorphism classes, n = 1..9.
+    """All connected planar isomorphism classes, n = 1..9, as (adjacency
+    masks, rotation system) pairs.
 
-    This is the expensive shared oracle (about 37 s with Python 3.11, most of
+    This is the expensive shared oracle (about 40 s with Python 3.11, most of
     it canonical labelling and the canonical-deletion test on n = 9); tests
     that only need small graphs should use corpus7 instead.
     """
-    out = {}
-    for n in range(1, 10):
-        cs = search.ConstraintSet(n=n)
-        out[n] = [adj for _, adj in search.enumerate_graphs(cs)]
-    return out
+    return {n: list(search.enumerate_graphs(search.ConstraintSet(n=n))) for n in range(1, 10)}

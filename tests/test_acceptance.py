@@ -7,6 +7,7 @@ n <= 11, criterion 7 at n <= 10).
 """
 
 import hashlib
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -35,10 +36,6 @@ def criterion(capsys):
     return _report
 
 
-def embed(adj):
-    return search.planar_embed(len(adj), canon.edges_from_masks(adj))
-
-
 def test_criterion_1_bound_formulas(criterion):
     F = Fraction
     published = {
@@ -60,25 +57,22 @@ def test_criterion_2_conservation(criterion, corpus9):
     # the corpus is every connected planar class: OEIS A003094
     assert [len(corpus9[n]) for n in range(1, 10)] == [1, 1, 2, 6, 20, 99, 646, 5974, 71885]
     # the n = 9 representatives and their order are pinned, not just counted
-    digest = hashlib.sha256(repr([(9, adj) for adj in corpus9[9]]).encode()).hexdigest()
+    digest = hashlib.sha256(repr([(9, adj) for adj, _ in corpus9[9]]).encode()).hexdigest()
     assert digest == "4344ace7e7eb8857d32389b1a1fffc6f952af8f0ee3cf136e320c661b03b4dd7"
-    checked = 0
     rng = random.Random(2024)
-    graphs = []
-    for seed in range(500):
-        graphs.append(search.random_plane_graph(rng.randint(3, 14), seed))
-    for n in range(2, 10):
-        for adj in corpus9[n]:
-            graphs.append(embed(adj))
-    for g in graphs:
+    random_graphs = (search.random_plane_graph(rng.randint(3, 14), seed) for seed in range(500))
+    enumerated = (search.plane_graph(rot) for n in range(2, 10) for _, rot in corpus9[n])
+    graphs = checked = 0
+    for g in itertools.chain(random_graphs, enumerated):
         assert g.n - g.e + g.f == 2
         for mode in ("triangular", "quadrangular"):
             ledger.build_ledger(g, mode)  # raises on any identity failure
             checked += 1
+        graphs += 1
     criterion(
         2,
         f"conservation identities hold on {checked} ledgers "
-        f"({len(graphs)} graphs, both modes)",
+        f"({graphs} graphs, both modes)",
         True,
     )
 
@@ -87,7 +81,7 @@ def test_criterion_3_per_block_soundness(criterion, corpus9):
     verified = {pid: 0 for pid in PROFILES}
     bad = []
     for n in range(2, 10):
-        for adj in corpus9[n]:
+        for adj, rot in corpus9[n]:
             g = None
             nbrs = canon.neighbor_lists(adj)
             s = structural_stats(nbrs)
@@ -95,7 +89,7 @@ def test_criterion_3_per_block_soundness(criterion, corpus9):
                 if not p.hypotheses.holds(nbrs, s):
                     continue
                 if g is None:
-                    g = embed(adj)
+                    g = search.plane_graph(rot)
                 v = theorems.verify_per_block(g, p, theorems.check_hypotheses(g, p))
                 assert v.hypotheses.ok
                 if v.violations:
@@ -148,7 +142,7 @@ def test_criterion_6_desk_scale_bounds(criterion):
         cs = search.ConstraintSet(
             n=n, forbidden_cycles=(5,), min_degree=3, two_connected=True
         )
-        for _, adj in search.enumerate_graphs(cs):
+        for adj, _ in search.enumerate_graphs(cs):
             e = canon.edge_count(adj)
             if 5 * e > 12 * n - 33:
                 failures += 1
@@ -162,7 +156,7 @@ def test_criterion_6_desk_scale_bounds(criterion):
             n=n, bipartite=True, forbidden_cycles=(6,), min_degree=2,
             deg2_neighbor_ok=True
         )
-        for _, adj in search.enumerate_graphs(cs):
+        for adj, _ in search.enumerate_graphs(cs):
             s = structural_stats(canon.neighbor_lists(adj))
             if canon.edge_count(adj) > f.evaluate(n, k=s.k, e23=s.e23):
                 failures += 1
@@ -184,8 +178,8 @@ def test_criterion_7_saturation(criterion):
         cs = search.ConstraintSet(
             n=n, bipartite=True, forbidden_cycles=(8, 10), min_degree=3
         )
-        for _, adj in search.enumerate_graphs(cs, ceiling=top):
-            g = embed(adj)
+        for adj, rot in search.enumerate_graphs(cs, ceiling=top):
+            g = search.plane_graph(rot)
             if not theorems.check_hypotheses(g, p).ok:
                 continue
             instances += 1

@@ -285,7 +285,7 @@ def test_memoized_kinds_match_a_direct_catalog_lookup(corpus7):
     for n, graphs in corpus7.items():
         if n < 2:
             continue
-        for adj in graphs:
+        for adj, _ in graphs:
             g = search.planar_embed(n, canon.edges_from_masks(adj))
             for mode in ("triangular", "quadrangular"):
                 for b in decompose(g, mode).blocks:

@@ -29,7 +29,7 @@ def brute_classes(n):
 def test_enumeration_matches_labeled_quotient(n):
     expected = brute_classes(n)
     got = {}
-    for _, adj in search.enumerate_graphs(search.ConstraintSet(n=n)):
+    for adj, _ in search.enumerate_graphs(search.ConstraintSet(n=n)):
         code = canon.canonical_form(adj)
         assert code not in got, "class emitted twice"
         got[code] = canon.edge_count(adj)
@@ -43,7 +43,7 @@ def edge_by_edge(cs):
     empty = tuple([0] * n)
     if n == 1:
         if search._passes_emission(empty, cs):
-            yield n, empty
+            yield empty
         return
     level = {canon.canonical_form(empty): empty}
     for _ in range(search._planar_cap(n, cs)):
@@ -71,7 +71,7 @@ def edge_by_edge(cs):
         level = next_level
         for code in sorted(level):
             if search._passes_emission(level[code], cs):
-                yield n, level[code]
+                yield level[code]
 
 
 # every constraint set the tests, the CLI cases and the bench enumerate, at n <= 8
@@ -105,7 +105,19 @@ def set_id(kwargs):
 @pytest.mark.parametrize("kwargs", PARITY_SETS, ids=set_id)
 def test_enumeration_matches_edge_by_edge_reference(kwargs):
     cs = search.ConstraintSet(**kwargs)
-    assert list(search.enumerate_graphs(cs)) == list(edge_by_edge(cs))
+    assert [adj for adj, _ in search.enumerate_graphs(cs)] == list(edge_by_edge(cs))
+
+
+def test_yielded_rotations_embed_their_class(corpus7):
+    assert corpus7[1] == [((0,), ((),))]
+    classes = [pair for n in range(2, 8) for pair in corpus7[n]]
+    for kwargs in (dict(n=8, bipartite=True, forbidden_cycles=(6,)),
+                   dict(n=8, forbidden_cycles=(4,), two_connected=True)):
+        classes += search.enumerate_graphs(search.ConstraintSet(**kwargs))
+    for adj, rotations in classes:
+        # construction checks simplicity, connectivity and v - e + f = 2
+        g = PlaneGraph(rotations, (0, rotations[0][0]))
+        assert g.edges == set(canon.edges_from_masks(adj)), adj
 
 
 def class_count(n, **kwargs):
@@ -170,7 +182,7 @@ def check_children(adj, rotations):
 def test_children_decided_from_the_parent_embedding(corpus7):
     decided = 0
     for n in range(2, 8):
-        for adj in corpus7[n]:
+        for adj, _ in corpus7[n]:
             g = search.planar_embed(n, canon.edges_from_masks(adj))
             decided += len(check_children(adj, g.rotations))
     assert decided == 7706  # the non-edges of all 774 classes on 2 to 7 vertices
@@ -240,14 +252,14 @@ def test_enumeration_is_deterministic():
     first = list(search.enumerate_graphs(cs))
     second = list(search.enumerate_graphs(cs))
     assert first == second
-    edge_counts = [canon.edge_count(adj) for _, adj in first]
+    edge_counts = [canon.edge_count(adj) for adj, _ in first]
     assert edge_counts == sorted(edge_counts)
 
 
 def test_constrained_enumeration_filters():
     cs = search.ConstraintSet(n=6, forbidden_cycles=(4,), min_degree=2,
                               two_connected=True)
-    for _, adj in search.enumerate_graphs(cs):
+    for adj, _ in search.enumerate_graphs(cs):
         nbrs = canon.neighbor_lists(adj)
         s = structural_stats(nbrs)
         assert s.min_degree >= 2 and s.two_connected
@@ -262,7 +274,7 @@ def test_k5_and_k33_not_planar():
     k33 = [(u, v) for u in range(3) for v in range(3, 6)]
     assert not search.is_planar(6, k33)
     assert search.planar_embed(5, k5) is None
-    # trees are accepted by the sparse-component shortcut
+    # trees are planar
     assert search.is_planar(6, [(i, i + 1) for i in range(5)])
 
 
