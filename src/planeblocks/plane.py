@@ -11,7 +11,7 @@ connectivity and the Euler characteristic v - e + f = 2.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -139,7 +139,9 @@ class PlaneGraph:
         h = copy.copy(self)
         h.outer_dart = (int(outer_dart[0]), int(outer_dart[1]))
         outer_id = self.face_of_dart(h.outer_dart).id  # UnknownDart if absent
-        h.faces = tuple(replace(f, is_outer=f.id == outer_id) for f in self.faces)
+        h.faces = tuple(
+            Face(f.id, f.darts, f.id == outer_id, f.edges) for f in self.faces
+        )
         return h
 
     def sorted_edges(self) -> list[Edge]:

@@ -18,7 +18,8 @@ share a face of the parent, the child is planar and its embedding is the
 parent's with the edge added there.  Otherwise, if their component is
 3-connected, the child is not planar: by Whitney (1932) that component has
 one embedding up to mirror image, and it has no face for the edge.  Only the
-children left go to networkx, whose embedding is kept.  Each planar child
+children left get the full Left-Right planarity test
+(``planarity.lr_rotations``), whose embedding is kept.  Each planar child
 gets one canonical labelling.  So every class is produced from exactly one
 parent class, and most children need no labelling.  A parent's generators
 need only be automorphisms: a missing one would repeat a child, and the
@@ -41,17 +42,24 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
-import networkx as nx
-
-from . import canon
+from . import canon, planarity
 from .errors import CeilingExceeded, RetriesExhausted
+from .planarity import Rotations
 from .plane import Dart, Edge, PlaneGraph, edge_of, rotations_from_edges, trace_faces
 from .structure import Hypotheses, is_bipartite, is_connected, structural_stats
 
 DEFAULT_CEILING = 10
 WITNESS_CAP = 100  # most witnesses one extremal search keeps
 
-Rotations = tuple[tuple[int, ...], ...]  # neighbor order around each vertex
+
+def __getattr__(name: str):
+    # the benchmark's tracer reads networkx as ``search.nx``; importing it
+    # only then keeps it out of every other run
+    if name == "nx":
+        import networkx
+
+        return networkx
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -84,7 +92,7 @@ def planar_embed(n: int, edges: Sequence[Edge]) -> Optional[PlaneGraph]:
     outer face is chosen as in ``plane_graph``."""
     if n < 2 or not edges:
         raise ValueError("planar_embed needs at least one edge")
-    rotations = _networkx_rotations(n, edges)
+    rotations = planarity.lr_rotations(n, edges)
     return None if rotations is None else plane_graph(rotations)
 
 
@@ -103,19 +111,7 @@ def plane_graph(rotations: Rotations) -> PlaneGraph:
 
 
 def is_planar(n: int, edges: Sequence[Edge]) -> bool:
-    return _networkx_rotations(n, edges) is not None
-
-
-def _networkx_rotations(n: int, edges: Sequence[Edge]) -> Optional[Rotations]:
-    """Counterclockwise rotations of networkx's planar embedding of the
-    graph, or None if it is not planar."""
-    graph = nx.Graph()
-    graph.add_nodes_from(range(n))
-    graph.add_edges_from(sorted(edges))
-    ok, emb = nx.check_planarity(graph)
-    if not ok:
-        return None
-    return tuple(tuple(reversed(list(emb.neighbors_cw_order(v)))) for v in range(n))
+    return planarity.lr_rotations(n, edges) is not None
 
 
 # -- enumeration -------------------------------------------------------------
@@ -289,7 +285,7 @@ class _ParentEmbedding:
             return tuple(out)
         if _three_connected(adj, comp):
             return None
-        return _networkx_rotations(len(adj), canon.edges_from_masks(adj) + [(u, v)])
+        return planarity.lr_rotations(len(adj), canon.edges_from_masks(adj) + [(u, v)])
 
 
 def _reach(adj: canon.Masks, seed: int, within: int) -> int:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from planeblocks import canon, search
+from planeblocks import canon, planarity, search
 from planeblocks.errors import CeilingExceeded, RetriesExhausted
 from planeblocks.fixtures import load_fixture
 from planeblocks.plane import PlaneGraph
@@ -195,33 +195,33 @@ def test_children_decided_from_the_parent_embedding(corpus7):
         assert all(check_children(adj, rotations))
 
 
-def counting_check_planarity(monkeypatch):
+def counting_lr_rotations(monkeypatch):
     calls = []
-    real = search.nx.check_planarity
-    monkeypatch.setattr(search.nx, "check_planarity", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = planarity.lr_rotations
+    monkeypatch.setattr(planarity, "lr_rotations", lambda *a: calls.append(1) or real(*a))
     return calls
 
 
-def test_whitney_rejects_a_3_connected_parent_without_networkx(monkeypatch):
+def test_whitney_rejects_a_3_connected_parent_without_a_planarity_test(monkeypatch):
     cube = load_fixture("cube")
     adj = canon.masks_from_edges(cube.n, cube.edges)
     # the vertex no face of the cube shares with vertex 0 is its antipode
     (far,) = [v for v in range(cube.n) if v != 0 and not any(
         {0, v} <= {x for x, _ in f.darts} for f in cube.faces)]
-    calls = counting_check_planarity(monkeypatch)
+    calls = counting_lr_rotations(monkeypatch)
     parent = search._ParentEmbedding(adj, cube.rotations)
     assert parent.child(0, far) is None
     assert calls == []
     assert not search.is_planar(cube.n, sorted(cube.edges) + [(0, far)])
 
 
-def test_networkx_decides_when_the_embedding_cannot(monkeypatch):
+def test_lr_rotations_decides_when_the_embedding_cannot(monkeypatch):
     # K_{2,4} with hubs 0, 1 and rim 2, 3, 4, 5 in that order around both
     # hubs: 2 and 4 share no face, and the graph is not 3-connected
     adj = canon.masks_from_edges(6, [(h, r) for h in (0, 1) for r in (2, 3, 4, 5)])
     rotations = ((2, 3, 4, 5), (5, 4, 3, 2), (0, 1), (0, 1), (0, 1), (0, 1))
     parent = search._ParentEmbedding(adj, rotations)
-    calls = counting_check_planarity(monkeypatch)
+    calls = counting_lr_rotations(monkeypatch)
     for u, v in [(0, 1), (2, 3), (2, 5)]:
         assert parent.child(u, v) is not None
     assert calls == []
