@@ -107,7 +107,7 @@ class BlockDecomposition:
 def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
     """Partition E(G) into triangular or quadrangular blocks."""
     m = 3 if mode == "triangular" else 4
-    edges = g.sorted_edges()
+    edges = sorted(g.edges)
     index = {e: i for i, e in enumerate(edges)}
     parent = list(range(len(edges)))
 

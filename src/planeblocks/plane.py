@@ -2,17 +2,17 @@
 
 A plane graph is given by a counterclockwise rotation system (cyclic neighbor
 order around each vertex) plus one dart whose traced face is the unbounded
-face.  Faces are traced with the rule: the successor of dart (u, v) is (v, w)
-where w follows u in the rotation at v, so the traced face lies to the left of
-each dart.  Construction validates simplicity, adjacency symmetry,
-connectivity and the Euler characteristic v - e + f = 2.
+face; by default that is the longest face.  Faces are traced with the rule:
+the successor of dart (u, v) is (v, w) where w follows u in the rotation at
+v, so the traced face lies to the left of each dart.  Construction validates
+simplicity, adjacency symmetry, connectivity and the Euler characteristic
+v - e + f = 2.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .errors import (
     AsymmetricAdjacency,
@@ -52,9 +52,16 @@ class Face:
 
 
 class PlaneGraph:
-    """Immutable plane graph.  Do not mutate rotations after construction."""
+    """Immutable plane graph.  Do not mutate rotations after construction.
 
-    def __init__(self, rotations: Sequence[Sequence[int]], outer_dart: Dart):
+    Without ``outer_dart`` the outer face is the longest traced face, ties
+    going to the smallest dart, and ``outer_dart`` is that face's first and
+    smallest dart, so the outer face depends on the rotation system alone.
+    """
+
+    def __init__(
+        self, rotations: Sequence[Sequence[int]], outer_dart: Optional[Dart] = None
+    ):
         self.n = len(rotations)
         self.rotations: tuple[tuple[int, ...], ...] = tuple(
             tuple(r) for r in rotations
@@ -65,21 +72,38 @@ class PlaneGraph:
         )
         self.e = len(self.edges)
         self._validate_connected()
+        walks = trace_faces(self.rotations)
+        # dart -> id of the face on its left; read-only
+        self.dart_face: dict[Dart, int] = {
+            d: fid for fid, walk in enumerate(walks) for d in walk
+        }
+        if outer_dart is None:
+            if not walks:
+                raise UnknownDart("a graph with no edge has no outer dart")
+            # walks start at their smallest dart and come in that order, and
+            # max keeps the first maximum
+            outer_dart = max(walks, key=len)[0]
         outer_dart = (int(outer_dart[0]), int(outer_dart[1]))
-        u, v = outer_dart
-        if not (0 <= u < self.n and v in set(self.rotations[u])):
-            raise UnknownDart(f"outer dart {u}->{v} is not a dart of the graph")
+        if outer_dart not in self.dart_face:
+            raise UnknownDart(
+                f"outer dart {outer_dart[0]}->{outer_dart[1]} is not a dart of the graph"
+            )
         self.outer_dart: Dart = outer_dart
-        self.faces: tuple[Face, ...] = self._trace_faces()
+        outer_id = self.dart_face[outer_dart]
+        self.faces: tuple[Face, ...] = tuple(
+            Face(
+                id=fid,
+                darts=tuple(walk),
+                is_outer=fid == outer_id,
+                edges=tuple(edge_of(u, v) for u, v in walk),
+            )
+            for fid, walk in enumerate(walks)
+        )
         self.f = len(self.faces)
         if self.n - self.e + self.f != 2:
             raise GenusNonZero(
                 f"v - e + f = {self.n} - {self.e} + {self.f} != 2"
             )
-        # dart -> id of the face on its left; read-only
-        self.dart_face: dict[Dart, int] = {
-            d: face.id for face in self.faces for d in face.darts
-        }
 
     # -- construction helpers ------------------------------------------------
 
@@ -108,54 +132,11 @@ class PlaneGraph:
         if not is_connected(self.rotations):
             raise Disconnected(f"graph on {self.n} vertices is not connected")
 
-    def _trace_faces(self) -> tuple[Face, ...]:
-        return tuple(
-            Face(
-                id=fid,
-                darts=tuple(walk),
-                is_outer=self.outer_dart in walk,
-                edges=tuple(edge_of(u, v) for u, v in walk),
-            )
-            for fid, walk in enumerate(trace_faces(self.rotations))
-        )
-
     # -- queries -------------------------------------------------------------
 
     @property
     def outer_face(self) -> Face:
         return self.faces[self.dart_face[self.outer_dart]]
-
-    def face_of_dart(self, d: Dart) -> Face:
-        if d not in self.dart_face:
-            raise UnknownDart(f"{d[0]}->{d[1]} is not a dart of the graph")
-        return self.faces[self.dart_face[d]]
-
-    def with_outer(self, outer_dart: Dart) -> "PlaneGraph":
-        """Same embedding with a different declared outer face.
-
-        The rotations are already validated and face tracing does not depend
-        on the outer dart, so only the faces' ``is_outer`` flags change.
-        """
-        h = copy.copy(self)
-        h.outer_dart = (int(outer_dart[0]), int(outer_dart[1]))
-        outer_id = self.face_of_dart(h.outer_dart).id  # UnknownDart if absent
-        h.faces = tuple(
-            Face(f.id, f.darts, f.id == outer_id, f.edges) for f in self.faces
-        )
-        return h
-
-    def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, PlaneGraph)
-            and self.rotations == other.rotations
-            and self.outer_dart == other.outer_dart
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rotations, self.outer_dart))
 
     def __repr__(self) -> str:
         return (

@@ -15,24 +15,22 @@ from the parent's embedding, as in generation by embedding (Brinkmann and
 McKay, "Fast generation of planar graphs", MATCH 58, 2007); see
 ``_ParentEmbedding``.  If the new edge joins two components, or its ends
 share a face of the parent, the child is planar and its embedding is the
-parent's with the edge added there.  Otherwise, if their component is
-3-connected, the child is not planar: by Whitney (1932) that component has
-one embedding up to mirror image, and it has no face for the edge.  Only the
-children left get the full Left-Right planarity test
-(``planarity.lr_rotations``), whose embedding is kept.  Each planar child
-gets one canonical labelling.  So every class is produced from exactly one
-parent class, and most children need no labelling.  A parent's generators
-need only be automorphisms: a missing one would repeat a child, and the
-level dict, keyed by canonical code, drops the repeat.  The test needs the
-child's whole automorphism group, which the generators from
-``canon.canonical_labelling`` generate.  Constraints that are not
+parent's with the edge added there.  Every other child gets the full
+Left-Right planarity test (``planarity.lr_rotations``), whose embedding is
+kept.  Each planar child gets one canonical labelling.  So every class is
+produced from exactly one parent class, and most children need no
+labelling.  A parent's generators need only be automorphisms: a missing one
+would repeat a child, and the level dict, keyed by canonical code, drops the
+repeat.  The test needs the child's whole automorphism group, which the
+generators from ``canon.canonical_labelling`` generate.  Constraints that are not
 deletion-closed (minimum degree, 2-connectivity, the degree-2 neighbor rule)
 are filtered at emission.  Because level sets store canonical
 representatives and planarity does not depend on the embedding, the classes
 are independent of generation schedule.  Each class is yielded with the
 rotation system its level entry holds, relabelled onto the representative,
-so callers need no second embedding; which of the class's embeddings that is
-depends on the parent that produced it first.
+so callers, the extremal search's witnesses included, need no second
+embedding; which of the class's embeddings that is depends on the parent
+that produced it first.
 """
 
 from __future__ import annotations
@@ -88,26 +86,12 @@ class SearchResult:
 # -- planarity ---------------------------------------------------------------
 
 def planar_embed(n: int, edges: Sequence[Edge]) -> Optional[PlaneGraph]:
-    """A genus-zero embedding of the graph, or None if it is not planar; its
-    outer face is chosen as in ``plane_graph``."""
+    """A genus-zero embedding of the graph with its longest face outer, or
+    None if it is not planar."""
     if n < 2 or not edges:
         raise ValueError("planar_embed needs at least one edge")
     rotations = planarity.lr_rotations(n, edges)
-    return None if rotations is None else plane_graph(rotations)
-
-
-def plane_graph(rotations: Rotations) -> PlaneGraph:
-    """The plane graph of a connected planar rotation system with at least
-    one edge.
-
-    The outer face is the traced face of maximum length, ties broken by
-    smallest dart, so it depends on the rotation system alone.
-    """
-    first = next(v for v, rot in enumerate(rotations) if rot)
-    g = PlaneGraph(rotations, (first, rotations[first][0]))
-    # faces come in smallest-dart order, and max keeps the first maximum
-    target = max(g.faces, key=lambda f: f.length)
-    return g if target.is_outer else g.with_outer(target.darts[0])
+    return None if rotations is None else PlaneGraph(rotations)
 
 
 def is_planar(n: int, edges: Sequence[Edge]) -> bool:
@@ -243,8 +227,11 @@ class _ParentEmbedding:
     """A parent graph with a planar rotation system, deciding the planarity
     of each child adj + uv from it.
 
-    The faces and vertex face masks are computed on first use and kept for
-    the parent's other children.
+    A child whose new edge joins two components, or whose new edge's ends
+    share a face, is planar, and its embedding is the parent's with the edge
+    added; every other child goes to the Left-Right test.  The faces and
+    vertex face masks are computed on first use and kept for the parent's
+    other children.
     """
 
     def __init__(self, adj: canon.Masks, rotations: Rotations):
@@ -267,7 +254,7 @@ class _ParentEmbedding:
     def child(self, u: int, v: int) -> Optional[Rotations]:
         """A planar rotation system of adj + uv, or None if it is not planar."""
         adj, rot = self.adj, self.rotations
-        comp = _reach(adj, 1 << u, (1 << len(adj)) - 1)
+        comp = _reach(adj, 1 << u)
         if not (comp >> v) & 1:
             out = list(rot)
             out[u] = rot[u] + (v,)
@@ -283,13 +270,11 @@ class _ParentEmbedding:
                 i = rot[x].index(a) + 1
                 out[x] = rot[x][:i] + (y,) + rot[x][i:]
             return tuple(out)
-        if _three_connected(adj, comp):
-            return None
         return planarity.lr_rotations(len(adj), canon.edges_from_masks(adj) + [(u, v)])
 
 
-def _reach(adj: canon.Masks, seed: int, within: int) -> int:
-    """The mask of vertices reachable from those of seed inside within."""
+def _reach(adj: canon.Masks, seed: int) -> int:
+    """The mask of vertices reachable from those of seed."""
     seen = frontier = seed
     while frontier:
         reach = 0
@@ -298,23 +283,9 @@ def _reach(adj: canon.Masks, seed: int, within: int) -> int:
             b = m & -m
             reach |= adj[b.bit_length() - 1]
             m ^= b
-        frontier = reach & within & ~seen
+        frontier = reach & ~seen
         seen |= frontier
     return seen
-
-
-def _three_connected(adj: canon.Masks, comp: int) -> bool:
-    """Whether the component with vertex mask comp has at least 4 vertices
-    and stays connected after deleting any two of them."""
-    verts = [x for x in range(len(adj)) if (comp >> x) & 1]
-    if len(verts) < 4 or any(bin(adj[x]).count("1") < 3 for x in verts):
-        return False
-    for i, a in enumerate(verts):
-        for b in verts[i + 1:]:
-            rest = comp & ~(1 << a) & ~(1 << b)
-            if _reach(adj, rest & -rest, rest) != rest:
-                return False
-    return True
 
 
 def _on_representative(order: canon.Perm, gens: list[canon.Perm]) -> list[canon.Perm]:
@@ -420,21 +391,16 @@ def extremal_search(
     """
     stats = SearchStats()
     best = -1
-    witnesses: list[canon.Masks] = []
-    for adj, _ in enumerate_graphs(cs, ceiling=ceiling, stats=stats):
+    witnesses: list[Rotations] = []
+    for adj, rotations in enumerate_graphs(cs, ceiling=ceiling, stats=stats):
         e = canon.edge_count(adj)
         if e > best:
             best = e
-            witnesses = [adj]
+            witnesses = [rotations]
         elif e == best and len(witnesses) < WITNESS_CAP:
-            witnesses.append(adj)
-    embedded = []
-    for adj in witnesses:
-        if len(adj) == 1:
-            continue
-        g = planar_embed(len(adj), canon.edges_from_masks(adj))
-        assert g is not None
-        embedded.append(g)
+            witnesses.append(rotations)
+    # the single vertex has no edge, so no outer face
+    embedded = [PlaneGraph(rot) for rot in witnesses if len(rot) > 1]
     return SearchResult(
         n=cs.n, max_edges=best, witnesses=embedded, stats=stats
     )
@@ -446,14 +412,15 @@ def random_plane_graph(
     n: int,
     seed: int,
     cs: Optional[ConstraintSet] = None,
-    max_retries: int = 200,
 ) -> PlaneGraph:
     """Deterministic random plane graph: a random stacked triangulation with
-    random edge deletions, retried until the optional constraints hold."""
+    random edge deletions, retried up to 200 times until the optional
+    constraints hold."""
     if n < 3:
         raise ValueError("random_plane_graph needs n >= 3")
     rng = random.Random(seed)
-    for _ in range(max_retries):
+    retries = 200
+    for _ in range(retries):
         edges = _random_connected_planar_edges(n, rng)
         if cs is not None:
             adj = rotations_from_edges(n, edges)
@@ -463,7 +430,7 @@ def random_plane_graph(
         assert g is not None
         return g
     raise RetriesExhausted(
-        f"no constraint-satisfying graph on {n} vertices in {max_retries} tries"
+        f"no constraint-satisfying graph on {n} vertices in {retries} tries"
     )
 
 

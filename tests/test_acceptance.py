@@ -18,6 +18,7 @@ import pytest
 from planeblocks import canon, graphio, ledger, search, theorems
 from planeblocks.cli import main as cli_main
 from planeblocks.fixtures import FIXTURE_NAMES, fixture_text
+from planeblocks.plane import PlaneGraph
 from planeblocks.structure import contains_cycle_of_length, structural_stats
 from planeblocks.theorems import PROFILES, derive_global_bound
 
@@ -61,7 +62,7 @@ def test_criterion_2_conservation(criterion, corpus9):
     assert digest == "4344ace7e7eb8857d32389b1a1fffc6f952af8f0ee3cf136e320c661b03b4dd7"
     rng = random.Random(2024)
     random_graphs = (search.random_plane_graph(rng.randint(3, 14), seed) for seed in range(500))
-    enumerated = (search.plane_graph(rot) for n in range(2, 10) for _, rot in corpus9[n])
+    enumerated = (PlaneGraph(rot) for n in range(2, 10) for _, rot in corpus9[n])
     graphs = checked = 0
     for g in itertools.chain(random_graphs, enumerated):
         assert g.n - g.e + g.f == 2
@@ -89,7 +90,7 @@ def test_criterion_3_per_block_soundness(criterion, corpus9):
                 if not p.hypotheses.holds(nbrs, s):
                     continue
                 if g is None:
-                    g = search.plane_graph(rot)
+                    g = PlaneGraph(rot)
                 v = theorems.verify_per_block(g, p, theorems.check_hypotheses(g, p))
                 assert v.hypotheses.ok
                 if v.violations:
@@ -179,7 +180,7 @@ def test_criterion_7_saturation(criterion):
             n=n, bipartite=True, forbidden_cycles=(8, 10), min_degree=3
         )
         for adj, rot in search.enumerate_graphs(cs, ceiling=top):
-            g = search.plane_graph(rot)
+            g = PlaneGraph(rot)
             if not theorems.check_hypotheses(g, p).ok:
                 continue
             instances += 1

@@ -49,7 +49,7 @@ def test_decompose_matches_worklist_oracle(mode, fixture_graphs):
     for g in graphs:
         expected = None
         for trial in range(4):
-            order = g.sorted_edges()
+            order = sorted(g.edges)
             if trial:
                 rng.shuffle(order)
             got = worklist_decompose(g, mode, order)

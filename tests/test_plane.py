@@ -52,26 +52,18 @@ def test_exactly_one_outer_face(fixture_graphs):
         assert g.outer_face.is_outer
 
 
-def test_with_outer_changes_only_the_flag(fixture_graphs):
-    g = fixture_graphs["theta4"]
-    inner = next(f for f in g.faces if not f.is_outer)
-    h = g.with_outer(inner.darts[0])
-    assert h.outer_face.darts == inner.darts
-    assert {f.darts for f in h.faces} == {f.darts for f in g.faces}
-
-
-def test_with_outer_matches_a_fresh_build(fixture_graphs):
-    for g in fixture_graphs.values():
-        before = g.faces
-        for d in g.dart_face:
-            h = g.with_outer(d)
-            fresh = PlaneGraph(g.rotations, d)
-            assert h == fresh
-            assert h.faces == fresh.faces
-            assert h.outer_face == fresh.outer_face
-        assert g.faces == before  # the source graph keeps its own flags
-        with pytest.raises(UnknownDart):
-            g.with_outer((0, 0))
+def test_default_outer_face_is_the_first_longest(fixture_graphs, corpus7):
+    rotation_systems = [g.rotations for g in fixture_graphs.values()]
+    rotation_systems += [rot for n in range(2, 8) for _, rot in corpus7[n]]
+    for rotations in rotation_systems:
+        g = PlaneGraph(rotations)
+        longest = max(f.length for f in g.faces)
+        first = next(f for f in g.faces if f.length == longest)
+        assert g.outer_face is first and first.is_outer
+        assert g.outer_dart == min(first.darts)
+        again = PlaneGraph(g.rotations, g.outer_dart)
+        assert again.faces == g.faces
+        assert again.outer_dart == g.outer_dart
 
 
 def test_loop_rejected():
@@ -99,6 +91,8 @@ def test_disconnected_rejected():
 def test_unknown_outer_dart_rejected():
     with pytest.raises(UnknownDart):
         PlaneGraph([[1], [0]], (0, 5))
+    with pytest.raises(UnknownDart):  # no edge, so no dart to default to
+        PlaneGraph([[]])
 
 
 def test_every_k5_rotation_system_has_nonzero_genus():

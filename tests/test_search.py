@@ -202,22 +202,20 @@ def counting_lr_rotations(monkeypatch):
     return calls
 
 
-def test_whitney_rejects_a_3_connected_parent_without_a_planarity_test(monkeypatch):
+def test_cube_plus_an_antipodal_chord_is_not_planar():
     cube = load_fixture("cube")
     adj = canon.masks_from_edges(cube.n, cube.edges)
     # the vertex no face of the cube shares with vertex 0 is its antipode
     (far,) = [v for v in range(cube.n) if v != 0 and not any(
         {0, v} <= {x for x, _ in f.darts} for f in cube.faces)]
-    calls = counting_lr_rotations(monkeypatch)
     parent = search._ParentEmbedding(adj, cube.rotations)
     assert parent.child(0, far) is None
-    assert calls == []
     assert not search.is_planar(cube.n, sorted(cube.edges) + [(0, far)])
 
 
 def test_lr_rotations_decides_when_the_embedding_cannot(monkeypatch):
     # K_{2,4} with hubs 0, 1 and rim 2, 3, 4, 5 in that order around both
-    # hubs: 2 and 4 share no face, and the graph is not 3-connected
+    # hubs: 2 and 4 share no face
     adj = canon.masks_from_edges(6, [(h, r) for h in (0, 1) for r in (2, 3, 4, 5)])
     rotations = ((2, 3, 4, 5), (5, 4, 3, 2), (0, 1), (0, 1), (0, 1), (0, 1))
     parent = search._ParentEmbedding(adj, rotations)
@@ -302,6 +300,22 @@ def test_extremal_search_triangle_free():
         assert w.e == 6
 
 
+def test_extremal_witnesses_keep_the_yielded_embeddings(monkeypatch):
+    calls = []
+    real = search.planar_embed
+    monkeypatch.setattr(search, "planar_embed", lambda *a: calls.append(1) or real(*a))
+    for kwargs in (dict(n=6), dict(n=7, forbidden_cycles=(3,)), dict(n=7, bipartite=True)):
+        cs = search.ConstraintSet(**kwargs)
+        res = search.extremal_search(cs)
+        classes = [(adj, rot) for adj, rot in search.enumerate_graphs(cs)
+                   if canon.edge_count(adj) == res.max_edges][:search.WITNESS_CAP]
+        assert len(res.witnesses) == len(classes) > 0
+        for w, (adj, rot) in zip(res.witnesses, classes):
+            assert w.edges == set(canon.edges_from_masks(adj))
+            assert w.rotations == rot
+    assert calls == []
+
+
 def test_extremal_stats_populated():
     res = search.extremal_search(search.ConstraintSet(n=4))
     assert res.stats.emitted >= 6
@@ -328,7 +342,7 @@ def test_random_plane_graph_retries_exhausted():
     # no bipartite graph on 3 vertices has min degree 2
     cs = search.ConstraintSet(n=3, bipartite=True, min_degree=2)
     with pytest.raises(RetriesExhausted):
-        search.random_plane_graph(3, 1, cs=cs, max_retries=20)
+        search.random_plane_graph(3, 1, cs=cs)
 
 
 @pytest.mark.parametrize("n", [0, -3])
