@@ -18,7 +18,9 @@ are rendered as canonical "p/q" strings, never floats.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from json.encoder import encode_basestring_ascii
+from math import gcd
 from typing import Any, Optional
 
 from .blocks import Block, BlockDecomposition
@@ -33,10 +35,14 @@ FORMAT_VERSION = 1
 REPORT_SCHEMA = "planeblocks-report-v1"
 
 
-def format_fraction(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    return f"{x.numerator}/{x.denominator}"
+def format_fraction(num: int | Fraction, den: int = 1) -> str:
+    """num / den (den > 0) in lowest terms, as "p/q", or "p" when whole."""
+    if type(num) is not int:
+        num, den = num.numerator, num.denominator * den
+    g = gcd(num, den)
+    if g == den:
+        return str(num // den)
+    return f"{num // g}/{den // g}"
 
 
 # -- graph files -------------------------------------------------------------
@@ -166,17 +172,25 @@ def _block_row(b: Block) -> dict[str, Any]:
 
 def _ledger_blocks(led: ContributionLedger) -> list[dict[str, Any]]:
     blocks = led.decomposition.blocks
+    entries = led.entries
+    # shares repeat across blocks, so each distinct numerator is formatted once
+    vtext = _texts({c.vnum for c in entries} | {c.knum for c in entries}, led.vden)
+    ftext = _texts({c.fnum for c in entries}, led.fden)
     return [
         {
             **_block_row(blocks[entry.block_id]),
-            "v": format_fraction(entry.v),
+            "v": vtext[entry.vnum],
             "e": entry.e,
-            "f": format_fraction(entry.f),
-            "k": format_fraction(entry.k),
+            "f": ftext[entry.fnum],
+            "k": vtext[entry.knum],
             "e23": entry.e23,
         }
-        for entry in led.entries
+        for entry in entries
     ]
+
+
+def _texts(nums: set[int], den: int) -> dict[int, str]:
+    return {num: format_fraction(num, den) for num in nums}
 
 
 def decomposition_report(g: PlaneGraph, d: BlockDecomposition) -> dict[str, Any]:
@@ -227,13 +241,12 @@ def verdict_report(g: PlaneGraph, verdict: Verdict) -> dict[str, Any]:
     if verdict.ledger is not None:
         rep["mode"] = verdict.ledger.mode
         rep["blocks"] = _ledger_blocks(verdict.ledger)
+        values = verdict.block_values
+        # every L(B) of a verdict has one denominator
+        text = _texts({bv.num for bv in values}, values[0].den) if values else {}
         rep["block_values"] = [
-            {
-                "id": bv.block_id,
-                "kind": bv.kind.value,
-                "value": format_fraction(bv.value),
-            }
-            for bv in verdict.block_values
+            {"id": bv.block_id, "kind": bv.kind.value, "value": text[bv.num]}
+            for bv in values
         ]
         rep["violations"] = [bv.block_id for bv in verdict.violations]
         rep["total"] = format_fraction(verdict.total)
@@ -267,8 +280,9 @@ def _json_text(value: Any, newline: str = "\n") -> str:
     with ``newline`` starting every line break.
 
     Covers only what a report holds: dicts with str keys, lists, tuples,
-    str, int, bool and None; anything else raises TypeError.  Lists of ints
-    and of int pairs, the bulk of a large report, take a shortcut.
+    str, int, bool and None; anything else raises TypeError.  Lists of ints,
+    of int pairs and of dicts with one key set (a report's rows), the bulk
+    of a large report, take a shortcut.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -290,6 +304,26 @@ def _json_text(value: Any, newline: str = "\n") -> str:
             deeper = inner + "  "
             pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
             items = [pair % (u, v) for u, v in value]
+        elif type(value[0]) is dict and value[0] and all(
+            type(x) is dict and x.keys() == value[0].keys() for x in value
+        ):
+            # a report's rows: each key is sorted and encoded once, with the
+            # encoder its column needs
+            deeper = inner + "  "
+            plan = []
+            for key in sorted(value[0]):
+                kinds = {type(row[key]) for row in value}
+                encode = partial(_json_text, newline=deeper)
+                if kinds == {str}:
+                    encode = encode_basestring_ascii
+                elif kinds == {int}:
+                    encode = int.__repr__
+                plan.append((encode_basestring_ascii(key) + ": ", key, encode))
+            sep = "," + deeper
+            items = [
+                "{" + deeper + sep.join([h + enc(row[k]) for h, k, enc in plan]) + inner + "}"
+                for row in value
+            ]
         else:
             items = [_json_text(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"

@@ -1,13 +1,13 @@
 """Exact-rational contribution accounting for block decompositions.
 
-Shares are summed as integer numerators over one common denominator per
+Shares are kept as integer numerators over one common denominator per
 ledger: vertex and degree-2 shares over the lcm of the vertices' block
-counts, face shares over the lcm of the (pseudo)face lengths.  Each block's
-v, f and k then become one `fractions.Fraction` apiece.  The five
+counts (``vden``), face shares over the lcm of the (pseudo)face lengths
+(``fden``); no `fractions.Fraction` is built per block.  The five
 conservation identities (vertex, edge, face, degree-2, and (2,3)-edge
-totals) are asserted exactly, as rationals, on every ledger build, so any
-slot-accounting bug surfaces immediately as a ConservationViolation rather
-than a slightly-off bound.
+totals) are asserted exactly, on the numerators, on every ledger build, so
+any slot-accounting bug surfaces immediately as a ConservationViolation
+rather than a slightly-off bound.
 """
 
 from __future__ import annotations
@@ -25,13 +25,16 @@ from .structure import count_23_edges, degree_classes
 PseudofaceMap = dict[int, Pseudoface]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockContribution:
+    """Numerators over the ledger's denominators: v = vnum/vden,
+    f = fnum/fden and k = knum/vden."""
+
     block_id: int
-    v: Fraction
+    vnum: int
     e: int
-    f: Fraction
-    k: Fraction
+    fnum: int
+    knum: int
     e23: int
 
 
@@ -41,7 +44,7 @@ class ContributionLedger:
     decomposition: BlockDecomposition
     pseudofaces: Optional[PseudofaceMap]
     entries: tuple[BlockContribution, ...]
-    totals: tuple[Fraction, int, Fraction, Fraction, int]  # (v, e, f, k, e23)
+    totals: tuple[int, int, int, int, int]  # (v, e, f, k, e23), conserved
     vden: int  # every v and k is a multiple of 1/vden
     fden: int  # every f is a multiple of 1/fden
 
@@ -93,59 +96,43 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     vshare = {v: vden // c for v, c in counts.items()}
     quad = mode == "quadrangular"
     dclass = degree_classes(g.rotations)  # degrees in G, not within a block
-    zero = Fraction(0)
 
     entries = []
-    vtotal = ktotal = 0
     for b in d.blocks:
-        vnum = sum([vshare[v] for v in b.vertices])
-        vtotal += vnum
         if quad:
             knum = sum([vshare[v] for v in b.vertices if dclass[v] == 1])
-            ktotal += knum
-            k = Fraction(knum, vden)
             e23 = count_23_edges(dclass, b.edges)
         else:
-            k, e23 = zero, 0
+            knum = e23 = 0
+        vnum = sum([vshare[v] for v in b.vertices])
         entries.append(
-            BlockContribution(
-                block_id=b.id,
-                v=Fraction(vnum, vden),
-                e=len(b.edges),
-                f=Fraction(fnum[b.id], fden),
-                k=k,
-                e23=e23,
-            )
+            BlockContribution(b.id, vnum, len(b.edges), fnum[b.id], knum, e23)
         )
 
-    tv = Fraction(vtotal, vden)
-    te = sum(c.e for c in entries)
-    tf = Fraction(sum(fnum), fden)
-    tk = Fraction(ktotal, vden)
-    te23 = sum(c.e23 for c in entries)
-
-    _check(tv, Fraction(g.n), "vertex", g)
-    _check(Fraction(te), Fraction(g.e), "edge", g)
-    _check(tf, Fraction(g.f), "face", g)
+    # numerators over vden (v, k), fden (f) or 1 (e, e23)
+    _check(sum([c.vnum for c in entries]), vden, g.n, "vertex", g)
+    _check(sum([c.e for c in entries]), 1, g.e, "edge", g)
+    _check(sum(fnum), fden, g.f, "face", g)
+    deg2 = e23_g = 0
     if quad:
         deg2 = dclass.count(1)
         e23_g = count_23_edges(dclass, g.edges)
-        _check(tk, Fraction(deg2), "degree-2", g)
-        _check(Fraction(te23), Fraction(e23_g), "(2,3)-edge", g)
+        _check(sum([c.knum for c in entries]), vden, deg2, "degree-2", g)
+        _check(sum([c.e23 for c in entries]), 1, e23_g, "(2,3)-edge", g)
 
     return ContributionLedger(
         mode=mode,
         decomposition=d,
         pseudofaces=pf,
         entries=tuple(entries),
-        totals=(tv, te, tf, tk, te23),
+        totals=(g.n, g.e, g.f, deg2, e23_g),
         vden=vden,
         fden=fden,
     )
 
 
-def _check(got: Fraction, want: Fraction, label: str, g: PlaneGraph) -> None:
-    if got != want:
+def _check(num: int, den: int, want: int, label: str, g: PlaneGraph) -> None:
+    if num != want * den:
         raise ConservationViolation(
-            f"{label} total {got} != graph total {want} on {g!r}"
+            f"{label} total {Fraction(num, den)} != graph total {want} on {g!r}"
         )

@@ -37,7 +37,12 @@ def contains_cycle_of_length(adj: Adjacency, length: int) -> bool:
     Every cycle lies in one biconnected component, so each component with at
     least ``length`` vertices is searched on its own.  Within one, an exact
     backtracking path search roots each cycle at its smallest vertex and
-    never visits vertices below the root.
+    never visits vertices below the root, nor one whose distance back to the
+    root exceeds the edges left.
+
+    Worst case: from each root at most length * D**(length - 1) simple paths
+    are extended, D the component's largest degree, each scanning D
+    neighbours; a component of c vertices costs O(c * length * D**length).
     """
     if length < 3:
         raise BadLength(f"cycle length must be >= 3, got {length}")
@@ -59,19 +64,42 @@ def contains_cycle_of_length(adj: Adjacency, length: int) -> bool:
 
 
 def _has_cycle(adj: Adjacency, length: int) -> bool:
+    far = length + 1
+    # dist[w]: BFS distance from the current root to w over the vertices
+    # above it, up to length // 2; far for every other vertex
+    dist = [far] * len(adj)
+
     def search(root: int, last: int, depth: int, visited: int) -> bool:
+        left = length - depth  # edges left to close the cycle after a step
         for w in adj[last]:
-            if w == root and depth == length:
+            if w == root and left == 0:
                 return True
-            if w > root and depth < length and not (visited >> w) & 1:
+            if dist[w] <= left and not (visited >> w) & 1:
                 if search(root, w, depth + 1, visited | (1 << w)):
                     return True
         return False
 
-    return any(
-        len(adj[root]) >= 2 and search(root, root, 1, 1 << root)
-        for root in range(len(adj))
-    )
+    for root in range(len(adj)):
+        if len(adj[root]) < 2:
+            continue
+        # no vertex of a cycle is farther than length // 2 from its root
+        dist[root] = 0
+        ball, frontier = [root], [root]
+        for r in range(1, length // 2 + 1):
+            reached = []
+            for u in frontier:
+                for w in adj[u]:
+                    if w > root and dist[w] == far:
+                        dist[w] = r
+                        reached.append(w)
+            ball += reached
+            frontier = reached
+        found = search(root, root, 1, 1 << root)
+        for w in ball:
+            dist[w] = far
+        if found:
+            return True
+    return False
 
 
 def is_bipartite(adj: Adjacency) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -242,12 +270,14 @@ class Hypotheses:
 
     def checks(self, adj: Adjacency, stats: StructuralStats) -> tuple[Check, ...]:
         """Every predicate's Check, in report order (forbidden cycles first)."""
-        return (*self._cycle_checks(adj), *self._stats_checks(stats))
+        return (*self._cycle_checks(adj, stats), *self._stats_checks(stats))
 
     def holds(self, adj: Adjacency, stats: StructuralStats) -> bool:
         """True iff every predicate holds; stops at the first failure and
         runs cycle search only after every check on the stats passed."""
-        return self.stats_hold(stats) and all(c.ok for c in self._cycle_checks(adj))
+        return self.stats_hold(stats) and all(
+            c.ok for c in self._cycle_checks(adj, stats)
+        )
 
     def stats_hold(self, stats: StructuralStats) -> bool:
         """Every predicate decided by the stats alone (all but cycles)."""
@@ -262,9 +292,12 @@ class Hypotheses:
             if f.name != "forbidden_cycles"
         )
 
-    def _cycle_checks(self, adj: Adjacency) -> Iterator[Check]:
+    def _cycle_checks(self, adj: Adjacency, stats: StructuralStats) -> Iterator[Check]:
         for length in self.forbidden_cycles:
-            has = contains_cycle_of_length(adj, length)
+            if length % 2 and stats.bipartite:
+                has = False  # a bipartite graph has no odd cycle
+            else:
+                has = contains_cycle_of_length(adj, length)
             yield Check(
                 name=f"C{length}-free",
                 ok=not has,

@@ -172,11 +172,16 @@ def check_hypotheses(g: PlaneGraph, p: TheoremProfile) -> HypothesisReport:
 
 # -- per-block verification --------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BlockValue:
+    """L(B) = num / den."""
+
     block_id: int
     kind: BlockKind
-    value: Fraction
+    num: int
+    den: int
+
+    value = property(lambda bv: Fraction(bv.num, bv.den))
 
 
 @dataclass(frozen=True)
@@ -217,7 +222,8 @@ class Verdict:
         return True
 
 
-def evaluate_row(coeffs: Coefficients, v, e, f, k, e23) -> Fraction:
+def evaluate_row(coeffs: Coefficients, v, e, f, k, e23):
+    """L for the given quantities: an int for ints, a Fraction for Fractions."""
     a, b, c, dk, de23 = coeffs
     return a * v + b * e + c * f + dk * k + de23 * e23
 
@@ -251,7 +257,10 @@ def verify_per_block(
     # every L(B) is an integer numerator over one common denominator
     denom = lcm(led.vden, led.fden)
     a, b, c, dk, de23 = p.coefficients
-    nums = []
+    av = a * (denom // led.vden)
+    cf = c * (denom // led.fden)
+    dkv = dk * (denom // led.vden)
+    total = 0
     values = []
     violations = []
     for entry in led.entries:
@@ -266,17 +275,14 @@ def verify_per_block(
                 f"block {block.id} has kind {block.kind.value}, outside the "
                 f"{p.id} catalog (hypotheses not satisfied)"
             )
-        v, f, k = entry.v, entry.f, entry.k
         num = (
-            a * v.numerator * (denom // v.denominator)
-            + c * f.numerator * (denom // f.denominator)
-            + dk * k.numerator * (denom // k.denominator)
+            av * entry.vnum
+            + cf * entry.fnum
+            + dkv * entry.knum
             + (b * entry.e + de23 * entry.e23) * denom
         )
-        nums.append(num)
-        bv = BlockValue(
-            block_id=block.id, kind=block.kind, value=Fraction(num, denom)
-        )
+        total += num
+        bv = BlockValue(block.id, block.kind, num, denom)
         values.append(bv)
         if num > 0:
             if (
@@ -292,27 +298,25 @@ def verify_per_block(
             else:
                 violations.append(bv)
 
-    total = Fraction(sum(nums), denom)
     # re-derive the total from graph quantities; disagreement is a ledger bug
     stats = hyp.stats if work is g else structural_stats(work.rotations)
-    k = stats.k if p.mode == "quadrangular" else 0
-    e23 = stats.e23 if p.mode == "quadrangular" else 0
+    quad = p.mode == "quadrangular"
     expect = evaluate_row(
         p.coefficients,
-        Fraction(work.n),
+        work.n,
         work.e,
-        Fraction(work.f),
-        Fraction(k),
-        e23,
+        work.f,
+        stats.k if quad else 0,
+        stats.e23 if quad else 0,
     )
-    if total != expect:
+    if total != expect * denom:
         raise ConservationViolation(
-            f"sum of block values {total} != graph total {expect}"
+            f"sum of block values {Fraction(total, denom)} != graph total {expect}"
         )
 
     verdict.block_values = tuple(values)
     verdict.violations = tuple(violations)
-    verdict.total = total
+    verdict.total = Fraction(total, denom)
     verdict.warnings = tuple(warnings)
     return verdict
 

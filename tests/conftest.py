@@ -1,10 +1,17 @@
 import os
+from fractions import Fraction
 
 import pytest
 
 from planeblocks import fixtures, search
 
 EXTENDED = os.environ.get("PLANEBLOCKS_EXTENDED") == "1"
+
+
+def shares(led, c):
+    """(v, e, f, k, e23) of one ledger entry, with v, f and k as Fractions."""
+    F = Fraction
+    return F(c.vnum, led.vden), c.e, F(c.fnum, led.fden), F(c.knum, led.vden), c.e23
 
 
 @pytest.fixture(scope="session")

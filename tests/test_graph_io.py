@@ -87,6 +87,22 @@ def test_huge_declared_n_fails_with_a_short_message():
 def test_format_fraction():
     assert graphio.format_fraction(Fraction(3)) == "3"
     assert graphio.format_fraction(Fraction(-11, 8)) == "-11/8"
+    assert graphio.format_fraction(-22, 16) == "-11/8"
+    assert graphio.format_fraction(Fraction(1, 2), 3) == "1/6"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(10**6), 10**6), st.integers(1, 10**6))
+@example(0, 1)
+@example(0, 12)
+@example(-6, 4)
+@example(-8, 4)
+@example(10**6, 1)
+@example(-(10**6), 999983)
+def test_format_fraction_matches_fraction_rendering(num, den):
+    want = str(Fraction(num, den))
+    assert graphio.format_fraction(num, den) == want
+    assert graphio.format_fraction(Fraction(num, den)) == want
 
 
 def make_reports(fixture_graphs):
@@ -175,8 +191,41 @@ def test_writer_matches_json_dumps(value):
     assert graphio.write_report(value) == json_dumps_bytes(value)
 
 
+# lists of dicts with one key set, as a report's rows, and the same lists
+# with one other value put in; row values are flat, as a report's are
+row_values = st.none() | st.booleans() | ints | texts | st.lists(ints, max_size=4) | pairs
+row_lists = st.lists(texts, min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.lists(
+        st.fixed_dictionaries({key: row_values for key in keys}),
+        min_size=1,
+        max_size=4,
+    )
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(row_lists, json_values | st.dictionaries(texts, ints, max_size=3), st.integers(0, 4))
+@example([{"b": 1, "a": "x"}, {"a": "y", "b": [[1, 2]]}], {"a": 1}, 1)
+@example([{}, {}], {}, 0)
+@example([{"a": 1}], [], 0)
+def test_writer_matches_json_dumps_on_rows(rows, other, at):
+    assert graphio.write_report(rows) == json_dumps_bytes(rows)
+    mixed = rows[:at] + [other] + rows[at:]
+    assert graphio.write_report(mixed) == json_dumps_bytes(mixed)
+
+
 @pytest.mark.parametrize(
-    "value", [1.5, {"a": 0.0}, [[1, 2], [3, 4.0]], {1, 2}, {"a": frozenset()}, {1: 2}]
+    "value",
+    [
+        1.5,
+        {"a": 0.0},
+        [[1, 2], [3, 4.0]],
+        {1, 2},
+        {"a": frozenset()},
+        {1: 2},
+        [{"a": 1}, {"a": 0.5}],
+        [{1: 2}, {1: 3}],
+    ],
 )
 def test_writer_rejects_other_types(value):
     with pytest.raises(TypeError):

@@ -5,9 +5,11 @@ import pytest
 
 from planeblocks import ledger, search
 from planeblocks.blocks import BlockKind, decompose
-from planeblocks.errors import MissingPseudoface
+from planeblocks.errors import ConservationViolation, MissingPseudoface
 from planeblocks.ledger import build_ledger
 from planeblocks.plane import PlaneGraph
+
+from conftest import shares
 
 
 def F(a, b=1):
@@ -26,7 +28,7 @@ def test_cube_triangular_ledger(fixture_graphs):
     assert len(led.entries) == 12
     # every vertex sits in 3 trivial blocks, every edge borders two 4-faces
     for c in led.entries:
-        assert (c.v, c.e, c.f) == (F(2, 3), 1, F(1, 2))
+        assert shares(led, c)[:3] == (F(2, 3), 1, F(1, 2))
     assert led.totals == (F(8), 12, F(6), F(0), 0)
 
 
@@ -42,7 +44,7 @@ def test_cube_triangular_ledger(fixture_graphs):
 def test_standalone_quadrangular_ledgers(name, v, e, f, k, e23, fixture_graphs):
     led = build_ledger(fixture_graphs[name], "quadrangular")
     (c,) = led.entries
-    assert (c.v, c.e, c.f, c.k, c.e23) == (F(v), e, F(f), F(k), e23)
+    assert shares(led, c) == (F(v), e, F(f), F(k), e23)
     assert led.totals == (F(v), e, F(f), F(k), e23)
 
 
@@ -51,7 +53,7 @@ def test_standalone_k4_degenerate_pseudoface_still_conserves(fixture_graphs):
     (c,) = led.entries
     # outer pseudoface is the degenerate unreduced triangle: 3 interior
     # faces plus three 1/3 slot shares
-    assert (c.v, c.e, c.f) == (F(4), 6, F(4))
+    assert shares(led, c)[:3] == (F(4), 6, F(4))
     (p,) = led.pseudofaces.values()
     assert p.degenerate
 
@@ -78,11 +80,10 @@ def test_bridge_gets_two_slot_entries():
     assert kinds == ["K2", "K3", "K3"]
     bridge = entry_by_kind(led, BlockKind.K2)
     # the outer walk has length 8 and crosses the bridge twice
-    assert bridge.f == F(2, 8)
-    assert bridge.v == F(1)
+    assert shares(led, bridge)[:3] == (F(1), 1, F(2, 8))
     for c in led.entries:
         if c is not bridge:
-            assert (c.v, c.f) == (F(5, 2), F(11, 8))
+            assert shares(led, c)[:3] == (F(5, 2), 3, F(11, 8))
     assert led.totals[:3] == (F(6), 7, F(3))
 
 
@@ -100,7 +101,7 @@ def test_conservation_on_random_graphs():
 
 def test_triangular_entries_carry_no_aux_terms(fixture_graphs):
     led = build_ledger(fixture_graphs["theta4"], "triangular")
-    assert all(c.k == 0 and c.e23 == 0 for c in led.entries)
+    assert all(shares(led, c)[3:] == (0, 0) for c in led.entries)
 
 
 def test_slot_table_requires_pseudofaces_in_triangular_mode(fixture_graphs):
@@ -117,7 +118,37 @@ def test_aux_degrees_taken_in_whole_graph():
     g = PlaneGraph(rotations, (4, 0))
     led = build_ledger(g, "quadrangular")
     c4 = entry_by_kind(led, BlockKind.C4)
-    assert c4.k == F(3)
-    assert c4.e23 == 2
+    assert shares(led, c4)[3:] == (F(3), 2)
     pend = entry_by_kind(led, BlockKind.K2)
     assert pend.e23 == 0  # degrees 1 and 3
+
+
+def test_entries_carry_int_numerators_that_conserve(fixture_graphs, corpus7):
+    graphs = [*fixture_graphs.values()]
+    graphs += [PlaneGraph(rot) for n in range(2, 8) for _, rot in corpus7[n]]
+    for g in graphs:
+        deg2 = sum(1 for rot in g.rotations if len(rot) == 2)
+        for mode in ("triangular", "quadrangular"):
+            led = build_ledger(g, mode)
+            for c in led.entries:
+                nums = (c.vnum, c.e, c.fnum, c.knum, c.e23)
+                assert all(type(x) is int for x in nums)
+            k = deg2 if mode == "quadrangular" else 0
+            assert sum(c.vnum for c in led.entries) == g.n * led.vden
+            assert sum(c.fnum for c in led.entries) == g.f * led.fden
+            assert sum(c.knum for c in led.entries) == k * led.vden
+
+
+@pytest.mark.parametrize("mode", ["triangular", "quadrangular"])
+def test_tampered_slot_share_raises(mode, fixture_graphs, monkeypatch):
+    real = ledger.slot_table
+
+    def tampered(d, pf=None):
+        denom, faces = real(d, pf)
+        slots = next(iter(faces.values()))
+        slots[next(iter(slots))] += 1
+        return denom, faces
+
+    monkeypatch.setattr(ledger, "slot_table", tampered)
+    with pytest.raises(ConservationViolation, match="face total"):
+        build_ledger(fixture_graphs["cube"], mode)

@@ -5,7 +5,7 @@ import time
 import networkx as nx
 import pytest
 
-from planeblocks import canon
+from planeblocks import canon, structure
 from planeblocks.errors import BadLength
 from planeblocks.structure import (
     Hypotheses,
@@ -185,3 +185,46 @@ def test_cycle_across_a_bridge_is_not_found():
 def test_negative_min_degree_rejected(kwargs):
     with pytest.raises(ValueError, match="must be >= 0"):
         Hypotheses(**kwargs)
+
+
+def plain_cycle_search(adj, length):
+    """Reference: backtracking over the whole graph with no pruning."""
+    def search(root, last, depth, visited):
+        for w in adj[last]:
+            if w == root and depth == length:
+                return True
+            if w > root and depth < length and w not in visited:
+                if search(root, w, depth + 1, visited | {w}):
+                    return True
+        return False
+
+    return any(search(root, root, 1, {root}) for root in range(len(adj)))
+
+
+def test_pruned_cycle_search_matches_plain_search():
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(3, 13)
+        p = rng.choice([0.15, 0.25, 0.4])
+        adj = [[] for _ in range(n)]
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < p:
+                adj[u].append(v)
+                adj[v].append(u)
+        for length in range(3, n + 1):
+            assert contains_cycle_of_length(adj, length) == \
+                plain_cycle_search(adj, length), (adj, length)
+
+
+def test_odd_length_on_bipartite_input_is_not_searched(fixture_graphs, monkeypatch):
+    def searched(adj, length):
+        raise AssertionError(f"searched for a C{length}")
+
+    monkeypatch.setattr(structure, "contains_cycle_of_length", searched)
+    adjs = [adj_of(fixture_graphs[name]) for name in ("c8", "cube", "k23", "q7", "theta6")]
+    for adj in [*adjs, hub_chain(5, 40)]:
+        hyp = Hypotheses(forbidden_cycles=tuple(range(3, len(adj) + 1, 2)))
+        stats = structural_stats(adj)
+        assert stats.bipartite
+        assert hyp.holds(adj, stats)
+        assert all(c.ok and not c.detail for c in hyp.checks(adj, stats))

@@ -25,6 +25,8 @@ from planeblocks.theorems import (
     verify_per_block,
 )
 
+from conftest import shares
+
 
 def F(a, b=1):
     return Fraction(a, b)
@@ -234,7 +236,7 @@ def test_integer_rows_match_fraction_rows(pid, fixture_graphs):
         v = verify_per_block(g, p, check_hypotheses(g, p))
         blocks = v.ledger.decomposition.blocks
         want = [
-            evaluate_row(p.coefficients, c.v, c.e, c.f, c.k, c.e23)
+            evaluate_row(p.coefficients, *shares(v.ledger, c))
             for c in v.ledger.entries
         ]
         assert [bv.value for bv in v.block_values] == want
