@@ -1,10 +1,12 @@
 """Block decompositions of plane graphs.
 
-A triangular block is the closure of an edge under "shares a bounded 3-face";
-a quadrangular block uses bounded 4-faces.  Edges in no such face are trivial
-K2 blocks.  The closure is computed as connected components of the hypergraph
-whose hyperedges are the bounded block faces, which is equivalent to the
-seed-and-absorb loop and independent of the seed edge.
+A triangular block is the closure of an edge under "shares a 3-face whose
+walk is a 3-cycle"; a quadrangular block uses 4-faces that are 4-cycles.  The
+graph lives on the sphere, so every face counts alike and the result depends
+on the rotation system only.  Edges in no such face are trivial K2 blocks.
+The closure is computed as connected components of the hypergraph whose
+hyperedges are the block faces, which is equivalent to the seed-and-absorb
+loop and independent of the seed edge.
 
 Exterior pseudofaces: the boundary of a non-interior face, rewritten while it
 contains exactly two consecutive exterior edges of one K4 block (the pair is
@@ -119,10 +121,8 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
 
     block_faces = []
     for face in g.faces:
-        if face.is_outer or face.length != m:
-            continue
-        if len({u for u, _ in face.darts}) != m:
-            continue  # boundary walk revisits a vertex; not an m-cycle
+        if face.length != m or len({u for u, _ in face.darts}) != m:
+            continue  # not an m-face, or its walk revisits a vertex
         fe = face.edges
         block_faces.append((face.id, fe[0]))
         base = find(index[fe[0]])

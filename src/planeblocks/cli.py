@@ -125,7 +125,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--k", type=int, default=0, help="degree-2 vertex count")
     p.add_argument("--e23", type=int, default=0, help="(2,3)-degree edge count")
 
-    p = sub.add_parser("saturate", help="add chords until no bounded 6-face remains")
+    p = sub.add_parser("saturate", help="add chords until no 6-face remains")
     p.add_argument("graph")
     p.add_argument("--out", help="write the saturated graph here (default stdout)")
 

@@ -10,9 +10,10 @@ File format (one graph per file, `#` starts a comment):
     3: 0 2
     outer: 0->1
 
-Vertex lines list counterclockwise neighbors.  Reports serialize to stable
-JSON (sorted keys, no timing data) or a human-readable text table; rationals
-are rendered as canonical "p/q" strings, never floats.
+Vertex lines list counterclockwise neighbors; the outer line names a dart
+of the face a drawing puts outside, and no result depends on it.  Reports
+serialize to stable JSON (sorted keys, no timing data) or a human-readable
+text table; rationals are rendered as canonical "p/q" strings, never floats.
 """
 
 from __future__ import annotations

@@ -1,8 +1,9 @@
 """Combinatorial plane graphs: rotation systems, dart algebra, face tracing.
 
 A plane graph is given by a counterclockwise rotation system (cyclic neighbor
-order around each vertex) plus one dart whose traced face is the unbounded
-face; by default that is the longest face.  Faces are traced with the rule:
+order around each vertex).  It lives on the sphere, where no face is special;
+``outer_dart`` only records which face a drawing puts outside (by default the
+longest face), for the file format.  Faces are traced with the rule:
 the successor of dart (u, v) is (v, w) where w follows u in the rotation at
 v, so the traced face lies to the left of each dart.  Construction validates
 simplicity, adjacency symmetry, connectivity and the Euler characteristic
@@ -43,7 +44,6 @@ class Face:
 
     id: int
     darts: tuple[Dart, ...]
-    is_outer: bool
     edges: tuple[Edge, ...]
 
     @property
@@ -54,9 +54,10 @@ class Face:
 class PlaneGraph:
     """Immutable plane graph.  Do not mutate rotations after construction.
 
-    Without ``outer_dart`` the outer face is the longest traced face, ties
-    going to the smallest dart, and ``outer_dart`` is that face's first and
-    smallest dart, so the outer face depends on the rotation system alone.
+    ``outer_dart`` names a dart of the face a drawing puts outside; only the
+    file format reads it.  By default it is the first (smallest) dart of the
+    longest traced face, ties going to the smallest dart, so it depends on
+    the rotation system alone.
     """
 
     def __init__(
@@ -89,14 +90,8 @@ class PlaneGraph:
                 f"outer dart {outer_dart[0]}->{outer_dart[1]} is not a dart of the graph"
             )
         self.outer_dart: Dart = outer_dart
-        outer_id = self.dart_face[outer_dart]
         self.faces: tuple[Face, ...] = tuple(
-            Face(
-                id=fid,
-                darts=tuple(walk),
-                is_outer=fid == outer_id,
-                edges=tuple(edge_of(u, v) for u, v in walk),
-            )
+            Face(id=fid, darts=tuple(walk), edges=tuple(edge_of(u, v) for u, v in walk))
             for fid, walk in enumerate(walks)
         )
         self.f = len(self.faces)
@@ -131,12 +126,6 @@ class PlaneGraph:
             raise Disconnected("empty graph")
         if not is_connected(self.rotations):
             raise Disconnected(f"graph on {self.n} vertices is not connected")
-
-    # -- queries -------------------------------------------------------------
-
-    @property
-    def outer_face(self) -> Face:
-        return self.faces[self.dart_face[self.outer_dart]]
 
     def __repr__(self) -> str:
         return (

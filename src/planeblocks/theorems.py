@@ -53,7 +53,7 @@ class TheoremProfile:
     hypotheses: Hypotheses
     floor_n: Optional[int] = None  # bound asserted by the source for n >= floor
     integer_floor: bool = False  # round the bound down to an integer
-    saturate: bool = False  # pre-saturate bounded 6-faces before decomposing
+    saturate: bool = False  # pre-saturate 6-faces before decomposing
 
 
 PROFILES: dict[str, TheoremProfile] = {
@@ -247,7 +247,7 @@ def verify_per_block(
         verdict.chords_added = sat.chords
         if sat.chords:
             warnings.append(
-                f"added {len(sat.chords)} chord(s) to saturate bounded 6-faces"
+                f"added {len(sat.chords)} chord(s) to saturate 6-faces"
             )
 
     led = build_ledger(work, p.mode)
@@ -424,9 +424,9 @@ class SaturationResult:
 def saturate_six_faces(
     g: PlaneGraph, require_hypotheses: bool = True
 ) -> SaturationResult:
-    """Add chords until no bounded 6-face remains.
+    """Add chords until no 6-face whose walk is a 6-cycle remains.
 
-    Each chord joins two face-distance-3 vertices of a bounded 6-face,
+    Each chord joins two face-distance-3 vertices of such a face,
     splitting it into two 4-faces; that choice keeps the graph bipartite.
     The input must satisfy the BI_C8C10 hypotheses: bipartite, C8-free,
     C10-free with min degree >= 3 (skip the check with require_hypotheses,
@@ -449,10 +449,8 @@ def saturate_six_faces(
     while True:
         target = None
         for face in g.faces:
-            if face.is_outer or face.length != 6:
-                continue
             cycle = [u for u, _ in face.darts]
-            if len(set(cycle)) == 6:
+            if len(cycle) == 6 and len(set(cycle)) == 6:
                 target = cycle
                 break
         if target is None:

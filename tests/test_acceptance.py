@@ -186,12 +186,12 @@ def test_criterion_7_saturation(criterion):
             instances += 1
             res = theorems.saturate_six_faces(g)
             h = res.graph
-            bounded_6 = [
-                f for f in h.faces if not f.is_outer and f.length == 6
-                and len({u for u, _ in f.darts}) == 6
+            six_cycles = [
+                f for f in h.faces
+                if f.length == 6 and len({u for u, _ in f.darts}) == 6
             ]
             s = structural_stats(h.rotations)
-            if bounded_6 or not s.bipartite:
+            if six_cycles or not s.bipartite:
                 bad.append(adj)
             for length in (8, 10):
                 if length <= h.n and contains_cycle_of_length(h.rotations, length):

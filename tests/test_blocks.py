@@ -10,14 +10,13 @@ from planeblocks.plane import PlaneGraph, edge_of
 
 def worklist_decompose(g, mode, edge_order):
     """Literal seed-and-absorb reference: start from each unassigned edge and
-    repeatedly add all edges of bounded 3-faces (4-faces) sharing an edge
-    with the current block."""
+    repeatedly add all edges of 3-faces (4-faces) that are 3-cycles (4-cycles)
+    and share an edge with the current block.  Every face counts, the one a
+    drawing puts outside included."""
     m = 3 if mode == "triangular" else 4
     faces = []
     for face in g.faces:
-        if face.is_outer or face.length != m:
-            continue
-        if len({u for u, _ in face.darts}) != m:
+        if face.length != m or len({u for u, _ in face.darts}) != m:
             continue
         faces.append(frozenset(face.edges))
     unassigned = list(edge_order)
@@ -74,7 +73,7 @@ def test_fixture_decompositions(fixture_graphs):
 
     d = decompose(fixture_graphs["k4"], "triangular")
     assert [b.kind for b in d.blocks] == [BlockKind.K4]
-    assert len(d.blocks[0].interior_faces) == 3
+    assert len(d.blocks[0].interior_faces) == 4  # the outer triangle too
 
 
 @pytest.mark.parametrize(
@@ -195,15 +194,6 @@ def test_pseudoface_reduction_order_independent():
             assert sorted(seq) == sorted(pf[face.id].edges)
 
 
-def test_standalone_k4_outer_face_flagged_degenerate(fixture_graphs):
-    d = decompose(fixture_graphs["k4"], "triangular")
-    pf = refine_pseudofaces(d)
-    (p,) = pf.values()
-    assert p.degenerate
-    assert p.length == 3  # left unreduced
-    assert p.reductions == ()
-
-
 def test_degenerate_iff_a_k4_pair_is_left():
     """A pseudoface is degenerate iff two consecutive edges of its reduced
     boundary are exterior edges of one K4 block."""
@@ -242,14 +232,15 @@ def test_c4_with_pendants():
     # giving 4 junction vertices on the C4
     rotations = [[1, 4, 3], [2, 5, 0], [3, 6, 1], [0, 7, 2]] + [[i] for i in range(4)]
     g = PlaneGraph(rotations, (4, 0))
-    assert g.outer_face.length == 12
+    outer = g.faces[g.dart_face[g.outer_dart]]
+    assert outer.length == 12
     d = decompose(g, "quadrangular")
     c4 = next(b for b in d.blocks if b.kind == BlockKind.C4)
     assert c4.junction_vertices == frozenset(range(4))
     assert c4.exterior_edges == c4.edges
     denom, table = ledger.slot_table(d)
     # each C4 edge appears once on the outer face, whose length is 12
-    assert table[g.outer_face.id][c4.id] * 12 == 4 * denom
+    assert table[outer.id][c4.id] * 12 == 4 * denom
 
 
 def test_slot_completeness_random():
@@ -269,13 +260,12 @@ def test_interior_faces_partition_block_faces(fixture_graphs):
         for mode in ("triangular", "quadrangular"):
             m = 3 if mode == "triangular" else 4
             d = decompose(g, mode)
-            bounded = {
+            cycles = {
                 f.id
                 for f in g.faces
-                if not f.is_outer and f.length == m
-                and len({u for u, _ in f.darts}) == m
+                if f.length == m and len({u for u, _ in f.darts}) == m
             }
-            assert set(d.interior_face_block) == bounded
+            assert set(d.interior_face_block) == cycles
             for fid, bid in d.interior_face_block.items():
                 face = next(f for f in g.faces if f.id == fid)
                 assert all(edge_of(u, v) in d.blocks[bid].edges for u, v in face.darts)

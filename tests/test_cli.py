@@ -199,3 +199,17 @@ def test_python_m_planeblocks_runs_the_cli(fixture_dir, capsys):
     )
     code = main(argv)
     assert (proc.returncode, proc.stdout.decode()) == (code, capsys.readouterr().out)
+
+
+def test_verdict_ignores_the_outer_line(tmp_path, capsys):
+    # a C5-profile class on 8 vertices (edges 01 06 07 12 16 24 25 34 35 37
+    # 45 67) drawn with the triangle 0-1-6 outside
+    path = tmp_path / "c5_triangle_outer.graph"
+    path.write_text(
+        "planegraph 1\nn 8\n0: 7 6 1\n1: 6 2 0\n2: 5 4 1\n3: 5 7 4\n"
+        "4: 5 3 2\n5: 4 2 3\n6: 1 0 7\n7: 6 0 3\nouter: 0->1\n"
+    )
+    g = graphio.parse_graph(path.read_text())
+    assert g.faces[g.dart_face[g.outer_dart]].length == 3
+    assert main(["verify", str(path), "--theorem", "C5", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["violations"] == []

@@ -4,7 +4,8 @@ Every case runs in process and is compared, as the SHA-256 of its stdout
 bytes plus its exit code, against ``golden_reports.json``.  A refactor that
 keeps behaviour leaves every entry unchanged.  After a deliberate output
 change, rewrite the data file with ``PYTHONPATH=src python
-tests/test_golden_reports.py`` and say in the change log why it moved.
+tests/test_golden_reports.py``, which first prints the id of every entry
+whose digest or exit code moved, and say in the change log why it moved.
 """
 
 import contextlib
@@ -145,5 +146,11 @@ if __name__ == "__main__":
 
     with tempfile.TemporaryDirectory() as tmp:
         data = capture_all(write_corpus(Path(tmp)))
+    old = json.loads(DATA.read_text()) if DATA.exists() else {}
+    moved = sorted(case for case in data.keys() | old.keys()
+                   if data.get(case) != old.get(case))
+    for case in moved:
+        was, now = old.get(case, {}).get("exit"), data.get(case, {}).get("exit")
+        print(case if was == now else f"{case} (exit {was} -> {now})")
     DATA.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(data)} cases to {DATA}", file=sys.stderr)
+    print(f"wrote {len(data)} cases to {DATA}, {len(moved)} moved", file=sys.stderr)

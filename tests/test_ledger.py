@@ -51,11 +51,9 @@ def test_standalone_quadrangular_ledgers(name, v, e, f, k, e23, fixture_graphs):
 def test_standalone_k4_degenerate_pseudoface_still_conserves(fixture_graphs):
     led = build_ledger(fixture_graphs["k4"], "triangular")
     (c,) = led.entries
-    # outer pseudoface is the degenerate unreduced triangle: 3 interior
-    # faces plus three 1/3 slot shares
+    # all four triangles are interior faces, so no pseudoface is left
     assert shares(led, c)[:3] == (F(4), 6, F(4))
-    (p,) = led.pseudofaces.values()
-    assert p.degenerate
+    assert led.pseudofaces == {}
 
 
 def two_triangles_with_bridge():
@@ -141,6 +139,9 @@ def test_entries_carry_int_numerators_that_conserve(fixture_graphs, corpus7):
 
 @pytest.mark.parametrize("mode", ["triangular", "quadrangular"])
 def test_tampered_slot_share_raises(mode, fixture_graphs, monkeypatch):
+    # a fixture with a face that is not interior in this mode: the cube's
+    # 4-faces in triangular mode, theta6's 6-face in quadrangular mode
+    name = "cube" if mode == "triangular" else "theta6"
     real = ledger.slot_table
 
     def tampered(d, pf=None):
@@ -151,4 +152,4 @@ def test_tampered_slot_share_raises(mode, fixture_graphs, monkeypatch):
 
     monkeypatch.setattr(ledger, "slot_table", tampered)
     with pytest.raises(ConservationViolation, match="face total"):
-        build_ledger(fixture_graphs["cube"], mode)
+        build_ledger(fixture_graphs[name], mode)

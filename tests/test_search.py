@@ -280,7 +280,7 @@ def test_planar_embed_properties():
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
     g = search.planar_embed(4, edges)
     assert (g.n, g.e) == (4, 5)
-    assert g.outer_face.length == max(f.length for f in g.faces)
+    assert g.faces[g.dart_face[g.outer_dart]].length == max(f.length for f in g.faces)
     again = search.planar_embed(4, list(reversed(edges)))
     assert g.rotations == again.rotations
     assert g.outer_dart == again.outer_dart

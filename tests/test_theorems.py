@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from planeblocks import graphio, search, structure, theorems
+from planeblocks import graphio, ledger, search, structure, theorems
 from planeblocks.blocks import BlockKind
 from planeblocks.errors import (
     DegenerateProfile,
@@ -181,13 +181,15 @@ def test_degenerate_profile_row():
 
 
 def test_saturation_splits_hexagon(fixture_graphs):
+    # both faces of C6 are 6-cycles, so each takes one chord
     res = saturate_six_faces(fixture_graphs["c6"], require_hypotheses=False)
-    assert len(res.chords) == 1
+    assert len(res.chords) == 2
     g = res.graph
-    assert (g.n, g.e) == (6, 7)
-    assert sorted(f.length for f in g.faces) == [4, 4, 6]
-    u, v = res.chords[0]
-    assert v == u + 3  # a long chord, keeping the graph bipartite
+    assert (g.n, g.e) == (6, 8)
+    assert sorted(f.length for f in g.faces) == [4, 4, 4, 4]
+    for u, v in res.chords:
+        assert v == u + 3  # a long chord, keeping the graph bipartite
+    assert g.outer_dart == fixture_graphs["c6"].outer_dart
     again = saturate_six_faces(g, require_hypotheses=False)
     assert again.chords == () and again.graph is g
 
@@ -204,13 +206,6 @@ def test_saturation_rejects_prism():
     # 3-regular and bipartite, but its Hamiltonian cycles include a C8
     with pytest.raises(HypothesisViolated):
         saturate_six_faces(hexagonal_prism())
-
-
-def test_saturation_ignores_the_outer_hexagon(fixture_graphs):
-    # theta6's only 6-face is the outer one, which must stay untouched
-    g = fixture_graphs["theta6"]
-    res = saturate_six_faces(g, require_hypotheses=False)
-    assert res.chords == () and res.graph is g
 
 
 def test_profile_catalogs():
@@ -249,3 +244,30 @@ def test_integer_rows_match_fraction_rows(pid, fixture_graphs):
             if bv.value > 0
             and not (below_floor and len(blocks[bv.block_id].vertices) == g.n)
         )
+
+
+def test_verdicts_do_not_depend_on_the_outer_face(fixture_graphs, corpus7):
+    """On the sphere no face is special: whichever face the outer dart picks,
+    the blocks, the ledgers and every profile's verdict stay the same.  The
+    verdicts are forced, so blocks are evaluated on every graph; the
+    hypotheses read the rotation system only."""
+
+    def outcome(g):
+        ledgers = [ledger.build_ledger(g, mode) for mode in ("triangular", "quadrangular")]
+        verdicts = [verify(g, p, force=True) for p in PROFILES.values()]
+        return (
+            [{frozenset(b.edges) for b in led.decomposition.blocks} for led in ledgers],
+            [(led.vden, led.fden, led.entries) for led in ledgers],
+            [(v.ok, v.violations, v.total) for v in verdicts],
+        )
+
+    rotation_systems = [g.rotations for g in fixture_graphs.values()]
+    rotation_systems += [rot for n in range(2, 8) for _, rot in corpus7[n]]
+    moved = []
+    for rotations in rotation_systems:
+        g = PlaneGraph(rotations)
+        want = outcome(g)
+        for face in g.faces:
+            if outcome(PlaneGraph(rotations, face.darts[0])) != want:
+                moved.append((rotations, face.darts[0]))
+    assert not moved, f"{len(moved)} outer-face choices change the outcome: {moved[:3]}"
