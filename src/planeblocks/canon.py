@@ -12,7 +12,7 @@ decomposition.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 Masks = tuple[int, ...]
 
@@ -73,25 +73,29 @@ def _weights(n: int) -> tuple[list[int], int]:
     return _WEIGHTS[n]
 
 
+Refinement = tuple[list[int], int]  # rank-normalized colors and their count
+
+
 def refine(
     nbrs: Sequence[Sequence[int]], colors: list[int], ncolors: int = -1
-) -> tuple[list[int], int]:
+) -> Refinement:
     """Color refinement to a stable partition.
 
     Signatures pack (own color, neighbor-color multiset) into one int.
     Returns rank-normalized colors (0..k-1, ordered by signature) and k.
     Relabelling the graph and its colors relabels the result, so colors
-    computed from degrees are isomorphism invariants of the vertices.
+    computed from degrees are isomorphism invariants of the vertices.  A
+    caller that knows the number of distinct colors passes it as ncolors,
+    which saves the second pass when the first splits nothing.
     """
     w, shift = _weights(len(nbrs))
     while True:
+        weight = [w[c] for c in colors]
         sigs = [
-            (colors[v] << shift) + sum([w[colors[u]] for u in nb])
-            for v, nb in enumerate(nbrs)
+            (c << shift) + sum(map(weight.__getitem__, nb))
+            for c, nb in zip(colors, nbrs)
         ]
-        order: dict[int, int] = {}
-        for s in sorted(set(sigs)):
-            order[s] = len(order)
+        order = {s: i for i, s in enumerate(sorted(set(sigs)))}
         k = len(order)
         colors = [order[s] for s in sigs]
         if k == ncolors:
@@ -117,25 +121,24 @@ Perm = tuple[int, ...]
 Labelling = tuple[int, Perm, list[Perm]]
 
 
-def _orbit_roots(n: int, gens: Iterable[Perm]) -> list[int]:
-    """The smallest vertex of each vertex's orbit under the group of gens."""
-    root = list(range(n))
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for g in gens:
-        for x in range(n):
-            a, b = find(x), find(g[x])
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    return [find(x) for x in range(n)]
+def degree_refinement(nbrs: Sequence[Sequence[int]]) -> Refinement:
+    """The stable refinement of the degree partition, where every search
+    tree of canonical_labelling starts."""
+    deg = [len(nb) for nb in nbrs]
+    return refine(nbrs, deg, len(set(deg)))
 
 
-def canonical_labelling(adj: Masks) -> Labelling:
+def _find(root: list[int], x: int) -> int:
+    """The union-find root of x, halving the path to it."""
+    while root[x] != x:
+        root[x] = root[root[x]]
+        x = root[x]
+    return x
+
+
+def canonical_labelling(
+    adj: Masks, refined: Optional[Refinement] = None
+) -> Labelling:
     """Canonical code, canonical vertex order and automorphism generators.
 
     The code is the minimum encoding over the leaves of the
@@ -150,6 +153,8 @@ def canonical_labelling(adj: Masks) -> Labelling:
     codes.  Every automorphism maps the best leaf to an equal-coded leaf that
     was either explored, and so compared with the best leaf, or skipped as an
     image of one; so the generators generate the whole automorphism group.
+    A caller that has already computed ``degree_refinement`` of the graph
+    passes it as ``refined``, the root of the tree.
     """
     n = len(adj)
     if n <= 1:
@@ -162,18 +167,19 @@ def canonical_labelling(adj: Masks) -> Labelling:
 
     def search(colors: list[int], nc: int, path: list[int]) -> None:
         nonlocal best, best_order
-        order = sorted(verts, key=colors.__getitem__)
-        split = -1
-        for i in range(n - 1):
-            if colors[order[i]] == colors[order[i + 1]]:
-                split = i
-                break
-        if split < 0:
+        if nc == n:
+            # a leaf: colors are distinct and rank-normalized, so vertex x
+            # is at position colors[x]; row i holds the pairs (i, j > i) as
+            # the low n - 1 - i bits of the sum of bit[y] over its neighbors
+            order = [0] * n
+            for x, c in enumerate(colors):
+                order[c] = x
+            bit = [1 << (n - 1 - c) for c in colors]
             code = 0
-            for i in range(n):
-                ai = adj[order[i]]
-                for j in range(i + 1, n):
-                    code = code + code + ((ai >> order[j]) & 1)
+            for i, x in enumerate(order):
+                width = n - 1 - i
+                row = sum(map(bit.__getitem__, nbrs[x])) & ((1 << width) - 1)
+                code = (code << width) | row
             if best is None or code < best:
                 best, best_order = code, order
             elif code == best:
@@ -182,19 +188,27 @@ def canonical_labelling(adj: Masks) -> Labelling:
                     g[a] = b
                 gens.append(tuple(g))
             return
-        c = colors[order[split]]
-        cell = [v for v in order[split:] if colors[v] == c]
+        # branch on the first cell, in color order, with more than one vertex
+        ranked = sorted(colors)
+        c = next(a for a, b in zip(ranked, ranked[1:]) if a == b)
+        cell = [v for v in verts if colors[v] == c]
         explored: list[int] = []
-        known = -1
-        roots: list[int] = []
+        # the orbits of the generators that fix the path, as a union-find
+        # that takes in each generator once
+        root = list(verts)
+        folded = 0
         for v in cell:
             if explored:
-                if known != len(gens):
-                    known = len(gens)
-                    roots = _orbit_roots(
-                        n, (g for g in gens if all(g[x] == x for x in path))
-                    )
-                if any(roots[v] == roots[w] for w in explored):
+                for g in gens[folded:]:
+                    if all(g[x] == x for x in path):
+                        for x, y in enumerate(g):
+                            if x != y:
+                                a, b = _find(root, x), _find(root, y)
+                                if a != b:
+                                    root[max(a, b)] = min(a, b)
+                folded = len(gens)
+                rv = _find(root, v)
+                if any(_find(root, w) == rv for w in explored):
                     continue
                 twin = next(
                     (w for w in explored if adj[w] & ~(1 << v) == adj[v] & ~(1 << w)),
@@ -208,9 +222,10 @@ def canonical_labelling(adj: Masks) -> Labelling:
             explored.append(v)
             branched = list(colors)
             branched[v] = nc
-            search(*refine(nbrs, branched), path + [v])
+            # v's cell had other vertices, so branched has nc + 1 colors
+            search(*refine(nbrs, branched, nc + 1), path + [v])
 
-    search(*refine(nbrs, [len(nb) for nb in nbrs]), [])
+    search(*(refined or degree_refinement(nbrs)), [])
     assert best is not None
     return best, tuple(best_order), gens
 

@@ -7,22 +7,32 @@ works level by level on edge count, by canonical deletion (McKay,
 maps a canonical code to the class's canonical representative, generators
 of its automorphism group and a planar rotation system of the
 representative.  A parent gets one child per orbit of its non-edges under
-those generators.  A child is pruned by the deletion-closed constraints
-(forbidden cycles, bipartiteness), then kept only if its new edge lies in
-the orbit of its canonical edge, the edge whose deletion defines its parent;
-see ``_canonical_deletion``.  The planarity of a child that passes is read
-from the parent's embedding, as in generation by embedding (Brinkmann and
-McKay, "Fast generation of planar graphs", MATCH 58, 2007); see
-``_ParentEmbedding``.  If the new edge joins two components, or its ends
-share a face of the parent, the child is planar and its embedding is the
-parent's with the edge added there.  Every other child gets the full
-Left-Right planarity test (``planarity.lr_rotations``), whose embedding is
-kept.  Each planar child gets one canonical labelling.  So every class is
-produced from exactly one parent class, and most children need no
-labelling.  A parent's generators need only be automorphisms: a missing one
-would repeat a child, and the level dict, keyed by canonical code, drops the
-repeat.  The test needs the child's whole automorphism group, which the
-generators from ``canon.canonical_labelling`` generate.  Constraints that are not
+those generators.  A child is kept only if its new edge lies in the orbit of
+its canonical edge, the edge whose deletion defines its parent; see
+``_canonical_deletion``.  Each child meets the filters in this order:
+
+1. the degree tier of that test, decided from the parent's degrees
+   (``_DegreeTier``), before the child's masks exist;
+2. the forbidden cycles, as paths of the parent between the new edge's ends;
+3. bipartiteness;
+4. the color tier of the test, one color refinement of the child;
+5. the labelling tier of the test, one canonical labelling of the child;
+6. planarity.
+
+The planarity of a child is read from the parent's embedding, as in
+generation by embedding (Brinkmann and McKay, "Fast generation of planar
+graphs", MATCH 58, 2007); see ``_ParentEmbedding``.  If the new edge joins
+two components, or its ends share a face of the parent, the child is planar
+and its embedding is the parent's with the edge added there.  Every other
+child gets the full Left-Right planarity test (``planarity.lr_rotations``),
+whose embedding is kept.  Each planar child gets one canonical labelling,
+the one the labelling tier computed if it ran, started from the color
+tier's refinement if that ran.  So every class is produced from exactly one
+parent class, and most children need no labelling.  A parent's generators
+need only be automorphisms: a missing one would repeat a child, and the
+level dict, keyed by canonical code, drops the repeat.  The test needs the
+child's whole automorphism group, which the generators from
+``canon.canonical_labelling`` generate.  Constraints that are not
 deletion-closed (minimum degree, 2-connectivity, the degree-2 neighbor rule)
 are filtered at emission.  Because level sets store canonical
 representatives and planarity does not depend on the embedding, the classes
@@ -176,51 +186,81 @@ def _positions(order: canon.Perm) -> list[int]:
     return pos
 
 
+class _DegreeTier:
+    """The first tier of the canonical-deletion test, decided for every child
+    adj + uv of one parent adj from the parent's degrees.
+
+    A child's canonical edge has the largest sorted degree pair.  Adding uv
+    raises the degrees of u and v by one and no other, so a parent edge that
+    meets neither keeps its pair, and one that meets u or v gets a larger
+    pair.  The parent's edges are grouped by pair once, and each child looks
+    only at the largest pair, the edges at u and v and the group of uv's
+    pair.  The tier is invariant under the parent's automorphisms, so it is
+    the same for every non-edge in an orbit.
+    """
+
+    def __init__(self, adj: canon.Masks):
+        self.nbrs = canon.neighbor_lists(adj)
+        self.deg = deg = [len(nb) for nb in self.nbrs]
+        self.by_pair: dict[tuple[int, int], list[Edge]] = {}
+        for x, nb in enumerate(self.nbrs):
+            for y in nb:
+                if x < y:
+                    self.by_pair.setdefault(edge_of(deg[x], deg[y]), []).append((x, y))
+        self.top = max(self.by_pair, default=(0, 0))
+
+    def ties(self, u: int, v: int) -> Optional[list[Edge]]:
+        """None if an edge of adj + uv has a larger sorted degree pair than
+        uv; else the child's edges whose pair equals uv's, uv included."""
+        deg = self.deg
+        du, dv = deg[u] + 1, deg[v] + 1
+        key = (du, dv) if du < dv else (dv, du)
+        if self.top > key:
+            return None
+        ties = [(u, v)]
+        for x, dx in ((u, du), (v, dv)):
+            for y in self.nbrs[x]:
+                dy = deg[y]
+                k = (dx, dy) if dx < dy else (dy, dx)
+                if k > key:
+                    return None
+                if k == key:
+                    ties.append((x, y) if x < y else (y, x))
+        # an edge at u or v with uv's pair in adj has a larger one in the
+        # child, so the loop above has returned; these edges meet neither
+        return ties + self.by_pair.get(key, [])
+
+
 def _canonical_deletion(
-    child: canon.Masks, new: Edge
-) -> tuple[bool, Optional[canon.Labelling]]:
+    child: canon.Masks, new: Edge, ties: list[Edge]
+) -> tuple[bool, Optional[canon.Refinement], Optional[canon.Labelling]]:
     """Whether the new edge lies in the orbit of the child's canonical edge.
 
-    The canonical edge has the largest sorted degree pair; ties go to the
+    The canonical edge has the largest sorted degree pair; ties, the edges
+    that ``_DegreeTier`` found to share the new edge's pair, go to the
     largest sorted pair of refined colors, then to the smallest sorted pair
     of canonical positions.  Every tier is invariant under isomorphism, so
     each class is accepted from exactly one parent class and one non-edge
-    orbit of it.  Returns the child's labelling when the last tier had to
-    compute it.
+    orbit of it.  Also returns the child's ``canon.degree_refinement`` and
+    labelling, each when a tier had to compute it.
     """
-    nbrs = canon.neighbor_lists(child)
-    deg = [len(nb) for nb in nbrs]
-    u, v = new
-    key = (deg[u], deg[v]) if deg[u] < deg[v] else (deg[v], deg[u])
-    ties = []
-    for x, nb in enumerate(nbrs):
-        dx = deg[x]
-        if dx < key[0]:
-            continue
-        for y in nb:
-            if y < x:
-                continue
-            dy = deg[y]
-            k = (dx, dy) if dx < dy else (dy, dx)
-            if k > key:
-                return False, None
-            if k == key:
-                ties.append((x, y))
     if len(ties) == 1:
-        return True, None
-    colors, _ = canon.refine(nbrs, deg)
+        return True, None, None
+    refined = canon.degree_refinement(canon.neighbor_lists(child))
+    colors = refined[0]
+    u, v = new
     key = tuple(sorted((colors[u], colors[v])))
     keyed = [(tuple(sorted((colors[x], colors[y]))), (x, y)) for x, y in ties]
     if max(keyed)[0] > key:
-        return False, None
+        return False, None, None
     ties = [e for k, e in keyed if k == key]
     if len(ties) == 1:
-        return True, None
-    labelling = canon.canonical_labelling(child)
+        return True, refined, None
+    labelling = canon.canonical_labelling(child, refined)
     _, order, gens = labelling
     pos = _positions(order)
     best = min(ties, key=lambda e: sorted((pos[e[0]], pos[e[1]])))
-    return new in _pair_orbit(best, gens), labelling
+    return new in _pair_orbit(best, gens), refined, labelling
 
 
 class _ParentEmbedding:
@@ -331,9 +371,11 @@ def enumerate_graphs(
         next_level: dict[int, _Entry] = {}
         for adj, gens, rotations in level.values():
             parent = _ParentEmbedding(adj, rotations)
+            tier = _DegreeTier(adj)
             for u, v in _non_edge_orbits(adj, gens):
                 stats.children += 1
-                if not _new_edge_ok(adj, u, v, cs):
+                ties = tier.ties(u, v)
+                if ties is None or not _new_edge_ok(adj, u, v, cs):
                     continue
                 child = list(adj)
                 child[u] |= 1 << v
@@ -343,14 +385,14 @@ def enumerate_graphs(
                     canon.neighbor_lists(child_t)
                 )[0]:
                     continue
-                accepted, labelling = _canonical_deletion(child_t, (u, v))
+                accepted, refined, labelling = _canonical_deletion(child_t, (u, v), ties)
                 if not accepted:
                     continue
                 stats.candidates += 1
                 child_rot = parent.child(u, v)
                 if child_rot is None:
                     continue
-                code, order, cgens = labelling or canon.canonical_labelling(child_t)
+                code, order, cgens = labelling or canon.canonical_labelling(child_t, refined)
                 if code not in next_level:
                     # store the canonical representative so output does not
                     # depend on which parent produced the class

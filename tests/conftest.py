@@ -31,8 +31,9 @@ def corpus9():
     """All connected planar isomorphism classes, n = 1..9, as (adjacency
     masks, rotation system) pairs.
 
-    This is the expensive shared oracle (about 40 s with Python 3.11, most of
-    it canonical labelling and the canonical-deletion test on n = 9); tests
-    that only need small graphs should use corpus7 instead.
+    This is the expensive shared oracle (about 25 s with Python 3.11 on a
+    shared 2-core host, most of it canonical labelling and the
+    canonical-deletion test on n = 9); tests that only need small graphs
+    should use corpus7 instead.
     """
     return {n: list(search.enumerate_graphs(search.ConstraintSet(n=n))) for n in range(1, 10)}

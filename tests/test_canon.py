@@ -184,3 +184,29 @@ def test_labelling_generates_the_automorphism_group():
                 assert relabel(adj, g) == adj
             autos = [p for p in itertools.permutations(range(n)) if relabel(adj, p) == adj]
             assert non_edge_orbits(adj, gens) == non_edge_orbits(adj, autos)
+
+
+# SHA-256 of repr of the (code, order, gens) labellings of 2,000 seeded random
+# graphs on 2 to 10 vertices: a change to canonical_labelling that moves a
+# code, a canonical order or a generator list breaks this.
+LABELLINGS_SHA256 = "259b52644e6143615e117a5a2e903f027b3bf7684f0b5461cf71731191c9ea7e"
+
+
+def test_labellings_of_random_graphs_are_pinned():
+    rng = random.Random(13)
+    labellings = []
+    for _ in range(2000):
+        n = rng.randint(2, 10)
+        adj = random_masks(rng, n, rng.randint(0, n * (n - 1) // 2))
+        labellings.append(canon.canonical_labelling(adj))
+    assert hashlib.sha256(repr(labellings).encode()).hexdigest() == LABELLINGS_SHA256
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_refine_given_the_color_count_equals_refine(data):
+    n = data.draw(st.integers(min_value=2, max_value=12))
+    pool = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    nbrs = canon.neighbor_lists(canon.masks_from_edges(n, data.draw(st.sets(st.sampled_from(pool)))))
+    colors = data.draw(st.lists(st.integers(min_value=0, max_value=n), min_size=n, max_size=n))
+    assert canon.refine(nbrs, colors, len(set(colors))) == canon.refine(nbrs, colors)

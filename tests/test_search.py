@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import itertools
 
 import pytest
@@ -106,6 +108,78 @@ def set_id(kwargs):
 def test_enumeration_matches_edge_by_edge_reference(kwargs):
     cs = search.ConstraintSet(**kwargs)
     assert [adj for adj, _ in search.enumerate_graphs(cs)] == list(edge_by_edge(cs))
+
+
+# SHA-256 of repr of the yielded (adj, rotations) list, and the SearchStats
+# fields (candidates, expanded, children, emitted), of the bench's three
+# enumerations: a change to the search that moves a class, a rotation system
+# or a counter breaks this.
+STREAM_PINS = [
+    (dict(n=7), "428f0dae6956dfe6d694a8e80489cdf067186a193845b7d3d2870a8905042740",
+     (876, 821, 5687, 646)),
+    (dict(n=8, forbidden_cycles=(4,), two_connected=True),
+     "5070c16b6952a3d68b69ff3c22dad38606dc6fcda66d4d8d4da37084eb8a44be", (350, 350, 3566, 19)),
+    (dict(n=8, bipartite=True, forbidden_cycles=(6,)),
+     "ac52180bf23ee6674f703493f6400e2b46d3bc79a418c126d6bcc2e82a677e2a", (186, 186, 1769, 87)),
+]
+
+
+@pytest.mark.parametrize("kwargs,sha,counts", STREAM_PINS, ids=[set_id(k) for k, _, _ in STREAM_PINS])
+def test_search_stream_and_stats_are_pinned(kwargs, sha, counts):
+    stats = search.SearchStats()
+    stream = list(search.enumerate_graphs(search.ConstraintSet(**kwargs), stats=stats))
+    assert hashlib.sha256(repr(stream).encode()).hexdigest() == sha
+    assert dataclasses.astuple(stats) == counts
+
+
+def reference_degree_ties(child, new):
+    """The degree tier of the canonical-deletion test as a scan of the child:
+    None if an edge has a larger sorted degree pair than new, else the edges
+    whose pair equals new's."""
+    nbrs = canon.neighbor_lists(child)
+    deg = [len(nb) for nb in nbrs]
+    u, v = new
+    key = (deg[u], deg[v]) if deg[u] < deg[v] else (deg[v], deg[u])
+    ties = []
+    for x, nb in enumerate(nbrs):
+        dx = deg[x]
+        if dx < key[0]:
+            continue
+        for y in nb:
+            if y < x:
+                continue
+            dy = deg[y]
+            k = (dx, dy) if dx < dy else (dy, dx)
+            if k > key:
+                return None
+            if k == key:
+                ties.append((x, y))
+    return ties
+
+
+def test_degree_tier_from_the_parent_matches_a_scan_of_the_child(corpus7):
+    # every non-edge, so every orbit representative the search tries, of
+    # every class on 2 to 7 vertices, and two disconnected parents
+    parents = [adj for n in range(2, 8) for adj, _ in corpus7[n]] + [
+        canon.masks_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+        canon.masks_from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)]),
+    ]
+    accepted = rejected = 0
+    for adj in parents:
+        tier = search._DegreeTier(adj)
+        for u, v in search._non_edge_orbits(adj, []):
+            child = list(adj)
+            child[u] |= 1 << v
+            child[v] |= 1 << u
+            want = reference_degree_ties(tuple(child), (u, v))
+            got = tier.ties(u, v)
+            if want is None:
+                assert got is None, (adj, u, v)
+                rejected += 1
+            else:
+                assert sorted(got) == sorted(want), (adj, u, v)
+                accepted += 1
+    assert (accepted, rejected) == (1723, 6008)  # 7,706 + 9 + 16 non-edges
 
 
 def test_yielded_rotations_embed_their_class(corpus7):
