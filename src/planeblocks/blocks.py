@@ -66,23 +66,17 @@ QUADRANGULAR_KINDS = (
     BlockKind.Q7,
 )
 
+# (n, e, canonical code) -> kind over the whole catalog.  One table serves
+# both modes: a triangular block of two or more edges holds a triangle, so it
+# is none of the bipartite kinds, and a quadrangular block is a union of
+# 4-cycle faces, which K3, Theta4 and K4 are not
+_CATALOG_KEYS: dict[tuple[int, int, int], BlockKind] = {
+    (n, len(edges), canon.canonical_form(canon.masks_from_edges(n, edges))): kind
+    for kind, (n, edges) in _CATALOG.items()
+}
+
 # (n, e) of every catalog graph; a block of another size is Other
-_CATALOG_SIZES = frozenset((n, len(edges)) for n, edges in _CATALOG.values())
-
-_CATALOG_KEYS: dict[Mode, dict[tuple[int, int, int], BlockKind]] = {}
-
-
-def _catalog_keys(mode: Mode) -> dict[tuple[int, int, int], BlockKind]:
-    # (n, e, canonical code) -> kind; built once per mode
-    if mode not in _CATALOG_KEYS:
-        kinds = TRIANGULAR_KINDS if mode == "triangular" else QUADRANGULAR_KINDS
-        table = {}
-        for kind in kinds:
-            n, edges = _CATALOG[kind]
-            code = canon.canonical_form(canon.masks_from_edges(n, edges))
-            table[(n, len(edges), code)] = kind
-        _CATALOG_KEYS[mode] = table
-    return _CATALOG_KEYS[mode]
+_CATALOG_SIZES = frozenset((n, e) for n, e, _ in _CATALOG_KEYS)
 
 
 @dataclass(frozen=True)
@@ -174,7 +168,7 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
                 id=bid,
                 edges=frozenset(bes),
                 vertices=bverts,
-                kind=_classify(mode, bverts, bes),
+                kind=_classify(bverts, bes),
                 interior_faces=tuple(interior[bid]),
                 exterior_edges=exterior,
                 junction_vertices=frozenset(v for v in bverts if counts[v] >= 2),
@@ -191,13 +185,13 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
     )
 
 
-# (mode, relabelled masks) -> kind, for blocks of a catalog (n, e); at most
-# one entry per labelled graph on 7 or fewer vertices
-_KIND_MEMO: dict[tuple[Mode, canon.Masks], BlockKind] = {}
+# relabelled masks -> kind, for blocks of a catalog (n, e); at most one entry
+# per labelled graph on 7 or fewer vertices
+_KIND_MEMO: dict[canon.Masks, BlockKind] = {}
 
 
-def _classify(mode: Mode, vertices: frozenset[int], edges: list[Edge]) -> BlockKind:
-    """Isomorphism test against the block catalog of the given mode.
+def _classify(vertices: frozenset[int], edges: list[Edge]) -> BlockKind:
+    """Isomorphism test against the block catalog.
 
     A single edge is K2 without a canonical form; other blocks of a catalog
     size are looked up by their vertex-order relabelling, and canonical_form
@@ -211,11 +205,10 @@ def _classify(mode: Mode, vertices: frozenset[int], edges: list[Edge]) -> BlockK
         return BlockKind.OTHER
     relabel = {v: i for i, v in enumerate(sorted(vertices))}
     masks = canon.masks_from_edges(n, [(relabel[u], relabel[v]) for u, v in edges])
-    key = (mode, masks)
-    kind = _KIND_MEMO.get(key)
+    kind = _KIND_MEMO.get(masks)
     if kind is None:
         code = canon.canonical_form(masks)
-        kind = _KIND_MEMO[key] = _catalog_keys(mode).get((n, e, code), BlockKind.OTHER)
+        kind = _KIND_MEMO[masks] = _CATALOG_KEYS.get((n, e, code), BlockKind.OTHER)
     return kind
 
 

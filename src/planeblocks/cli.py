@@ -122,8 +122,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument("--theorem", required=True)
     p.add_argument("graph", nargs="?", help="evaluate at this graph's parameters")
     p.add_argument("--n", type=int, help="evaluate at this vertex count")
-    p.add_argument("--k", type=int, default=0, help="degree-2 vertex count")
-    p.add_argument("--e23", type=int, default=0, help="(2,3)-degree edge count")
+    p.add_argument("--k", type=int, help="degree-2 vertex count (with --n)")
+    p.add_argument("--e23", type=int, help="(2,3)-degree edge count (with --n)")
 
     p = sub.add_parser("saturate", help="add chords until no 6-face remains")
     p.add_argument("graph")
@@ -181,6 +181,15 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK if verdict.ok else EXIT_NEGATIVE
 
     if args.command == "bound":
+        given = [f"--{a}" for a in ("n", "k", "e23") if getattr(args, a) is not None]
+        if given and args.graph:
+            raise _CliError(f"{' and '.join(given)} cannot be given with a graph")
+        if given and args.n is None:
+            raise _CliError(f"{' and '.join(given)} needs --n")
+        for a, least in (("n", 1), ("k", 0), ("e23", 0)):
+            value = getattr(args, a)
+            if value is not None and value < least:
+                raise _CliError(f"--{a} must be >= {least}, got {value}")
         profile = theorems.get_profile(args.theorem)
         formula = theorems.derive_global_bound(profile)
         print(f"{profile.id}: {formula}")
@@ -196,8 +205,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             )
             return EXIT_OK if check.ok else EXIT_NEGATIVE
         if args.n is not None:
-            value = formula.evaluate(args.n, k=args.k, e23=args.e23)
-            print(f"n={args.n} k={args.k} e23={args.e23}: bound {graphio.format_fraction(value)}")
+            k, e23 = args.k or 0, args.e23 or 0
+            value = formula.evaluate(args.n, k=k, e23=e23)
+            print(f"n={args.n} k={k} e23={e23}: bound {graphio.format_fraction(value)}")
         return EXIT_OK
 
     if args.command == "saturate":

@@ -288,7 +288,7 @@ def verify_per_block(
             if (
                 p.floor_n is not None
                 and work.n < p.floor_n
-                and len(block.vertices) == work.n
+                and len(block.edges) == work.e
             ):
                 warnings.append(
                     f"block {block.id} spans the whole graph below the "
@@ -298,17 +298,9 @@ def verify_per_block(
             else:
                 violations.append(bv)
 
-    # re-derive the total from graph quantities; disagreement is a ledger bug
-    stats = hyp.stats if work is g else structural_stats(work.rotations)
-    quad = p.mode == "quadrangular"
-    expect = evaluate_row(
-        p.coefficients,
-        work.n,
-        work.e,
-        work.f,
-        stats.k if quad else 0,
-        stats.e23 if quad else 0,
-    )
+    # the ledger asserted its totals against the graph's own quantities, so
+    # a sum of block values that disagrees with them is a bug in this sum
+    expect = evaluate_row(p.coefficients, *led.totals)
     if total != expect * denom:
         raise ConservationViolation(
             f"sum of block values {Fraction(total, denom)} != graph total {expect}"
@@ -424,19 +416,23 @@ class SaturationResult:
 def saturate_six_faces(
     g: PlaneGraph, require_hypotheses: bool = True
 ) -> SaturationResult:
-    """Add chords until no 6-face whose walk is a 6-cycle remains.
+    """Chord every face of g whose walk is a 6-cycle, in one pass.
 
-    Each chord joins two face-distance-3 vertices of such a face,
-    splitting it into two 4-faces; that choice keeps the graph bipartite.
+    Faces are taken in g's face order.  Each chord joins the first pair of
+    opposite vertices, counted from the face's smallest dart, not already
+    joined, and splits the face into two 4-faces; that choice keeps the
+    graph bipartite.  A chord changes only the walk of its own face, so the
+    other 6-faces of g stay faces and one PlaneGraph is built at the end
+    (g itself when no face takes a chord).
+
     The input must satisfy the BI_C8C10 hypotheses: bipartite, C8-free,
     C10-free with min degree >= 3 (skip the check with require_hypotheses,
-    for mechanical testing or when the caller has just made it).  The
-    hypotheses are asserted after every insertion; the source proves they
-    cannot break, so a failure here is an implementation bug.
+    for mechanical testing or when the caller has just made it).  The source
+    proves the chords cannot break them; as they survive deleting edges,
+    they are asserted once, on the result, and a failure there is an
+    implementation bug.
     """
     hypotheses = PROFILES["BI_C8C10"].hypotheses
-    # chords only raise degrees, so these are the hypotheses one could break
-    breakable = replace(hypotheses, min_degree=0)
     if require_hypotheses:
         checks = hypotheses.checks(g.rotations, structural_stats(g.rotations))
         problems = [f"{c.name} ({c.detail})" for c in checks if not c.ok]
@@ -445,33 +441,32 @@ def saturate_six_faces(
                 "saturation requires a bipartite C8/C10-free graph with "
                 f"min degree >= 3: {'; '.join(problems)}"
             )
+    rotations = [list(r) for r in g.rotations]  # gains each chord in turn
     chords: list[tuple[int, int]] = []
-    while True:
-        target = None
-        for face in g.faces:
-            cycle = [u for u, _ in face.darts]
-            if len(cycle) == 6 and len(set(cycle)) == 6:
-                target = cycle
-                break
-        if target is None:
-            break
+    for face in g.faces:
+        cycle = [u for u, _ in face.darts]
+        if len(cycle) != 6 or len(set(cycle)) != 6:
+            continue
         for shift in range(3):
-            v0, v3 = target[shift], target[shift + 3]
-            if v3 not in g.rotations[v0]:
+            v0, v3 = cycle[shift], cycle[shift + 3]
+            if v3 not in rotations[v0]:
                 break
         else:
             raise AssertionError(
-                f"6-face {target} has all three opposite pairs already joined"
+                f"6-face {cycle} has all three opposite pairs already joined"
             )
-        walk = target[shift:] + target[:shift]
-        rotations = [list(r) for r in g.rotations]
+        walk = cycle[shift:] + cycle[:shift]
         # the new chord must sit inside the face: at v0 it goes between the
         # walk's incoming neighbor (walk[-1]) and outgoing one (walk[1])
         rotations[v0].insert(rotations[v0].index(walk[-1]) + 1, v3)
         rotations[v3].insert(rotations[v3].index(walk[2]) + 1, v0)
-        g = PlaneGraph(rotations, g.outer_dart)
         chords.append((min(v0, v3), max(v0, v3)))
-        assert breakable.holds(
-            g.rotations, structural_stats(g.rotations)
-        ), f"chord {chords[-1]} broke a saturation hypothesis"
+    if not chords:
+        return SaturationResult(graph=g, chords=())
+    g = PlaneGraph(rotations, g.outer_dart)
+    # chords only raise degrees, so min degree is the one that cannot break
+    breakable = replace(hypotheses, min_degree=0)
+    assert breakable.holds(
+        g.rotations, structural_stats(g.rotations)
+    ), "a saturation chord broke a BI_C8C10 hypothesis"
     return SaturationResult(graph=g, chords=tuple(chords))

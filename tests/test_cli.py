@@ -88,6 +88,30 @@ def test_bound_formula_and_evaluation(fixture_dir, capsys):
     assert main(["bound", "--theorem", "BI_C6",
                  path(fixture_dir, "c8")]) == 0
     assert "slack 4" in capsys.readouterr().out
+    assert main(["bound", "--theorem", "BI_C6", "--n", "10", "--k", "0"]) == 0
+    assert "n=10 k=0 e23=0: bound 11" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["GRAPH", "--n", "8"], "--n cannot be given with a graph"),
+        (["GRAPH", "--k", "0"], "--k cannot be given with a graph"),
+        (["GRAPH", "--n", "8", "--e23", "2"], "--n and --e23 cannot be given"),
+        (["--k", "2"], "--k needs --n"),
+        (["--e23", "0"], "--e23 needs --n"),
+        (["--n", "0"], "--n must be >= 1, got 0"),
+        (["--n", "-3"], "--n must be >= 1, got -3"),
+        (["--n", "8", "--k", "-1"], "--k must be >= 0, got -1"),
+        (["--n", "8", "--e23", "-2"], "--e23 must be >= 0, got -2"),
+    ],
+)
+def test_bound_rejects_ignored_or_invalid_flags(extra, message, fixture_dir, capsys):
+    argv = [path(fixture_dir, "c8") if a == "GRAPH" else a for a in extra]
+    assert main(["bound", "--theorem", "BI_C6", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err and captured.err.count("\n") == 1
 
 
 def test_saturate_hypothesis_failure_is_negative(fixture_dir, capsys):

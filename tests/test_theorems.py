@@ -208,6 +208,101 @@ def test_saturation_rejects_prism():
         saturate_six_faces(hexagonal_prism())
 
 
+def saturate_chord_at_a_time(g):
+    """Reference saturation: chord the first 6-face whose walk is a 6-cycle,
+    rebuild the graph, assert the hypotheses, and repeat until none is left.
+    Returns (graph, chords)."""
+    breakable = dataclasses.replace(PROFILES["BI_C8C10"].hypotheses, min_degree=0)
+    chords = []
+    while True:
+        target = None
+        for face in g.faces:
+            cycle = [u for u, _ in face.darts]
+            if len(cycle) == 6 and len(set(cycle)) == 6:
+                target = cycle
+                break
+        if target is None:
+            return g, tuple(chords)
+        for shift in range(3):
+            v0, v3 = target[shift], target[shift + 3]
+            if v3 not in g.rotations[v0]:
+                break
+        else:
+            raise AssertionError(f"6-face {target} has all opposite pairs joined")
+        walk = target[shift:] + target[:shift]
+        rotations = [list(r) for r in g.rotations]
+        rotations[v0].insert(rotations[v0].index(walk[-1]) + 1, v3)
+        rotations[v3].insert(rotations[v3].index(walk[2]) + 1, v0)
+        g = PlaneGraph(rotations, g.outer_dart)
+        chords.append((min(v0, v3), max(v0, v3)))
+        assert breakable.holds(g.rotations, structure.structural_stats(g.rotations))
+
+
+def test_one_pass_saturation_matches_chord_at_a_time(corpus9):
+    """On every bipartite class with n <= 9, in its search embedding, the
+    one-pass saturation adds the same chords in the same order, builds the
+    same rotations and outer dart, and raises exactly where the reference
+    does (a chord that closes a C8)."""
+
+    def outcome(fn, g):
+        try:
+            return fn(g)
+        except AssertionError:
+            return None
+
+    def one_pass(g):
+        res = saturate_six_faces(g, require_hypotheses=False)
+        return res.graph, res.chords
+
+    finished = chorded = several = raised = 0
+    for n in range(2, 10):  # n = 1 has no edge, so no plane graph
+        for _, rot in corpus9[n]:
+            if not structure.is_bipartite(rot)[0]:
+                continue
+            g = PlaneGraph(rot)
+            want = outcome(saturate_chord_at_a_time, g)
+            got = outcome(one_pass, g)
+            if want is None:
+                assert got is None, rot
+                raised += 1
+                continue
+            assert got is not None, rot
+            assert got[1] == want[1], rot
+            assert got[0].rotations == want[0].rotations, rot
+            assert got[0].outer_dart == want[0].outer_dart, rot
+            if not want[1]:
+                assert got[0] is g
+            finished += 1
+            chorded += len(want[1]) > 0
+            several += len(want[1]) > 1
+    assert (finished, chorded, several, raised) == (712, 139, 10, 95)
+
+
+def test_saturation_builds_and_checks_once(fixture_graphs, monkeypatch):
+    counts = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(PlaneGraph, "__init__", counted("plane", PlaneGraph.__init__))
+    monkeypatch.setattr(
+        theorems, "structural_stats", counted("stats", structure.structural_stats)
+    )
+    monkeypatch.setattr(
+        structure,
+        "contains_cycle_of_length",
+        counted("cycles", structure.contains_cycle_of_length),
+    )
+    res = saturate_six_faces(fixture_graphs["c6"], require_hypotheses=False)
+    assert len(res.chords) == 2
+    # one graph, one stats, one search per forbidden length (C8 and C10)
+    assert counts == {"plane": 1, "stats": 1, "cycles": 2}
+
+
 def test_profile_catalogs():
     assert PROFILES["C5"].catalog == theorems.TRIANGULAR_KINDS
     assert PROFILES["BI_C6"].catalog == (
@@ -242,7 +337,7 @@ def test_integer_rows_match_fraction_rows(pid, fixture_graphs):
             bv
             for bv in v.block_values
             if bv.value > 0
-            and not (below_floor and len(blocks[bv.block_id].vertices) == g.n)
+            and not (below_floor and len(blocks[bv.block_id].edges) == g.e)
         )
 
 
