@@ -6,7 +6,9 @@ graph lives on the sphere, so every face counts alike and the result depends
 on the rotation system only.  Edges in no such face are trivial K2 blocks.
 The closure is computed as connected components of the hypergraph whose
 hyperedges are the block faces, which is equivalent to the seed-and-absorb
-loop and independent of the seed edge.
+loop and independent of the seed edge.  It runs on edge ids (the index of
+an edge in ``PlaneGraph.edge_list``): a face's ``eids`` join its edges, and
+``BlockDecomposition.edge_block`` is indexed by edge id.
 
 Exterior pseudofaces: the boundary of a non-interior face, rewritten while it
 contains exactly two consecutive exterior edges of one K4 block (the pair is
@@ -79,7 +81,7 @@ _CATALOG_KEYS: dict[tuple[int, int, int], BlockKind] = {
 _CATALOG_SIZES = frozenset((n, e) for n, e, _ in _CATALOG_KEYS)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Block:
     id: int
     edges: frozenset[Edge]
@@ -95,17 +97,21 @@ class BlockDecomposition:
     mode: Mode
     graph: PlaneGraph
     blocks: tuple[Block, ...]
-    edge_to_block: dict[Edge, int]
+    edge_block: list[int]  # edge id -> block id
     vertex_block_count: dict[int, int]
     interior_face_block: dict[int, int]  # face id -> owning block id
+
+    @property
+    def edge_to_block(self) -> dict[Edge, int]:
+        """edge -> block id, built from ``edge_block`` on each read."""
+        return dict(zip(self.graph.edge_list, self.edge_block))
 
 
 def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
     """Partition E(G) into triangular or quadrangular blocks."""
     m = 3 if mode == "triangular" else 4
-    edges = sorted(g.edges)
-    index = {e: i for i, e in enumerate(edges)}
-    parent = list(range(len(edges)))
+    edges = g.edge_list
+    parent = list(range(g.e))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -115,71 +121,69 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
 
     block_faces = []
     for face in g.faces:
-        if face.length != m or len({u for u, _ in face.darts}) != m:
-            continue  # not an m-face, or its walk revisits a vertex
-        fe = face.edges
-        block_faces.append((face.id, fe[0]))
-        base = find(index[fe[0]])
-        for e in fe[1:]:
-            r = find(index[e])
+        eids = face.eids
+        # a closed 3- or 4-walk with distinct edges is a cycle
+        if len(eids) != m or len(set(eids)) != m:
+            continue
+        block_faces.append((face.id, eids[0]))
+        base = find(eids[0])
+        for i in eids[1:]:
+            r = find(i)
             if r != base:
                 parent[max(r, base)] = min(r, base)
                 base = min(r, base)
 
-    # edges in sorted order, so block ids follow each block's smallest edge
-    edge_to_block: dict[Edge, int] = {}
+    # edge ids in order, so block ids follow each block's smallest edge
+    edge_block = [0] * g.e
     root_block: dict[int, int] = {}
-    block_edges: list[list[Edge]] = []
-    for i, e in enumerate(edges):
+    block_eids: list[list[int]] = []
+    for i in range(g.e):
         r = find(i)
         bid = root_block.get(r)
         if bid is None:
-            bid = root_block[r] = len(block_edges)
-            block_edges.append([])
-        block_edges[bid].append(e)
-        edge_to_block[e] = bid
+            bid = root_block[r] = len(block_eids)
+            block_eids.append([])
+        block_eids[bid].append(i)
+        edge_block[i] = bid
 
     interior_face_block: dict[int, int] = {}
-    interior: list[list[int]] = [[] for _ in block_edges]
-    for fid, e in block_faces:  # in face-id order
-        bid = edge_to_block[e]
+    interior: list[list[int]] = [[] for _ in block_eids]
+    for fid, i in block_faces:  # in face-id order
+        bid = edge_block[i]
         interior_face_block[fid] = bid
         interior[bid].append(fid)
 
-    block_vertices = [frozenset(v for e in bes for v in e) for bes in block_edges]
+    block_vertices = [frozenset([v for i in ids for v in edges[i]]) for ids in block_eids]
     counts = [0] * g.n
     for bverts in block_vertices:
         for v in bverts:
             counts[v] += 1
     vertex_block_count = dict(enumerate(counts))
 
-    dart_face = g.dart_face
+    # exterior[i]: edge i borders a face that is not interior to a block
+    exterior = bytearray(g.e)
+    for face in g.faces:
+        if face.id not in interior_face_block:
+            for i in face.eids:
+                exterior[i] = 1
     blocks = []
-    for bid, bes in enumerate(block_edges):
-        exterior = frozenset(
-            (u, v)
-            for u, v in bes
-            if dart_face[(u, v)] not in interior_face_block
-            or dart_face[(v, u)] not in interior_face_block
-        )
+    for bid, ids in enumerate(block_eids):
         bverts = block_vertices[bid]
-        blocks.append(
-            Block(
-                id=bid,
-                edges=frozenset(bes),
-                vertices=bverts,
-                kind=_classify(bverts, bes),
-                interior_faces=tuple(interior[bid]),
-                exterior_edges=exterior,
-                junction_vertices=frozenset(v for v in bverts if counts[v] >= 2),
-            )
-        )
+        junctions = frozenset([v for v in bverts if counts[v] >= 2])
+        if len(ids) == 1:  # in no m-cycle face, so both its faces are non-interior
+            bes = ext = frozenset((edges[ids[0]],))
+            kind = BlockKind.K2
+        else:
+            bes = frozenset([edges[i] for i in ids])
+            ext = frozenset([edges[i] for i in ids if exterior[i]])
+            kind = _classify(bverts, bes)
+        blocks.append(Block(bid, bes, bverts, kind, tuple(interior[bid]), ext, junctions))
 
     return BlockDecomposition(
         mode=mode,
         graph=g,
         blocks=tuple(blocks),
-        edge_to_block=edge_to_block,
+        edge_block=edge_block,
         vertex_block_count=vertex_block_count,
         interior_face_block=interior_face_block,
     )
@@ -190,16 +194,14 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
 _KIND_MEMO: dict[canon.Masks, BlockKind] = {}
 
 
-def _classify(vertices: frozenset[int], edges: list[Edge]) -> BlockKind:
-    """Isomorphism test against the block catalog.
+def _classify(vertices: frozenset[int], edges: frozenset[Edge]) -> BlockKind:
+    """Isomorphism test against the block catalog for a block of two or
+    more edges (``decompose`` makes a single edge K2 itself).
 
-    A single edge is K2 without a canonical form; other blocks of a catalog
-    size are looked up by their vertex-order relabelling, and canonical_form
-    runs once per new relabelled graph.
+    A block of a catalog size is looked up by its vertex-order relabelling,
+    and canonical_form runs once per new relabelled graph.
     """
     e = len(edges)
-    if e == 1:
-        return BlockKind.K2
     n = len(vertices)
     if (n, e) not in _CATALOG_SIZES:
         return BlockKind.OTHER

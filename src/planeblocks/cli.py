@@ -198,12 +198,13 @@ def _dispatch(args: argparse.Namespace) -> int:
             stats = structural_stats(g.rotations)
             check = theorems.check_bound(g, profile, stats)
             frac = graphio.format_fraction
+            extra = "" if check.asserted else " (not asserted at this n)"
             print(
-                f"n={g.n} k={stats.k}: "
+                f"n={g.n} k={stats.k} e23={stats.e23}: "
                 f"bound {frac(check.bound)}, edges {check.edges}, "
-                f"slack {frac(check.slack)}"
+                f"slack {frac(check.slack)}{extra}"
             )
-            return EXIT_OK if check.ok else EXIT_NEGATIVE
+            return EXIT_OK if check.ok or not check.asserted else EXIT_NEGATIVE
         if args.n is not None:
             k, e23 = args.k or 0, args.e23 or 0
             value = formula.evaluate(args.n, k=k, e23=e23)

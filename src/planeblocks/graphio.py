@@ -283,7 +283,8 @@ def _json_text(value: Any, newline: str = "\n") -> str:
     Covers only what a report holds: dicts with str keys, lists, tuples,
     str, int, bool and None; anything else raises TypeError.  Lists of ints,
     of int pairs and of dicts with one key set (a report's rows), the bulk
-    of a large report, take a shortcut.
+    of a large report, take a shortcut, and so does a column of rows that
+    holds only nonempty lists of int pairs.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -302,9 +303,7 @@ def _json_text(value: Any, newline: str = "\n") -> str:
         if all(type(x) is int for x in value):
             items = map(int.__repr__, value)
         elif all(_is_int_pair(x) for x in value):
-            deeper = inner + "  "
-            pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
-            items = [pair % (u, v) for u, v in value]
+            return _pairs_encoder(newline)(value)
         elif type(value[0]) is dict and value[0] and all(
             type(x) is dict and x.keys() == value[0].keys() for x in value
         ):
@@ -313,12 +312,17 @@ def _json_text(value: Any, newline: str = "\n") -> str:
             deeper = inner + "  "
             plan = []
             for key in sorted(value[0]):
-                kinds = {type(row[key]) for row in value}
+                column = [row[key] for row in value]
+                kinds = {type(x) for x in column}
                 encode = partial(_json_text, newline=deeper)
                 if kinds == {str}:
                     encode = encode_basestring_ascii
                 elif kinds == {int}:
                     encode = int.__repr__
+                elif kinds <= {list, tuple} and all(
+                    x and all(_is_int_pair(p) for p in x) for x in column
+                ):
+                    encode = _pairs_encoder(deeper)  # e.g. a block's edges
                 plan.append((encode_basestring_ascii(key) + ": ", key, encode))
             sep = "," + deeper
             items = [
@@ -347,6 +351,17 @@ def _json_text(value: Any, newline: str = "\n") -> str:
         ]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _pairs_encoder(newline: str):
+    """The writer of a nonempty list of int pairs whose line breaks start
+    with ``newline``: one template, filled in per pair."""
+    inner = newline + "  "
+    deeper = inner + "  "
+    pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
+    sep = "," + inner
+    end = newline + "]"
+    return lambda pairs: "[" + inner + sep.join([pair % (u, v) for u, v in pairs]) + end
 
 
 def _is_int_pair(x: Any) -> bool:

@@ -62,19 +62,19 @@ def slot_table(
         raise MissingPseudoface(
             "triangular face contributions need the pseudoface map"
         )
-    boundaries = {
-        face.id: (pf[face.id] if pf is not None else face).edges
-        for face in d.graph.faces
-        if face.id not in d.interior_face_block
-    }
+    # boundaries as edge ids (faces) or edges (pseudofaces), and their blocks
+    faces = [f for f in d.graph.faces if f.id not in d.interior_face_block]
+    if pf is None:
+        block_of, boundaries = d.edge_block, {f.id: f.eids for f in faces}
+    else:
+        block_of, boundaries = d.edge_to_block, {f.id: pf[f.id].edges for f in faces}
     denom = lcm(*{len(entries) for entries in boundaries.values()})
-    edge_to_block = d.edge_to_block
     out: dict[int, dict[int, int]] = {}
     for fid, entries in boundaries.items():
         unit = denom // len(entries)
         shares: dict[int, int] = {}
-        for e in entries:
-            bid = edge_to_block[e]
+        for x in entries:
+            bid = block_of[x]
             shares[bid] = shares.get(bid, 0) + unit
         out[fid] = shares
     return denom, out

@@ -8,11 +8,16 @@ the successor of dart (u, v) is (v, w) where w follows u in the rotation at
 v, so the traced face lies to the left of each dart.  Construction validates
 simplicity, adjacency symmetry, connectivity and the Euler characteristic
 v - e + f = 2.
+
+An edge's id is its index in ``PlaneGraph.edge_list``, the edges (u, v) with
+u < v in sorted order; ``Face.eids`` gives a face's walk as edge ids, so the
+block decomposition and the ledger index lists by edge id, not dicts by edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -33,18 +38,20 @@ def edge_of(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Face:
     """One face of a plane graph: a cyclic walk of darts.
 
     The walk starts at the face's smallest dart.  A bridge edge appears twice
     (once per dart), so its length counts toward the face twice.  ``edges``
-    is the edge sequence of the walk (repeats for bridges).
+    is the edge sequence of the walk (repeats for bridges) and ``eids`` the
+    same sequence as edge ids.
     """
 
     id: int
     darts: tuple[Dart, ...]
     edges: tuple[Edge, ...]
+    eids: tuple[int, ...]
 
     @property
     def length(self) -> int:
@@ -68,58 +75,57 @@ class PlaneGraph:
             tuple(r) for r in rotations
         )
         self._validate_simple()
-        self.edges: frozenset[Edge] = frozenset(
-            edge_of(u, v) for u in range(self.n) for v in self.rotations[u]
-        )
-        self.e = len(self.edges)
+        # sorted: vertices in order, and each one's neighbours sorted
+        edge_list = [(u, v) for u, r in enumerate(self.rotations) for v in sorted(r) if u < v]
+        self.edge_list: list[Edge] = edge_list
+        self.edges: frozenset[Edge] = frozenset(edge_list)
+        self.e = len(edge_list)
         self._validate_connected()
         walks = trace_faces(self.rotations)
-        # dart -> id of the face on its left; read-only
-        self.dart_face: dict[Dart, int] = {
-            d: fid for fid, walk in enumerate(walks) for d in walk
-        }
         if outer_dart is None:
             if not walks:
                 raise UnknownDart("a graph with no edge has no outer dart")
             # walks start at their smallest dart and come in that order, and
             # max keeps the first maximum
             outer_dart = max(walks, key=len)[0]
-        outer_dart = (int(outer_dart[0]), int(outer_dart[1]))
-        if outer_dart not in self.dart_face:
-            raise UnknownDart(
-                f"outer dart {outer_dart[0]}->{outer_dart[1]} is not a dart of the graph"
-            )
+        u, v = outer_dart = (int(outer_dart[0]), int(outer_dart[1]))
+        if not (0 <= u < self.n and v in self.rotations[u]):
+            raise UnknownDart(f"outer dart {u}->{v} is not a dart of the graph")
         self.outer_dart: Dart = outer_dart
-        self.faces: tuple[Face, ...] = tuple(
-            Face(id=fid, darts=tuple(walk), edges=tuple(edge_of(u, v) for u, v in walk))
-            for fid, walk in enumerate(walks)
-        )
+        # eid[u][v] = eid[v][u] = the id of edge uv
+        eid: list[dict[int, int]] = [{} for _ in range(self.n)]
+        for i, (u, v) in enumerate(edge_list):
+            eid[u][v] = eid[v][u] = i
+        faces = []
+        for fid, walk in enumerate(walks):
+            eids = tuple([eid[u][v] for u, v in walk])
+            faces.append(Face(fid, tuple(walk), tuple([edge_list[i] for i in eids]), eids))
+        self.faces: tuple[Face, ...] = tuple(faces)
         self.f = len(self.faces)
         if self.n - self.e + self.f != 2:
-            raise GenusNonZero(
-                f"v - e + f = {self.n} - {self.e} + {self.f} != 2"
-            )
+            raise GenusNonZero(f"v - e + f = {self.n} - {self.e} + {self.f} != 2")
+
+    @cached_property
+    def dart_face(self) -> dict[Dart, int]:
+        """dart -> id of the face on its left; read-only."""
+        return {d: face.id for face in self.faces for d in face.darts}
 
     # -- construction helpers ------------------------------------------------
 
     def _validate_simple(self) -> None:
+        neighbor_sets = [set(rot) for rot in self.rotations]
         for u, rot in enumerate(self.rotations):
-            if u in rot:
+            if u in neighbor_sets[u]:
                 raise NonSimple(f"loop at vertex {u}")
-            if len(set(rot)) != len(rot):
+            if len(neighbor_sets[u]) != len(rot):
                 raise NonSimple(f"parallel edge in rotation of vertex {u}")
             for v in rot:
                 if not 0 <= v < self.n:
-                    raise AsymmetricAdjacency(
-                        f"vertex {u} lists unknown neighbor {v}"
-                    )
-        neighbor_sets = [set(rot) for rot in self.rotations]
+                    raise AsymmetricAdjacency(f"vertex {u} lists unknown neighbor {v}")
         for u, nbrs in enumerate(neighbor_sets):
             for v in nbrs:
                 if u not in neighbor_sets[v]:
-                    raise AsymmetricAdjacency(
-                        f"{u} lists {v} but {v} does not list {u}"
-                    )
+                    raise AsymmetricAdjacency(f"{u} lists {v} but {v} does not list {u}")
 
     def _validate_connected(self) -> None:
         if self.n == 0:
@@ -139,28 +145,24 @@ def trace_faces(rotations: Sequence[Sequence[int]]) -> list[list[Dart]]:
     when w follows u at v.  Walks come in order of their smallest dart and
     each starts at it, so a face's index is stable for a fixed rotation system.
     """
-    # nxt[(v, u)] = the neighbor following u in the rotation at v; the keys
-    # are exactly the darts
-    nxt: dict[Dart, int] = {}
-    for v, rot in enumerate(rotations):
-        deg = len(rot)
-        for i, u in enumerate(rot):
-            nxt[(v, u)] = rot[(i + 1) % deg]
+    # succ[v][u] = the neighbor following u in the rotation at v
+    succ = [dict(zip(rot, rot[1:] + rot[:1])) for rot in rotations]
+    walked: list[set[int]] = [set() for _ in rotations]  # v in walked[u]: dart (u, v)
     faces = []
-    visited: set[Dart] = set()
-    for start in sorted(nxt):
-        if start in visited:
-            continue
-        walk = []
-        d = start
-        while True:
-            walk.append(d)
-            visited.add(d)
-            u, v = d
-            d = (v, nxt[(v, u)])
-            if d == start:
-                break
-        faces.append(walk)
+    # darts in sorted order: by tail, then by head
+    for u, rot in enumerate(rotations):
+        for v in sorted(rot):
+            if v in walked[u]:
+                continue
+            walk = []
+            a, b = u, v
+            while True:
+                walk.append((a, b))
+                walked[a].add(b)
+                a, b = b, succ[b][a]
+                if b == v and a == u:
+                    break
+            faces.append(walk)
     return faces
 
 

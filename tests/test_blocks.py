@@ -271,6 +271,28 @@ def test_interior_faces_partition_block_faces(fixture_graphs):
                 assert all(edge_of(u, v) in d.blocks[bid].edges for u, v in face.darts)
 
 
+def test_edge_ids_run_from_faces_to_blocks(fixture_graphs, corpus7):
+    """An edge id is the edge's index in ``g.edge_list``; faces give their
+    walks as ids and decompositions map ids to blocks."""
+    graphs = list(fixture_graphs.values())
+    graphs += [PlaneGraph(rot) for n, classes in corpus7.items() if n >= 2 for _, rot in classes]
+    graphs += [search.random_plane_graph(n, seed) for n in (30, 120) for seed in range(3)]
+    for g in graphs:
+        assert g.edge_list == sorted(g.edges)
+        for face in g.faces:
+            walk = [edge_of(u, v) for u, v in face.darts]
+            assert [g.edge_list[i] for i in face.eids] == list(face.edges) == walk
+        for mode in ("triangular", "quadrangular"):
+            d = decompose(g, mode)
+            by_id = {g.edge_list[i]: bid for i, bid in enumerate(d.edge_block)}
+            assert d.edge_to_block == by_id == {e: b.id for b in d.blocks for e in b.edges}
+            for b in d.blocks:
+                if len(b.edges) == 1:
+                    assert b.kind == BlockKind.K2
+                    assert b.exterior_edges == b.edges
+                    assert b.interior_faces == ()
+
+
 def test_memoized_kinds_match_a_direct_catalog_lookup(corpus7):
     modes = (
         ("triangular", blocks.TRIANGULAR_KINDS),

@@ -92,6 +92,19 @@ def test_bound_formula_and_evaluation(fixture_dir, capsys):
     assert "n=10 k=0 e23=0: bound 11" in capsys.readouterr().out
 
 
+def test_bound_with_a_graph_shows_e23_and_the_floor(fixture_dir, capsys):
+    # the BI_C6 bound reads e23, so the line shows it, as the --n line does
+    assert main(["bound", "--theorem", "BI_C6", path(fixture_dir, "theta6")]) == 0
+    assert "n=6 k=4 e23=4: bound 8, edges 7, slack 1\n" in capsys.readouterr().out
+    # below the profile's n floor a negative slack is shown but not asserted,
+    # as verify reports it
+    assert main(["bound", "--theorem", "C5", path(fixture_dir, "k4")]) == 0
+    out = capsys.readouterr().out
+    assert "n=4 k=0 e23=0: bound 3, edges 6, slack -3 (not asserted at this n)\n" in out
+    assert main(["verify", path(fixture_dir, "k4"), "--theorem", "C5"]) == 0
+    assert "(not asserted at this n)" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [

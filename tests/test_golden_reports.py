@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from planeblocks import graphio, search
+from planeblocks import graphio, ledger, search, theorems
 from planeblocks.cli import main as cli_main
 from planeblocks.fixtures import FIXTURE_NAMES, fixture_text
 from planeblocks.theorems import PROFILES
@@ -30,6 +30,9 @@ SEARCH_CONSTRAINTS = (
     "c4free,mindeg=2,2connected",
     "exactmindeg=2,deg2rule",
 )
+
+# SHA-256 over the reports of large_report_bytes()
+LARGE_REPORTS_SHA256 = "375fa446921eae8f1ff2c243b7a523a6fa9f6c47eb4fc0ce991c9a290b7f5fa0"
 
 RANDOM_CONSTRAINTS = {
     "mindeg2_2conn": dict(min_degree=2, two_connected=True),
@@ -107,6 +110,23 @@ def capture_all(corpus: Path) -> dict:
     return cases
 
 
+def large_report_bytes():
+    """Reports on random plane graphs far above the golden corpus's n <= 10:
+    for n in (50, 200, 600) and seeds 0-3, each graph read back from its
+    file, every profile's forced verdict as JSON and as text, then the
+    triangular and the quadrangular ledger as JSON."""
+    for n in (50, 200, 600):
+        for seed in range(4):
+            g = graphio.parse_graph(random_text(n, seed, None).decode())
+            for profile in PROFILES.values():
+                rep = graphio.verdict_report(g, theorems.verify(g, profile, force=True))
+                yield graphio.write_report(rep, "json")
+                yield graphio.write_report(rep, "text")
+            for mode in ("triangular", "quadrangular"):
+                rep = graphio.ledger_report(g, ledger.build_ledger(g, mode))
+                yield graphio.write_report(rep, "json")
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(DATA.read_text())
@@ -139,6 +159,13 @@ def test_random_plane_graphs_match_golden(golden):
         if digest(random_text(n, seed, kwargs)) != golden[case]["sha256"]
     ]
     assert not moved, f"{len(moved)} random graph(s) changed: {moved}"
+
+
+def test_large_random_reports_match_pinned_digest():
+    h = hashlib.sha256()
+    for data in large_report_bytes():
+        h.update(data)
+    assert h.hexdigest() == LARGE_REPORTS_SHA256
 
 
 if __name__ == "__main__":

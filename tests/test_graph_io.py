@@ -208,6 +208,10 @@ row_lists = st.lists(texts, min_size=1, max_size=4, unique=True).flatmap(
 @example([{"b": 1, "a": "x"}, {"a": "y", "b": [[1, 2]]}], {"a": 1}, 1)
 @example([{}, {}], {}, 0)
 @example([{"a": 1}], [], 0)
+# a column of nonempty int-pair lists (a block's edges), then the same column
+# with an empty list or a bool in a pair
+@example([{"e": [[0, 1]], "id": 0}, {"e": [(2, 3), [4, 5]], "id": 1}], {"e": [], "id": 2}, 1)
+@example([{"e": [[0, 1], [0, 2]]}], {"e": [[1, True]]}, 0)
 def test_writer_matches_json_dumps_on_rows(rows, other, at):
     assert graphio.write_report(rows) == json_dumps_bytes(rows)
     mixed = rows[:at] + [other] + rows[at:]
