@@ -7,8 +7,9 @@ on the rotation system only.  Edges in no such face are trivial K2 blocks.
 The closure is computed as connected components of the hypergraph whose
 hyperedges are the block faces, which is equivalent to the seed-and-absorb
 loop and independent of the seed edge.  It runs on edge ids (the index of
-an edge in ``PlaneGraph.edge_list``): a face's ``eids`` join its edges, and
-``BlockDecomposition.edge_block`` is indexed by edge id.
+an edge in ``PlaneGraph.edge_list``): a face's ``eids`` join its edges,
+``BlockDecomposition.edge_block`` is indexed by edge id, and blocks and
+pseudofaces list their edges as ids.
 
 Exterior pseudofaces: the boundary of a non-interior face, rewritten while it
 contains exactly two consecutive exterior edges of one K4 block (the pair is
@@ -84,11 +85,11 @@ _CATALOG_SIZES = frozenset((n, e) for n, e, _ in _CATALOG_KEYS)
 @dataclass(frozen=True, slots=True)
 class Block:
     id: int
-    edges: frozenset[Edge]
+    eids: tuple[int, ...]  # edge ids, ascending
     vertices: frozenset[int]
     kind: BlockKind
     interior_faces: tuple[int, ...]  # face ids absorbed by the closure
-    exterior_edges: frozenset[Edge]  # edges bordering a non-interior face
+    exterior_eids: tuple[int, ...]  # ids of edges bordering a non-interior face
     junction_vertices: frozenset[int]
 
 
@@ -100,11 +101,6 @@ class BlockDecomposition:
     edge_block: list[int]  # edge id -> block id
     vertex_block_count: dict[int, int]
     interior_face_block: dict[int, int]  # face id -> owning block id
-
-    @property
-    def edge_to_block(self) -> dict[Edge, int]:
-        """edge -> block id, built from ``edge_block`` on each read."""
-        return dict(zip(self.graph.edge_list, self.edge_block))
 
 
 def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
@@ -170,14 +166,14 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
     for bid, ids in enumerate(block_eids):
         bverts = block_vertices[bid]
         junctions = frozenset([v for v in bverts if counts[v] >= 2])
+        eids = tuple(ids)
         if len(ids) == 1:  # in no m-cycle face, so both its faces are non-interior
-            bes = ext = frozenset((edges[ids[0]],))
+            ext = eids
             kind = BlockKind.K2
         else:
-            bes = frozenset([edges[i] for i in ids])
-            ext = frozenset([edges[i] for i in ids if exterior[i]])
-            kind = _classify(bverts, bes)
-        blocks.append(Block(bid, bes, bverts, kind, tuple(interior[bid]), ext, junctions))
+            ext = tuple([i for i in ids if exterior[i]])
+            kind = _classify(bverts, [edges[i] for i in ids])
+        blocks.append(Block(bid, eids, bverts, kind, tuple(interior[bid]), ext, junctions))
 
     return BlockDecomposition(
         mode=mode,
@@ -194,7 +190,7 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
 _KIND_MEMO: dict[canon.Masks, BlockKind] = {}
 
 
-def _classify(vertices: frozenset[int], edges: frozenset[Edge]) -> BlockKind:
+def _classify(vertices: frozenset[int], edges: list[Edge]) -> BlockKind:
     """Isomorphism test against the block catalog for a block of two or
     more edges (``decompose`` makes a single edge K2 itself).
 
@@ -219,21 +215,21 @@ def _classify(vertices: frozenset[int], edges: frozenset[Edge]) -> BlockKind:
 @dataclass(frozen=True)
 class Reduction:
     block_id: int
-    pair: tuple[Edge, Edge]
-    replacement: Edge
+    pair: tuple[int, int]  # edge ids
+    replacement: int  # edge id
 
 
 @dataclass(frozen=True)
 class Pseudoface:
     face_id: int
-    edges: tuple[Edge, ...]  # reduced cyclic edge sequence
+    eids: tuple[int, ...]  # reduced cyclic edge sequence, as edge ids
     reductions: tuple[Reduction, ...] = ()
-    # two consecutive edges of `edges` are exterior edges of one K4 block
+    # two consecutive edges of `eids` are exterior edges of one K4 block
     degenerate: bool = False
 
     @property
     def length(self) -> int:
-        return len(self.edges)
+        return len(self.eids)
 
 
 def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
@@ -245,16 +241,17 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
     """
     if d.mode != "triangular":
         raise WrongMode("pseudofaces are defined for triangular decompositions")
-    k4_ext: dict[Edge, int] = {}
+    # k4_of[i]: the K4 block of which edge i is an exterior edge, else -1
+    k4_of = [-1] * d.graph.e
     for b in d.blocks:
         if b.kind == BlockKind.K4:
-            for e in b.exterior_edges:
-                k4_ext[e] = b.id
+            for i in b.exterior_eids:
+                k4_of[i] = b.id
     out: dict[int, Pseudoface] = {}
     for face in d.graph.faces:
         if face.id in d.interior_face_block:
             continue
-        seq = list(face.edges)
+        seq = list(face.eids)
         reductions: list[Reduction] = []
         degenerate = False
         while True:
@@ -262,20 +259,17 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
             applied = False
             for i in range(n):
                 e1, e2 = seq[i], seq[(i + 1) % n]
-                bid = k4_ext.get(e1)
-                if bid is None or k4_ext.get(e2) != bid or e1 == e2:
+                bid = k4_of[e1]
+                if bid < 0 or k4_of[e2] != bid or e1 == e2:
                     continue
-                before = seq[(i - 1) % n]
-                after = seq[(i + 2) % n]
                 if (
                     n <= 3
-                    or k4_ext.get(before) == bid
-                    or k4_ext.get(after) == bid
+                    or k4_of[seq[(i - 1) % n]] == bid
+                    or k4_of[seq[(i + 2) % n]] == bid
                 ):
                     degenerate = True
                     continue
-                block = d.blocks[bid]
-                (third,) = block.exterior_edges - {e1, e2}
+                (third,) = [x for x in d.blocks[bid].exterior_eids if x != e1 and x != e2]
                 reductions.append(
                     Reduction(block_id=bid, pair=(e1, e2), replacement=third)
                 )
@@ -290,7 +284,7 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
             degenerate = False  # re-judge after the rewrite
         out[face.id] = Pseudoface(
             face_id=face.id,
-            edges=tuple(seq),
+            eids=tuple(seq),
             reductions=tuple(reductions),
             degenerate=degenerate,
         )

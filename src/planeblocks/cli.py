@@ -1,9 +1,9 @@
 """Command-line interface.
 
 Exit codes: 0 = success / verified; 1 = negative verdict (failed hypotheses,
-failed bound, violations); 2 = input error (bad file, bad arguments);
-3 = internal error (conservation or catalog assertions, or any unexpected
-exception).
+failed bound, violations); 2 = input error (bad file, bad arguments, an
+output path that cannot be written); 3 = internal error (conservation or
+catalog assertions, or any unexpected exception).
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import fixtures as fixtures_mod
 from . import graphio, ledger, search, theorems
@@ -44,10 +45,20 @@ def _read_graph(path: str) -> PlaneGraph:
     return graphio.parse_graph(text)
 
 
+@contextmanager
+def _writing(path: str) -> Iterator[None]:
+    """A write to ``path`` that fails is an input error, as a failed read is."""
+    try:
+        yield
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
     data = graphio.write_report(report, fmt)
     if out:
-        Path(out).write_bytes(data)
+        with _writing(out):
+            Path(out).write_bytes(data)
     else:
         sys.stdout.buffer.write(data)
 
@@ -219,7 +230,8 @@ def _dispatch(args: argparse.Namespace) -> int:
             result.graph, comment=f"saturated; chords added: {chords}"
         )
         if args.out:
-            Path(args.out).write_text(text)
+            with _writing(args.out):
+                Path(args.out).write_text(text)
         else:
             sys.stdout.write(text)
         return EXIT_OK
@@ -248,17 +260,19 @@ def _dispatch(args: argparse.Namespace) -> int:
         }
         if args.witness_dir:
             directory = Path(args.witness_dir)
-            directory.mkdir(parents=True, exist_ok=True)
-            for i, w in enumerate(result.witnesses):
-                (directory / f"witness_{i:03d}.graph").write_text(
-                    graphio.serialize_graph(w)
-                )
+            with _writing(args.witness_dir):
+                directory.mkdir(parents=True, exist_ok=True)
+                for i, w in enumerate(result.witnesses):
+                    (directory / f"witness_{i:03d}.graph").write_text(
+                        graphio.serialize_graph(w)
+                    )
         _emit(report, args.format, args.out)
         print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
         return EXIT_OK
 
     if args.command == "fixtures":
-        written = fixtures_mod.write_all(args.out)
+        with _writing(args.out):
+            written = fixtures_mod.write_all(args.out)
         for path in written:
             print(path)
         return EXIT_OK

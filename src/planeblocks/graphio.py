@@ -27,7 +27,7 @@ from typing import Any, Optional
 from .blocks import Block, BlockDecomposition
 from .errors import GraphSyntaxError, MissingOuterDart
 from .ledger import ContributionLedger
-from .plane import PlaneGraph
+from .plane import Edge, PlaneGraph
 from .structure import StructuralStats, structural_stats
 from .theorems import Verdict
 
@@ -160,12 +160,13 @@ def graph_summary(g: PlaneGraph, stats: StructuralStats) -> dict[str, Any]:
     }
 
 
-def _block_row(b: Block) -> dict[str, Any]:
-    """The keys every report gives a block."""
+def _block_row(b: Block, edge_list: list[Edge]) -> dict[str, Any]:
+    """The keys every report gives a block; ``edge_list`` is its graph's."""
     return {
         "id": b.id,
         "kind": b.kind.value,
-        "edges": [list(e) for e in sorted(b.edges)],
+        # ids ascend as the edges do, so the rows come out sorted
+        "edges": [list(edge_list[i]) for i in b.eids],
         "junctions": len(b.junction_vertices),
         "interior_faces": len(b.interior_faces),
     }
@@ -173,13 +174,14 @@ def _block_row(b: Block) -> dict[str, Any]:
 
 def _ledger_blocks(led: ContributionLedger) -> list[dict[str, Any]]:
     blocks = led.decomposition.blocks
+    edge_list = led.decomposition.graph.edge_list
     entries = led.entries
     # shares repeat across blocks, so each distinct numerator is formatted once
     vtext = _texts({c.vnum for c in entries} | {c.knum for c in entries}, led.vden)
     ftext = _texts({c.fnum for c in entries}, led.fden)
     return [
         {
-            **_block_row(blocks[entry.block_id]),
+            **_block_row(blocks[entry.block_id], edge_list),
             "v": vtext[entry.vnum],
             "e": entry.e,
             "f": ftext[entry.fnum],
@@ -200,7 +202,7 @@ def decomposition_report(g: PlaneGraph, d: BlockDecomposition) -> dict[str, Any]
         "kind": "decomposition",
         "graph": graph_summary(g, structural_stats(g.rotations)),
         "mode": d.mode,
-        "blocks": [_block_row(b) for b in d.blocks],
+        "blocks": [_block_row(b, d.graph.edge_list) for b in d.blocks],
     }
 
 

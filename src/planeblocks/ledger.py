@@ -20,7 +20,7 @@ from typing import Optional
 from .blocks import BlockDecomposition, Mode, Pseudoface, decompose, refine_pseudofaces
 from .errors import ConservationViolation, MissingPseudoface
 from .plane import PlaneGraph
-from .structure import count_23_edges, degree_classes
+from .structure import degree_classes
 
 PseudofaceMap = dict[int, Pseudoface]
 
@@ -62,19 +62,20 @@ def slot_table(
         raise MissingPseudoface(
             "triangular face contributions need the pseudoface map"
         )
-    # boundaries as edge ids (faces) or edges (pseudofaces), and their blocks
-    faces = [f for f in d.graph.faces if f.id not in d.interior_face_block]
-    if pf is None:
-        block_of, boundaries = d.edge_block, {f.id: f.eids for f in faces}
-    else:
-        block_of, boundaries = d.edge_to_block, {f.id: pf[f.id].edges for f in faces}
-    denom = lcm(*{len(entries) for entries in boundaries.values()})
+    # boundaries as edge ids, the pseudoface's in triangular mode
+    boundaries = {
+        f.id: (pf[f.id] if pf else f).eids
+        for f in d.graph.faces
+        if f.id not in d.interior_face_block
+    }
+    edge_block = d.edge_block
+    denom = lcm(*{len(eids) for eids in boundaries.values()})
     out: dict[int, dict[int, int]] = {}
-    for fid, entries in boundaries.items():
-        unit = denom // len(entries)
+    for fid, eids in boundaries.items():
+        unit = denom // len(eids)
         shares: dict[int, int] = {}
-        for x in entries:
-            bid = block_of[x]
+        for i in eids:
+            bid = edge_block[i]
             shares[bid] = shares.get(bid, 0) + unit
         out[fid] = shares
     return denom, out
@@ -96,17 +97,19 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     vshare = {v: vden // c for v, c in counts.items()}
     quad = mode == "quadrangular"
     dclass = degree_classes(g.rotations)  # degrees in G, not within a block
+    # is23[i]: edge i joins a degree-2 and a degree-3 vertex
+    is23 = bytes([dclass[u] + dclass[v] == 3 for u, v in g.edge_list]) if quad else b""
 
     entries = []
     for b in d.blocks:
         if quad:
             knum = sum([vshare[v] for v in b.vertices if dclass[v] == 1])
-            e23 = count_23_edges(dclass, b.edges)
+            e23 = sum([is23[i] for i in b.eids])
         else:
             knum = e23 = 0
         vnum = sum([vshare[v] for v in b.vertices])
         entries.append(
-            BlockContribution(b.id, vnum, len(b.edges), fnum[b.id], knum, e23)
+            BlockContribution(b.id, vnum, len(b.eids), fnum[b.id], knum, e23)
         )
 
     # numerators over vden (v, k), fden (f) or 1 (e, e23)
@@ -116,7 +119,7 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     deg2 = e23_g = 0
     if quad:
         deg2 = dclass.count(1)
-        e23_g = count_23_edges(dclass, g.edges)
+        e23_g = sum(is23)
         _check(sum([c.knum for c in entries]), vden, deg2, "degree-2", g)
         _check(sum([c.e23 for c in entries]), 1, e23_g, "(2,3)-edge", g)
 

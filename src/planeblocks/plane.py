@@ -17,7 +17,6 @@ block decomposition and the ledger index lists by edge id, not dicts by edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import (
@@ -43,14 +42,12 @@ class Face:
     """One face of a plane graph: a cyclic walk of darts.
 
     The walk starts at the face's smallest dart.  A bridge edge appears twice
-    (once per dart), so its length counts toward the face twice.  ``edges``
-    is the edge sequence of the walk (repeats for bridges) and ``eids`` the
-    same sequence as edge ids.
+    (once per dart), so its length counts toward the face twice.  ``eids``
+    is the walk's edge sequence as edge ids (repeats for bridges).
     """
 
     id: int
     darts: tuple[Dart, ...]
-    edges: tuple[Edge, ...]
     eids: tuple[int, ...]
 
     @property
@@ -98,17 +95,11 @@ class PlaneGraph:
             eid[u][v] = eid[v][u] = i
         faces = []
         for fid, walk in enumerate(walks):
-            eids = tuple([eid[u][v] for u, v in walk])
-            faces.append(Face(fid, tuple(walk), tuple([edge_list[i] for i in eids]), eids))
+            faces.append(Face(fid, tuple(walk), tuple([eid[u][v] for u, v in walk])))
         self.faces: tuple[Face, ...] = tuple(faces)
         self.f = len(self.faces)
         if self.n - self.e + self.f != 2:
             raise GenusNonZero(f"v - e + f = {self.n} - {self.e} + {self.f} != 2")
-
-    @cached_property
-    def dart_face(self) -> dict[Dart, int]:
-        """dart -> id of the face on its left; read-only."""
-        return {d: face.id for face in self.faces for d in face.darts}
 
     # -- construction helpers ------------------------------------------------
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .errors import BadLength
 
@@ -200,20 +200,13 @@ def degree_classes(adj: Adjacency) -> list[int]:
     return [_DEGREE_CLASS.get(len(a), 0) for a in adj]
 
 
-def count_23_edges(dclass: Sequence[int], edges: Iterable[tuple[int, int]]) -> int:
-    """How many of the edges join a degree-2 and a degree-3 vertex."""
-    return sum([1 for u, v in edges if dclass[u] + dclass[v] == 3])
-
-
 def structural_stats(adj: Adjacency) -> StructuralStats:
     n = len(adj)
     degrees = [len(a) for a in adj]
     e = sum(degrees) // 2
     dclass = degree_classes(adj)
     # each (2,3)-edge has exactly one degree-2 end
-    e23 = count_23_edges(
-        dclass, [(u, v) for u in range(n) if dclass[u] == 1 for v in adj[u]]
-    )
+    e23 = sum([1 for u in range(n) if dclass[u] == 1 for v in adj[u] if dclass[v] == 2])
     bip, _ = is_bipartite(adj)
     deg2_ok = all(
         any(degrees[w] <= 3 for w in adj[u])

@@ -288,7 +288,7 @@ def verify_per_block(
             if (
                 p.floor_n is not None
                 and work.n < p.floor_n
-                and len(block.edges) == work.e
+                and len(block.eids) == work.e
             ):
                 warnings.append(
                     f"block {block.id} spans the whole graph below the "

@@ -18,7 +18,7 @@ def worklist_decompose(g, mode, edge_order):
     for face in g.faces:
         if face.length != m or len({u for u, _ in face.darts}) != m:
             continue
-        faces.append(frozenset(face.edges))
+        faces.append(frozenset([g.edge_list[i] for i in face.eids]))
     unassigned = list(edge_order)
     partition = []
     while unassigned:
@@ -36,7 +36,49 @@ def worklist_decompose(g, mode, edge_order):
 
 
 def partition_of(d):
-    return {frozenset(b.edges) for b in d.blocks}
+    return {frozenset([d.graph.edge_list[i] for i in b.eids]) for b in d.blocks}
+
+
+def k4_exterior(d):
+    """exterior edge -> id of its K4 block, keyed by edge tuple."""
+    edges = d.graph.edge_list
+    return {
+        edges[i]: b.id for b in d.blocks if b.kind == BlockKind.K4 for i in b.exterior_eids
+    }
+
+
+def reduce_by_tuples(d, face, pick):
+    """Tuple reference for a pseudoface: rewrite the face's edge walk while a
+    non-degenerate pair of consecutive exterior edges of one K4 block is left,
+    ``pick`` choosing which of the pairs (as positions) goes next.  Returns the
+    final walk and the (block id, pair, replacement) of each rewrite."""
+    edges = d.graph.edge_list
+    k4_ext = k4_exterior(d)
+    seq = [edges[i] for i in face.eids]
+    reductions = []
+    while True:
+        n = len(seq)
+        options = []
+        for i in range(n):
+            e1, e2 = seq[i], seq[(i + 1) % n]
+            bid = k4_ext.get(e1)
+            if bid is None or k4_ext.get(e2) != bid or e1 == e2:
+                continue
+            if n <= 3 or k4_ext.get(seq[(i - 1) % n]) == bid \
+                    or k4_ext.get(seq[(i + 2) % n]) == bid:
+                continue
+            options.append((i, bid))
+        if not options:
+            return seq, reductions
+        i, bid = pick(options)
+        exterior = {edges[x] for x in d.blocks[bid].exterior_eids}
+        pair = (seq[i], seq[(i + 1) % n])
+        (third,) = exterior - set(pair)
+        reductions.append((bid, pair, third))
+        if i + 1 < n:
+            seq[i:i + 2] = [third]
+        else:
+            seq = [third] + seq[1:-1]
 
 
 @pytest.mark.parametrize("mode", ["triangular", "quadrangular"])
@@ -65,7 +107,7 @@ def test_fixture_decompositions(fixture_graphs):
 
     d = decompose(fixture_graphs["cube"], "triangular")
     assert len(d.blocks) == 12
-    assert all(b.kind == BlockKind.K2 and len(b.edges) == 1 for b in d.blocks)
+    assert all(b.kind == BlockKind.K2 and len(b.eids) == 1 for b in d.blocks)
 
     d = decompose(fixture_graphs["q7"], "quadrangular")
     assert [b.kind for b in d.blocks] == [BlockKind.Q7]
@@ -109,10 +151,10 @@ def test_edge_partition_and_counts(fixture_graphs):
     for g in graphs:
         for mode in ("triangular", "quadrangular"):
             d = decompose(g, mode)
-            assert sum(len(b.edges) for b in d.blocks) == g.e
-            assert set(d.edge_to_block) == set(g.edges)
-            for e, bid in d.edge_to_block.items():
-                assert e in d.blocks[bid].edges
+            assert sum(len(b.eids) for b in d.blocks) == g.e
+            assert len(d.edge_block) == g.e
+            for i, bid in enumerate(d.edge_block):
+                assert i in d.blocks[bid].eids
             for v, count in d.vertex_block_count.items():
                 assert count == sum(1 for b in d.blocks if v in b.vertices)
             for b in d.blocks:
@@ -145,53 +187,26 @@ def test_pseudoface_pair_reduction():
     (red,) = p.reductions
     k4 = next(b for b in d.blocks if b.kind == BlockKind.K4)
     assert red.block_id == k4.id
-    assert red.replacement in k4.exterior_edges
-    assert d.edge_to_block[red.replacement] == k4.id
+    assert red.replacement in k4.exterior_eids
+    assert d.edge_block[red.replacement] == k4.id
     # faces without a K4 pair map to themselves
     for q in pf.values():
         if not q.reductions and not q.degenerate:
             f = next(f for f in g.faces if f.id == q.face_id)
-            assert q.edges == f.edges
+            assert q.eids == f.eids
 
 
 def test_pseudoface_reduction_order_independent():
     """Applying reducible pairs in random order gives the same final cycle."""
     g = k4_with_tail()
     d = decompose(g, "triangular")
-    k4_ext = {}
-    for b in d.blocks:
-        if b.kind == BlockKind.K4:
-            for e in b.exterior_edges:
-                k4_ext[e] = b.id
     pf = refine_pseudofaces(d)
     for face in g.faces:
         if face.id in d.interior_face_block:
             continue
         for seed in range(6):
-            rng = random.Random(seed)
-            seq = list(face.edges)
-            while True:
-                n = len(seq)
-                options = []
-                for i in range(n):
-                    e1, e2 = seq[i], seq[(i + 1) % n]
-                    bid = k4_ext.get(e1)
-                    if bid is None or k4_ext.get(e2) != bid or e1 == e2:
-                        continue
-                    if n <= 3 or k4_ext.get(seq[(i - 1) % n]) == bid \
-                            or k4_ext.get(seq[(i + 2) % n]) == bid:
-                        continue
-                    options.append((i, bid))
-                if not options:
-                    break
-                i, bid = rng.choice(options)
-                block = d.blocks[bid]
-                (third,) = block.exterior_edges - {seq[i], seq[(i + 1) % n]}
-                if i + 1 < n:
-                    seq[i:i + 2] = [third]
-                else:
-                    seq = [third] + seq[1:-1]
-            assert sorted(seq) == sorted(pf[face.id].edges)
+            seq, _ = reduce_by_tuples(d, face, random.Random(seed).choice)
+            assert sorted(seq) == sorted([g.edge_list[i] for i in pf[face.id].eids])
 
 
 def test_degenerate_iff_a_k4_pair_is_left():
@@ -202,13 +217,12 @@ def test_degenerate_iff_a_k4_pair_is_left():
     for seed in range(1000):
         g = search.random_plane_graph(rng.randint(4, 14), 5000 + seed)
         d = decompose(g, "triangular")
-        k4_of = {
-            e: b.id for b in d.blocks if b.kind == BlockKind.K4 for e in b.exterior_edges
-        }
+        k4_of = k4_exterior(d)
         for p in refine_pseudofaces(d).values():
-            m = len(p.edges)
+            edges = [g.edge_list[i] for i in p.eids]
+            m = len(edges)
             pair = any(
-                p.edges[i] in k4_of and k4_of.get(p.edges[(i + 1) % m]) == k4_of[p.edges[i]]
+                edges[i] in k4_of and k4_of.get(edges[(i + 1) % m]) == k4_of[edges[i]]
                 for i in range(m)
             )
             assert p.degenerate == pair, (seed, p)
@@ -232,12 +246,12 @@ def test_c4_with_pendants():
     # giving 4 junction vertices on the C4
     rotations = [[1, 4, 3], [2, 5, 0], [3, 6, 1], [0, 7, 2]] + [[i] for i in range(4)]
     g = PlaneGraph(rotations, (4, 0))
-    outer = g.faces[g.dart_face[g.outer_dart]]
+    outer = next(f for f in g.faces if g.outer_dart in f.darts)
     assert outer.length == 12
     d = decompose(g, "quadrangular")
     c4 = next(b for b in d.blocks if b.kind == BlockKind.C4)
     assert c4.junction_vertices == frozenset(range(4))
-    assert c4.exterior_edges == c4.edges
+    assert c4.exterior_eids == c4.eids
     denom, table = ledger.slot_table(d)
     # each C4 edge appears once on the outer face, whose length is 12
     assert table[outer.id][c4.id] * 12 == 4 * denom
@@ -268,29 +282,52 @@ def test_interior_faces_partition_block_faces(fixture_graphs):
             assert set(d.interior_face_block) == cycles
             for fid, bid in d.interior_face_block.items():
                 face = next(f for f in g.faces if f.id == fid)
-                assert all(edge_of(u, v) in d.blocks[bid].edges for u, v in face.darts)
+                block_edges = {g.edge_list[i] for i in d.blocks[bid].eids}
+                assert all(edge_of(u, v) in block_edges for u, v in face.darts)
 
 
 def test_edge_ids_run_from_faces_to_blocks(fixture_graphs, corpus7):
-    """An edge id is the edge's index in ``g.edge_list``; faces give their
-    walks as ids and decompositions map ids to blocks."""
+    """An edge id is the edge's index in ``g.edge_list``; faces, blocks and
+    pseudofaces give their edges as ids and decompositions map ids to
+    blocks."""
     graphs = list(fixture_graphs.values())
     graphs += [PlaneGraph(rot) for n, classes in corpus7.items() if n >= 2 for _, rot in classes]
     graphs += [search.random_plane_graph(n, seed) for n in (30, 120) for seed in range(3)]
+    edge_ids_checked = pairs_reduced = 0
     for g in graphs:
         assert g.edge_list == sorted(g.edges)
         for face in g.faces:
             walk = [edge_of(u, v) for u, v in face.darts]
-            assert [g.edge_list[i] for i in face.eids] == list(face.edges) == walk
+            assert [g.edge_list[i] for i in face.eids] == walk
         for mode in ("triangular", "quadrangular"):
             d = decompose(g, mode)
-            by_id = {g.edge_list[i]: bid for i, bid in enumerate(d.edge_block)}
-            assert d.edge_to_block == by_id == {e: b.id for b in d.blocks for e in b.edges}
+            # each block's ids are those edge_block maps to it, ascending
+            members = [[] for _ in d.blocks]
+            for i, bid in enumerate(d.edge_block):
+                members[bid].append(i)
+            assert [list(b.eids) for b in d.blocks] == members
+            border = {
+                i for f in g.faces if f.id not in d.interior_face_block for i in f.eids
+            }
             for b in d.blocks:
-                if len(b.edges) == 1:
+                assert all(x < y for x, y in zip(b.eids, b.eids[1:]))
+                assert b.exterior_eids == tuple([i for i in b.eids if i in border])
+                if len(b.eids) == 1:
                     assert b.kind == BlockKind.K2
-                    assert b.exterior_edges == b.edges
+                    assert b.exterior_eids == b.eids
                     assert b.interior_faces == ()
+            edge_ids_checked += g.e
+        # pseudofaces against the tuple reference, pairs taken left to right
+        d = decompose(g, "triangular")
+        for fid, p in refine_pseudofaces(d).items():
+            seq, reductions = reduce_by_tuples(d, g.faces[fid], lambda options: options[0])
+            assert [g.edge_list[i] for i in p.eids] == seq
+            assert [
+                (r.block_id, tuple([g.edge_list[i] for i in r.pair]), g.edge_list[r.replacement])
+                for r in p.reductions
+            ] == reductions
+            pairs_reduced += len(reductions)
+    assert edge_ids_checked and pairs_reduced
 
 
 def test_memoized_kinds_match_a_direct_catalog_lookup(corpus7):
@@ -307,9 +344,10 @@ def test_memoized_kinds_match_a_direct_catalog_lookup(corpus7):
                 for b in decompose(g, mode).blocks:
                     relabel = {v: i for i, v in enumerate(sorted(b.vertices))}
                     masks = canon.masks_from_edges(
-                        len(b.vertices), [(relabel[u], relabel[v]) for u, v in b.edges]
+                        len(b.vertices),
+                        [(relabel[u], relabel[v]) for u, v in (g.edge_list[i] for i in b.eids)],
                     )
-                    key = (len(b.vertices), len(b.edges), canon.canonical_form(masks))
+                    key = (len(b.vertices), len(b.eids), canon.canonical_form(masks))
                     assert b.kind == blocks._CATALOG_KEYS.get(key, BlockKind.OTHER)
                     # one table serves both modes: no block takes a kind of
                     # the other mode's catalog

@@ -2,14 +2,18 @@ import json
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
+import jsonschema
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 import planeblocks
 from planeblocks import graphio
 from planeblocks.cli import main
 from planeblocks.fixtures import FIXTURE_NAMES, fixture_text
+from planeblocks.theorems import PROFILES
 
 
 @pytest.fixture
@@ -247,6 +251,103 @@ def test_verdict_ignores_the_outer_line(tmp_path, capsys):
         "4: 5 3 2\n5: 4 2 3\n6: 1 0 7\n7: 6 0 3\nouter: 0->1\n"
     )
     g = graphio.parse_graph(path.read_text())
-    assert g.faces[g.dart_face[g.outer_dart]].length == 3
+    assert next(f for f in g.faces if g.outer_dart in f.darts).length == 3
     assert main(["verify", str(path), "--theorem", "C5", "--format", "json"]) == 0
     assert json.loads(capsys.readouterr().out)["violations"] == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{graph}", "--theorem", "C5", "--out", "{tmp}/missing/report.json"],
+        ["ledger", "{graph}", "--mode", "triangular", "--out", "{tmp}/dir"],
+        ["saturate", "{graph}", "--out", "{tmp}/missing/saturated.graph"],
+        ["search", "--n", "4", "--witness-dir", "{tmp}/file"],
+        ["search", "--n", "4", "--format", "json", "--out", "{tmp}/missing/search.json"],
+        ["fixtures", "--out", "{tmp}/file"],
+    ],
+)
+def test_unwritable_output_is_input_error(argv, fixture_dir, tmp_path, capsys, monkeypatch):
+    from planeblocks import theorems
+
+    # saturation needs hypotheses no fixture meets; only the write is tested
+    monkeypatch.setattr(
+        theorems, "saturate_six_faces", lambda g: theorems.SaturationResult(g, ())
+    )
+    (tmp_path / "file").write_text("")
+    (tmp_path / "dir").mkdir()
+    graph = path(fixture_dir, "cube")
+    assert main([a.format(graph=graph, tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write ") and captured.err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
+
+
+def _mutated(text, edits):
+    """``text`` with each (op, line, token, value) edit applied in turn: the
+    line deleted, duplicated, or one of its tokens replaced by ``value``."""
+    lines = text.splitlines()
+    for op, at, token, value in edits:
+        if not lines:
+            break
+        i = at % len(lines)
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split() or [""]
+            tokens[token % len(tokens)] = value
+            lines[i] = " ".join(tokens)
+    return "\n".join(lines) + "\n"
+
+
+FUZZ_COMMANDS = (
+    *(["verify", "--theorem", pid, "--format", "json"] for pid in PROFILES),
+    ["verify", "--theorem", "BI_C6", "--force", "--format", "json"],
+    *(["decompose", "--mode", m, "--format", "json"] for m in ("triangular", "quadrangular")),
+    *(["ledger", "--mode", m, "--format", "json"] for m in ("triangular", "quadrangular")),
+    ["ledger", "--mode", "quadrangular", "--format", "text"],
+    ["bound", "--theorem", "BI_C6"],
+    ["saturate"],
+)
+
+_edit = st.tuples(
+    st.sampled_from(["delete", "duplicate", "token"]),
+    st.integers(0, 20),
+    st.integers(0, 9),
+    st.one_of(
+        st.integers(-2, 10).map(str),
+        st.sampled_from(["x", "1.5", "0->1", "3->0", "->", ":", "n", "outer:", "#", "planegraph"]),
+    ),
+)
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    name=st.sampled_from(FIXTURE_NAMES),
+    edits=st.lists(_edit, min_size=1, max_size=4),
+    command=st.sampled_from(FUZZ_COMMANDS),
+)
+def test_mutated_graph_files_end_in_a_documented_exit(
+    name, edits, command, tmp_path_factory, capsys
+):
+    """Malformed or altered graph files end in exit 0, 1 or 2, never in an
+    internal error, and every JSON report still fits the schema."""
+    graph = tmp_path_factory.getbasetemp() / "fuzz.graph"
+    graph.write_text(_mutated(fixture_text(name), edits))
+    argv = [command[0], str(graph), *command[1:]]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 1, 2), (argv, captured.err)
+    assert not captured.err.startswith("internal error")
+    if "json" in command and code != 2:
+        schema = json.loads(
+            (resources.files("planeblocks") / "schemas" / "report-v1.json").read_text()
+        )
+        jsonschema.validate(json.loads(captured.out), schema)

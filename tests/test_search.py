@@ -354,7 +354,8 @@ def test_planar_embed_properties():
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2)]
     g = search.planar_embed(4, edges)
     assert (g.n, g.e) == (4, 5)
-    assert g.faces[g.dart_face[g.outer_dart]].length == max(f.length for f in g.faces)
+    outer = next(f for f in g.faces if g.outer_dart in f.darts)
+    assert outer.length == max(f.length for f in g.faces)
     again = search.planar_embed(4, list(reversed(edges)))
     assert g.rotations == again.rotations
     assert g.outer_dart == again.outer_dart

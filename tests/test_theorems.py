@@ -337,7 +337,7 @@ def test_integer_rows_match_fraction_rows(pid, fixture_graphs):
             bv
             for bv in v.block_values
             if bv.value > 0
-            and not (below_floor and len(blocks[bv.block_id].edges) == g.e)
+            and not (below_floor and len(blocks[bv.block_id].eids) == g.e)
         )
 
 
@@ -351,7 +351,7 @@ def test_verdicts_do_not_depend_on_the_outer_face(fixture_graphs, corpus7):
         ledgers = [ledger.build_ledger(g, mode) for mode in ("triangular", "quadrangular")]
         verdicts = [verify(g, p, force=True) for p in PROFILES.values()]
         return (
-            [{frozenset(b.edges) for b in led.decomposition.blocks} for led in ledgers],
+            [{b.eids for b in led.decomposition.blocks} for led in ledgers],
             [(led.vden, led.fden, led.entries) for led in ledgers],
             [(v.ok, v.violations, v.total) for v in verdicts],
         )
