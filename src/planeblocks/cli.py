@@ -54,6 +54,17 @@ def _writing(path: str) -> Iterator[None]:
         raise _CliError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_out(out: Optional[str]) -> None:
+    """Fail before any work when ``out`` cannot become a file: its parent
+    must be an existing directory and ``out`` must not be one."""
+    if out:
+        with _writing(out):
+            if not Path(out).parent.is_dir():
+                raise FileNotFoundError(f"no directory {Path(out).parent}")
+            if Path(out).is_dir():
+                raise IsADirectoryError("it is a directory")
+
+
 def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
     data = graphio.write_report(report, fmt)
     if out:
@@ -185,6 +196,7 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "verify":
+        _check_out(args.out)
         g = _read_graph(args.graph)
         profile = theorems.get_profile(args.theorem)
         verdict = theorems.verify(g, profile, force=args.force)
@@ -238,6 +250,10 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "search":
         cs = _parse_constraints(args.n, args.constraints)
+        _check_out(args.out)
+        if args.witness_dir:
+            with _writing(args.witness_dir):
+                Path(args.witness_dir).mkdir(parents=True, exist_ok=True)
         start = time.perf_counter()
         result = search.extremal_search(cs, ceiling=args.ceiling)
         elapsed = time.perf_counter() - start
@@ -261,7 +277,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         if args.witness_dir:
             directory = Path(args.witness_dir)
             with _writing(args.witness_dir):
-                directory.mkdir(parents=True, exist_ok=True)
                 for i, w in enumerate(result.witnesses):
                     (directory / f"witness_{i:03d}.graph").write_text(
                         graphio.serialize_graph(w)

@@ -177,15 +177,15 @@ def _ledger_blocks(led: ContributionLedger) -> list[dict[str, Any]]:
     edge_list = led.decomposition.graph.edge_list
     entries = led.entries
     # shares repeat across blocks, so each distinct numerator is formatted once
-    vtext = _texts({c.vnum for c in entries} | {c.knum for c in entries}, led.vden)
-    ftext = _texts({c.fnum for c in entries}, led.fden)
+    nums = {c.vnum for c in entries} | {c.fnum for c in entries} | {c.knum for c in entries}
+    text = _texts(nums, led.den)
     return [
         {
             **_block_row(blocks[entry.block_id], edge_list),
-            "v": vtext[entry.vnum],
+            "v": text[entry.vnum],
             "e": entry.e,
-            "f": ftext[entry.fnum],
-            "k": vtext[entry.knum],
+            "f": text[entry.fnum],
+            "k": text[entry.knum],
             "e23": entry.e23,
         }
         for entry in entries
@@ -241,17 +241,16 @@ def verdict_report(g: PlaneGraph, verdict: Verdict) -> dict[str, Any]:
         },
         "ok": verdict.ok,
     }
-    if verdict.ledger is not None:
-        rep["mode"] = verdict.ledger.mode
-        rep["blocks"] = _ledger_blocks(verdict.ledger)
-        values = verdict.block_values
-        # every L(B) of a verdict has one denominator
-        text = _texts({bv.num for bv in values}, values[0].den) if values else {}
+    led = verdict.ledger
+    if led is not None:
+        rep["mode"] = led.mode
+        rep["blocks"] = _ledger_blocks(led)
+        text = _texts(set(verdict.values), led.den)
         rep["block_values"] = [
-            {"id": bv.block_id, "kind": bv.kind.value, "value": text[bv.num]}
-            for bv in values
+            {"id": b.id, "kind": b.kind.value, "value": text[num]}
+            for b, num in zip(led.decomposition.blocks, verdict.values)
         ]
-        rep["violations"] = [bv.block_id for bv in verdict.violations]
+        rep["violations"] = list(verdict.violations)
         rep["total"] = format_fraction(verdict.total)
         rep["warnings"] = list(verdict.warnings)
         rep["chords_added"] = [list(c) for c in verdict.chords_added]

@@ -1,9 +1,8 @@
 """Exact-rational contribution accounting for block decompositions.
 
 Shares are kept as integer numerators over one common denominator per
-ledger: vertex and degree-2 shares over the lcm of the vertices' block
-counts (``vden``), face shares over the lcm of the (pseudo)face lengths
-(``fden``); no `fractions.Fraction` is built per block.  The five
+ledger (``den``), the lcm of the vertices' block counts and the
+(pseudo)face lengths; no `fractions.Fraction` is built per block.  The five
 conservation identities (vertex, edge, face, degree-2, and (2,3)-edge
 totals) are asserted exactly, on the numerators, on every ledger build, so
 any slot-accounting bug surfaces immediately as a ConservationViolation
@@ -27,8 +26,8 @@ PseudofaceMap = dict[int, Pseudoface]
 
 @dataclass(slots=True)
 class BlockContribution:
-    """Numerators over the ledger's denominators: v = vnum/vden,
-    f = fnum/fden and k = knum/vden."""
+    """Numerators over the ledger's denominator: v = vnum/den,
+    f = fnum/den and k = knum/den."""
 
     block_id: int
     vnum: int
@@ -45,8 +44,7 @@ class ContributionLedger:
     pseudofaces: Optional[PseudofaceMap]
     entries: tuple[BlockContribution, ...]
     totals: tuple[int, int, int, int, int]  # (v, e, f, k, e23), conserved
-    vden: int  # every v and k is a multiple of 1/vden
-    fden: int  # every f is a multiple of 1/fden
+    den: int  # every v, f and k is a multiple of 1/den
 
 
 def slot_table(
@@ -85,16 +83,17 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     """Decompose, compute all contributions, and assert conservation."""
     d = decompose(g, mode)
     pf = refine_pseudofaces(d) if mode == "triangular" else None
-    fden, faces = slot_table(d, pf)
-    fnum = [len(b.interior_faces) * fden for b in d.blocks]
+    slot_den, faces = slot_table(d, pf)
+    counts = d.vertex_block_count
+    den = lcm(slot_den, *counts.values())
+    scale = den // slot_den
+    fnum = [len(b.interior_faces) * den for b in d.blocks]
     for shares in faces.values():
         for bid, num in shares.items():
-            fnum[bid] += num
+            fnum[bid] += num * scale
 
-    # 1 / (blocks containing v) = vshare[v] / vden
-    counts = d.vertex_block_count
-    vden = lcm(*counts.values())
-    vshare = {v: vden // c for v, c in counts.items()}
+    # 1 / (blocks containing v) = vshare[v] / den
+    vshare = {v: den // c for v, c in counts.items()}
     quad = mode == "quadrangular"
     dclass = degree_classes(g.rotations)  # degrees in G, not within a block
     # is23[i]: edge i joins a degree-2 and a degree-3 vertex
@@ -112,15 +111,15 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
             BlockContribution(b.id, vnum, len(b.eids), fnum[b.id], knum, e23)
         )
 
-    # numerators over vden (v, k), fden (f) or 1 (e, e23)
-    _check(sum([c.vnum for c in entries]), vden, g.n, "vertex", g)
+    # numerators over den (v, f, k) or 1 (e, e23)
+    _check(sum([c.vnum for c in entries]), den, g.n, "vertex", g)
     _check(sum([c.e for c in entries]), 1, g.e, "edge", g)
-    _check(sum(fnum), fden, g.f, "face", g)
+    _check(sum(fnum), den, g.f, "face", g)
     deg2 = e23_g = 0
     if quad:
         deg2 = dclass.count(1)
         e23_g = sum(is23)
-        _check(sum([c.knum for c in entries]), vden, deg2, "degree-2", g)
+        _check(sum([c.knum for c in entries]), den, deg2, "degree-2", g)
         _check(sum([c.e23 for c in entries]), 1, e23_g, "(2,3)-edge", g)
 
     return ContributionLedger(
@@ -129,8 +128,7 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
         pseudofaces=pf,
         entries=tuple(entries),
         totals=(g.n, g.e, g.f, deg2, e23_g),
-        vden=vden,
-        fden=fden,
+        den=den,
     )
 
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 from typing import Optional
 
 from .blocks import (
@@ -133,7 +132,6 @@ def get_profile(profile_id: str) -> TheoremProfile:
 
 @dataclass(frozen=True)
 class HypothesisReport:
-    profile_id: str
     checks: tuple[Check, ...]
     warnings: tuple[str, ...]
     stats: StructuralStats
@@ -163,7 +161,6 @@ def check_hypotheses(g: PlaneGraph, p: TheoremProfile) -> HypothesisReport:
             "the global bound is not asserted at this size"
         )
     return HypothesisReport(
-        profile_id=p.id,
         checks=p.hypotheses.checks(g.rotations, stats),
         warnings=tuple(warnings),
         stats=stats,
@@ -171,18 +168,6 @@ def check_hypotheses(g: PlaneGraph, p: TheoremProfile) -> HypothesisReport:
 
 
 # -- per-block verification --------------------------------------------------
-
-@dataclass(slots=True)
-class BlockValue:
-    """L(B) = num / den."""
-
-    block_id: int
-    kind: BlockKind
-    num: int
-    den: int
-
-    value = property(lambda bv: Fraction(bv.num, bv.den))
-
 
 @dataclass(frozen=True)
 class BoundCheck:
@@ -198,14 +183,14 @@ class BoundCheck:
         return self.slack == 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class Verdict:
     profile_id: str
     hypotheses: HypothesisReport
     forced: bool = False
     ledger: Optional[ContributionLedger] = None
-    block_values: tuple[BlockValue, ...] = ()
-    violations: tuple[BlockValue, ...] = ()
+    values: tuple[int, ...] = ()  # L(B) numerators over ledger.den, by block id
+    violations: tuple[int, ...] = ()  # ids of the blocks with L(B) > 0
     total: Optional[Fraction] = None
     warnings: tuple[str, ...] = ()
     chords_added: tuple[tuple[int, int], ...] = ()
@@ -238,33 +223,23 @@ def verify_per_block(
     hypothesis-satisfying graph an out-of-catalog block is an internal error
     (the source proves the catalogs exhaustive) and raises UnexpectedBlock.
     """
-    verdict = Verdict(profile_id=p.id, hypotheses=hyp)
     warnings = list(hyp.warnings)
     work = g
+    chords: tuple[tuple[int, int], ...] = ()
     if p.saturate and hyp.ok:
         sat = saturate_six_faces(g, require_hypotheses=False)
-        work = sat.graph
-        verdict.chords_added = sat.chords
-        if sat.chords:
-            warnings.append(
-                f"added {len(sat.chords)} chord(s) to saturate 6-faces"
-            )
+        work, chords = sat.graph, sat.chords
+        if chords:
+            warnings.append(f"added {len(chords)} chord(s) to saturate 6-faces")
 
     led = build_ledger(work, p.mode)
-    verdict.ledger = led
-    d = led.decomposition
-
-    # every L(B) is an integer numerator over one common denominator
-    denom = lcm(led.vden, led.fden)
+    blocks = led.decomposition.blocks
+    den = led.den
     a, b, c, dk, de23 = p.coefficients
-    av = a * (denom // led.vden)
-    cf = c * (denom // led.fden)
-    dkv = dk * (denom // led.vden)
-    total = 0
     values = []
     violations = []
     for entry in led.entries:
-        block = d.blocks[entry.block_id]
+        block = blocks[entry.block_id]
         if block.kind not in p.catalog:
             if hyp.ok:
                 raise UnexpectedBlock(
@@ -276,14 +251,12 @@ def verify_per_block(
                 f"{p.id} catalog (hypotheses not satisfied)"
             )
         num = (
-            av * entry.vnum
-            + cf * entry.fnum
-            + dkv * entry.knum
-            + (b * entry.e + de23 * entry.e23) * denom
+            a * entry.vnum
+            + c * entry.fnum
+            + dk * entry.knum
+            + (b * entry.e + de23 * entry.e23) * den
         )
-        total += num
-        bv = BlockValue(block.id, block.kind, num, denom)
-        values.append(bv)
+        values.append(num)
         if num > 0:
             if (
                 p.floor_n is not None
@@ -293,24 +266,30 @@ def verify_per_block(
                 warnings.append(
                     f"block {block.id} spans the whole graph below the "
                     f"theorem floor (n = {work.n} < {p.floor_n}); "
-                    f"L(B) = {bv.value} not counted as a violation"
+                    f"L(B) = {Fraction(num, den)} not counted as a violation"
                 )
             else:
-                violations.append(bv)
+                violations.append(block.id)
 
     # the ledger asserted its totals against the graph's own quantities, so
     # a sum of block values that disagrees with them is a bug in this sum
+    total = sum(values)
     expect = evaluate_row(p.coefficients, *led.totals)
-    if total != expect * denom:
+    if total != expect * den:
         raise ConservationViolation(
-            f"sum of block values {Fraction(total, denom)} != graph total {expect}"
+            f"sum of block values {Fraction(total, den)} != graph total {expect}"
         )
 
-    verdict.block_values = tuple(values)
-    verdict.violations = tuple(violations)
-    verdict.total = Fraction(total, denom)
-    verdict.warnings = tuple(warnings)
-    return verdict
+    return Verdict(
+        profile_id=p.id,
+        hypotheses=hyp,
+        ledger=led,
+        values=tuple(values),
+        violations=tuple(violations),
+        total=Fraction(total, den),
+        warnings=tuple(warnings),
+        chords_added=chords,
+    )
 
 
 # -- global bound ------------------------------------------------------------
@@ -400,9 +379,7 @@ def verify(g: PlaneGraph, p: TheoremProfile, force: bool = False) -> Verdict:
     if not (hyp.ok or force):
         return Verdict(profile_id=p.id, hypotheses=hyp)
     verdict = verify_per_block(g, p, hyp)
-    verdict.forced = force
-    verdict.bound = check_bound(g, p, hyp.stats)
-    return verdict
+    return replace(verdict, forced=force, bound=check_bound(g, p, hyp.stats))
 
 
 # -- hexagon saturation ------------------------------------------------------

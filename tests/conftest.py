@@ -11,7 +11,13 @@ EXTENDED = os.environ.get("PLANEBLOCKS_EXTENDED") == "1"
 def shares(led, c):
     """(v, e, f, k, e23) of one ledger entry, with v, f and k as Fractions."""
     F = Fraction
-    return F(c.vnum, led.vden), c.e, F(c.fnum, led.fden), F(c.knum, led.vden), c.e23
+    return F(c.vnum, led.den), c.e, F(c.fnum, led.den), F(c.knum, led.den), c.e23
+
+
+def block_values(v):
+    """(block, L(B)) pairs of a verdict, with L(B) as a Fraction."""
+    blocks = v.ledger.decomposition.blocks
+    return [(b, Fraction(num, v.ledger.den)) for b, num in zip(blocks, v.values)]
 
 
 @pytest.fixture(scope="session")

@@ -260,16 +260,26 @@ def test_verdict_ignores_the_outer_line(tmp_path, capsys):
     "argv",
     [
         ["verify", "{graph}", "--theorem", "C5", "--out", "{tmp}/missing/report.json"],
+        ["verify", "{graph}", "--theorem", "C5", "--out", "{tmp}/file/report.json"],
+        ["verify", "{graph}", "--theorem", "C5", "--out", "{tmp}/dir"],
         ["ledger", "{graph}", "--mode", "triangular", "--out", "{tmp}/dir"],
         ["saturate", "{graph}", "--out", "{tmp}/missing/saturated.graph"],
-        ["search", "--n", "4", "--witness-dir", "{tmp}/file"],
-        ["search", "--n", "4", "--format", "json", "--out", "{tmp}/missing/search.json"],
+        ["search", "--n", "9", "--witness-dir", "{tmp}/file"],
+        ["search", "--n", "9", "--witness-dir", "{tmp}/file/sub"],
+        ["search", "--n", "9", "--format", "json", "--out", "{tmp}/missing/search.json"],
+        ["search", "--n", "9", "--out", "{tmp}/dir"],
         ["fixtures", "--out", "{tmp}/file"],
     ],
 )
 def test_unwritable_output_is_input_error(argv, fixture_dir, tmp_path, capsys, monkeypatch):
-    from planeblocks import theorems
+    """``verify`` and ``search`` reject the path before doing any work."""
+    from planeblocks import search, theorems
 
+    def boom(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+
+    monkeypatch.setattr(search, "extremal_search", boom)
+    monkeypatch.setattr(theorems, "verify", boom)
     # saturation needs hypotheses no fixture meets; only the write is tested
     monkeypatch.setattr(
         theorems, "saturate_six_faces", lambda g: theorems.SaturationResult(g, ())

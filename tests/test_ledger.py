@@ -132,9 +132,9 @@ def test_entries_carry_int_numerators_that_conserve(fixture_graphs, corpus7):
                 nums = (c.vnum, c.e, c.fnum, c.knum, c.e23)
                 assert all(type(x) is int for x in nums)
             k = deg2 if mode == "quadrangular" else 0
-            assert sum(c.vnum for c in led.entries) == g.n * led.vden
-            assert sum(c.fnum for c in led.entries) == g.f * led.fden
-            assert sum(c.knum for c in led.entries) == k * led.vden
+            assert sum(c.vnum for c in led.entries) == g.n * led.den
+            assert sum(c.fnum for c in led.entries) == g.f * led.den
+            assert sum(c.knum for c in led.entries) == k * led.den
 
 
 @pytest.mark.parametrize("mode", ["triangular", "quadrangular"])

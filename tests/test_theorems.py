@@ -25,7 +25,7 @@ from planeblocks.theorems import (
     verify_per_block,
 )
 
-from conftest import shares
+from conftest import block_values, shares
 
 
 def F(a, b=1):
@@ -87,8 +87,8 @@ def test_cube_under_c5_profile(fixture_graphs):
     v = verify(fixture_graphs["cube"], PROFILES["C5"])
     assert v.hypotheses.ok
     assert v.ok and not v.violations
-    assert all(bv.kind == BlockKind.K2 and bv.value == F(-1, 2)
-               for bv in v.block_values)
+    assert all(b.kind == BlockKind.K2 and value == F(-1, 2)
+               for b, value in block_values(v))
     assert v.total == F(-6)
     assert v.bound.bound == F(63, 5)
     assert v.bound.ok and not v.bound.asserted  # n = 8 is below the floor
@@ -106,7 +106,7 @@ def test_k4_whole_graph_below_floor_is_a_warning(fixture_graphs):
 def test_c8_under_bipartite_c6_profile(fixture_graphs):
     v = verify(fixture_graphs["c8"], PROFILES["BI_C6"])
     assert v.hypotheses.ok and v.ok
-    assert all(bv.value == F(-2) for bv in v.block_values)
+    assert all(value == F(-2) for _, value in block_values(v))
     assert v.total == F(-16)
     assert v.bound.asserted and v.bound.slack == 4
 
@@ -114,8 +114,8 @@ def test_c8_under_bipartite_c6_profile(fixture_graphs):
 def test_c4_under_bipartite_c6_profile(fixture_graphs):
     v = verify(fixture_graphs["c4"], PROFILES["BI_C6"])
     assert v.ok
-    (bv,) = v.block_values
-    assert bv.kind == BlockKind.C4 and bv.value == 0
+    ((b, value),) = block_values(v)
+    assert b.kind == BlockKind.C4 and value == 0
     assert v.bound.tight and not v.bound.asserted  # n = 4 < 6
 
 
@@ -324,20 +324,18 @@ def test_integer_rows_match_fraction_rows(pid, fixture_graphs):
     ]
     for g in graphs:
         v = verify_per_block(g, p, check_hypotheses(g, p))
-        blocks = v.ledger.decomposition.blocks
         want = [
             evaluate_row(p.coefficients, *shares(v.ledger, c))
             for c in v.ledger.entries
         ]
-        assert [bv.value for bv in v.block_values] == want
-        assert all(type(bv.value) is Fraction for bv in v.block_values)
+        assert [value for _, value in block_values(v)] == want
+        assert all(type(num) is int for num in v.values)
         assert type(v.total) is Fraction and v.total == sum(want, F(0))
         below_floor = p.floor_n is not None and g.n < p.floor_n
         assert v.violations == tuple(
-            bv
-            for bv in v.block_values
-            if bv.value > 0
-            and not (below_floor and len(blocks[bv.block_id].eids) == g.e)
+            b.id
+            for b, value in block_values(v)
+            if value > 0 and not (below_floor and len(b.eids) == g.e)
         )
 
 
@@ -352,7 +350,7 @@ def test_verdicts_do_not_depend_on_the_outer_face(fixture_graphs, corpus7):
         verdicts = [verify(g, p, force=True) for p in PROFILES.values()]
         return (
             [{b.eids for b in led.decomposition.blocks} for led in ledgers],
-            [(led.vden, led.fden, led.entries) for led in ledgers],
+            [(led.den, led.entries) for led in ledgers],
             [(v.ok, v.violations, v.total) for v in verdicts],
         )
 
