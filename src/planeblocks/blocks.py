@@ -7,7 +7,7 @@ on the rotation system only.  Edges in no such face are trivial K2 blocks.
 The closure is computed as connected components of the hypergraph whose
 hyperedges are the block faces, which is equivalent to the seed-and-absorb
 loop and independent of the seed edge.  It runs on edge ids (the index of
-an edge in ``PlaneGraph.edge_list``): a face's ``eids`` join its edges,
+an edge in ``PlaneGraph.edge_list``): ``face_eids[f]`` joins f's edges,
 ``BlockDecomposition.edge_block`` is indexed by edge id, and blocks and
 pseudofaces list their edges as ids.
 
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from itertools import chain
 from typing import Literal
 
 from . import canon
@@ -30,6 +31,9 @@ Mode = Literal["triangular", "quadrangular"]
 
 
 class BlockKind(enum.Enum):
+    # members are singletons, so identity hashing agrees with equality (in C)
+    __hash__ = object.__hash__
+
     K2 = "K2"
     K3 = "K3"
     THETA4 = "Theta4"
@@ -82,7 +86,7 @@ _CATALOG_KEYS: dict[tuple[int, int, int], BlockKind] = {
 _CATALOG_SIZES = frozenset((n, e) for n, e, _ in _CATALOG_KEYS)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Block:
     id: int
     eids: tuple[int, ...]  # edge ids, ascending
@@ -107,6 +111,8 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
     """Partition E(G) into triangular or quadrangular blocks."""
     m = 3 if mode == "triangular" else 4
     edges = g.edge_list
+    # a union puts every root under the smallest, so parent[x] <= x and a
+    # block's root is its smallest edge id
     parent = list(range(g.e))
 
     def find(x: int) -> int:
@@ -116,31 +122,27 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
         return x
 
     block_faces = []
-    for face in g.faces:
-        eids = face.eids
+    for fid, eids in enumerate(g.face_eids):
         # a closed 3- or 4-walk with distinct edges is a cycle
         if len(eids) != m or len(set(eids)) != m:
             continue
-        block_faces.append((face.id, eids[0]))
-        base = find(eids[0])
-        for i in eids[1:]:
-            r = find(i)
-            if r != base:
-                parent[max(r, base)] = min(r, base)
-                base = min(r, base)
+        block_faces.append((fid, eids[0]))
+        roots = list(map(find, eids))
+        r = min(roots)
+        for x in roots:
+            parent[x] = r
 
-    # edge ids in order, so block ids follow each block's smallest edge
+    # edge ids in order, so block ids follow each block's smallest edge, and
+    # an edge's parent, a smaller id of its block, is placed before it
     edge_block = [0] * g.e
-    root_block: dict[int, int] = {}
     block_eids: list[list[int]] = []
-    for i in range(g.e):
-        r = find(i)
-        bid = root_block.get(r)
-        if bid is None:
-            bid = root_block[r] = len(block_eids)
-            block_eids.append([])
-        block_eids[bid].append(i)
-        edge_block[i] = bid
+    for i, p in enumerate(parent):
+        if p == i:
+            edge_block[i] = len(block_eids)
+            block_eids.append([i])
+        else:
+            bid = edge_block[i] = edge_block[p]
+            block_eids[bid].append(i)
 
     interior_face_block: dict[int, int] = {}
     interior: list[list[int]] = [[] for _ in block_eids]
@@ -149,23 +151,26 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
         interior_face_block[fid] = bid
         interior[bid].append(fid)
 
-    block_vertices = [frozenset([v for i in ids for v in edges[i]]) for ids in block_eids]
+    block_vertices = [
+        frozenset(edges[ids[0]]) if len(ids) == 1
+        else frozenset(chain.from_iterable(map(edges.__getitem__, ids)))
+        for ids in block_eids
+    ]
     counts = [0] * g.n
-    for bverts in block_vertices:
-        for v in bverts:
-            counts[v] += 1
+    for v in chain.from_iterable(block_vertices):
+        counts[v] += 1
     vertex_block_count = dict(enumerate(counts))
 
     # exterior[i]: edge i borders a face that is not interior to a block
     exterior = bytearray(g.e)
-    for face in g.faces:
-        if face.id not in interior_face_block:
-            for i in face.eids:
+    for fid, eids in enumerate(g.face_eids):
+        if fid not in interior_face_block:
+            for i in eids:
                 exterior[i] = 1
+    junction = frozenset([v for v, c in enumerate(counts) if c >= 2])
     blocks = []
     for bid, ids in enumerate(block_eids):
         bverts = block_vertices[bid]
-        junctions = frozenset([v for v in bverts if counts[v] >= 2])
         eids = tuple(ids)
         if len(ids) == 1:  # in no m-cycle face, so both its faces are non-interior
             ext = eids
@@ -173,7 +178,7 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
         else:
             ext = tuple([i for i in ids if exterior[i]])
             kind = _classify(bverts, [edges[i] for i in ids])
-        blocks.append(Block(bid, eids, bverts, kind, tuple(interior[bid]), ext, junctions))
+        blocks.append(Block(bid, eids, bverts, kind, tuple(interior[bid]), ext, bverts & junction))
 
     return BlockDecomposition(
         mode=mode,
@@ -248,10 +253,10 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
             for i in b.exterior_eids:
                 k4_of[i] = b.id
     out: dict[int, Pseudoface] = {}
-    for face in d.graph.faces:
-        if face.id in d.interior_face_block:
+    for fid, eids in enumerate(d.graph.face_eids):
+        if fid in d.interior_face_block:
             continue
-        seq = list(face.eids)
+        seq = list(eids)
         reductions: list[Reduction] = []
         degenerate = False
         while True:
@@ -282,8 +287,8 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
             if not applied:
                 break
             degenerate = False  # re-judge after the rewrite
-        out[face.id] = Pseudoface(
-            face_id=face.id,
+        out[fid] = Pseudoface(
+            face_id=fid,
             eids=tuple(seq),
             reductions=tuple(reductions),
             degenerate=degenerate,

@@ -19,12 +19,12 @@ text table; rationals are rendered as canonical "p/q" strings, never floats.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Any, Optional
 
-from .blocks import Block, BlockDecomposition
+from .blocks import Block, BlockDecomposition, BlockKind
 from .errors import GraphSyntaxError, MissingOuterDart
 from .ledger import ContributionLedger
 from .plane import Edge, PlaneGraph
@@ -160,16 +160,13 @@ def graph_summary(g: PlaneGraph, stats: StructuralStats) -> dict[str, Any]:
     }
 
 
-def _block_row(b: Block, edge_list: list[Edge]) -> dict[str, Any]:
-    """The keys every report gives a block; ``edge_list`` is its graph's."""
-    return {
-        "id": b.id,
-        "kind": b.kind.value,
-        # ids ascend as the edges do, so the rows come out sorted
-        "edges": [list(edge_list[i]) for i in b.eids],
-        "junctions": len(b.junction_vertices),
-        "interior_faces": len(b.interior_faces),
-    }
+_KIND_TEXT = {kind: kind.value for kind in BlockKind}
+
+
+def _edge_rows(b: Block, edge_list: list[Edge]) -> list[list[int]]:
+    """A block's edges as report rows; ``edge_list`` is its graph's."""
+    # ids ascend as the edges do, so the rows come out sorted
+    return list(map(list, map(edge_list.__getitem__, b.eids)))
 
 
 def _ledger_blocks(led: ContributionLedger) -> list[dict[str, Any]]:
@@ -178,22 +175,13 @@ def _ledger_blocks(led: ContributionLedger) -> list[dict[str, Any]]:
     entries = led.entries
     # shares repeat across blocks, so each distinct numerator is formatted once
     nums = {c.vnum for c in entries} | {c.fnum for c in entries} | {c.knum for c in entries}
-    text = _texts(nums, led.den)
-    return [
-        {
-            **_block_row(blocks[entry.block_id], edge_list),
-            "v": text[entry.vnum],
-            "e": entry.e,
-            "f": text[entry.fnum],
-            "k": text[entry.knum],
-            "e23": entry.e23,
-        }
-        for entry in entries
+    text = {num: format_fraction(num, led.den) for num in nums}
+    return [  # one entry per block, in block order
+        {"id": b.id, "kind": _KIND_TEXT[b.kind], "edges": _edge_rows(b, edge_list),
+         "junctions": len(b.junction_vertices), "interior_faces": len(b.interior_faces),
+         "v": text[c.vnum], "e": c.e, "f": text[c.fnum], "k": text[c.knum], "e23": c.e23}
+        for c, b in zip(entries, blocks)
     ]
-
-
-def _texts(nums: set[int], den: int) -> dict[int, str]:
-    return {num: format_fraction(num, den) for num in nums}
 
 
 def decomposition_report(g: PlaneGraph, d: BlockDecomposition) -> dict[str, Any]:
@@ -202,7 +190,11 @@ def decomposition_report(g: PlaneGraph, d: BlockDecomposition) -> dict[str, Any]
         "kind": "decomposition",
         "graph": graph_summary(g, structural_stats(g.rotations)),
         "mode": d.mode,
-        "blocks": [_block_row(b, d.graph.edge_list) for b in d.blocks],
+        "blocks": [
+            {"id": b.id, "kind": _KIND_TEXT[b.kind], "edges": _edge_rows(b, d.graph.edge_list),
+             "junctions": len(b.junction_vertices), "interior_faces": len(b.interior_faces)}
+            for b in d.blocks
+        ],
     }
 
 
@@ -245,9 +237,9 @@ def verdict_report(g: PlaneGraph, verdict: Verdict) -> dict[str, Any]:
     if led is not None:
         rep["mode"] = led.mode
         rep["blocks"] = _ledger_blocks(led)
-        text = _texts(set(verdict.values), led.den)
+        text = {num: format_fraction(num, led.den) for num in set(verdict.values)}
         rep["block_values"] = [
-            {"id": b.id, "kind": b.kind.value, "value": text[num]}
+            {"id": b.id, "kind": _KIND_TEXT[b.kind], "value": text[num]}
             for b, num in zip(led.decomposition.blocks, verdict.values)
         ]
         rep["violations"] = list(verdict.violations)
@@ -282,10 +274,9 @@ def _json_text(value: Any, newline: str = "\n") -> str:
     with ``newline`` starting every line break.
 
     Covers only what a report holds: dicts with str keys, lists, tuples,
-    str, int, bool and None; anything else raises TypeError.  Lists of ints,
-    of int pairs and of dicts with one key set (a report's rows), the bulk
-    of a large report, take a shortcut, and so does a column of rows that
-    holds only nonempty lists of int pairs.
+    str, int, bool and None; anything else raises TypeError.  A dict, and a
+    list of dicts with one key set (a report's rows, the bulk of a large
+    report), are written column by column (see `_rows`).
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -297,81 +288,70 @@ def _json_text(value: Any, newline: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    inner = newline + "  "
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
-        if all(type(x) is int for x in value):
+        inner = newline + "  "
+        kinds = set(map(type, value))
+        if kinds == {int}:
             items = map(int.__repr__, value)
-        elif all(_is_int_pair(x) for x in value):
-            return _pairs_encoder(newline)(value)
-        elif type(value[0]) is dict and value[0] and all(
-            type(x) is dict and x.keys() == value[0].keys() for x in value
+        elif kinds == {dict} and value[0] and all(
+            map(value[0].keys().__eq__, map(dict.keys, value))
         ):
-            # a report's rows: each key is sorted and encoded once, with the
-            # encoder its column needs
-            deeper = inner + "  "
-            plan = []
-            for key in sorted(value[0]):
-                column = [row[key] for row in value]
-                kinds = {type(x) for x in column}
-                encode = partial(_json_text, newline=deeper)
-                if kinds == {str}:
-                    encode = encode_basestring_ascii
-                elif kinds == {int}:
-                    encode = int.__repr__
-                elif kinds <= {list, tuple} and all(
-                    x and all(_is_int_pair(p) for p in x) for x in column
-                ):
-                    encode = _pairs_encoder(deeper)  # e.g. a block's edges
-                plan.append((encode_basestring_ascii(key) + ": ", key, encode))
-            sep = "," + deeper
-            items = [
-                "{" + deeper + sep.join([h + enc(row[k]) for h, k, enc in plan]) + inner + "}"
-                for row in value
-            ]
+            items = _rows(value, inner)
         else:
             items = [_json_text(x, inner) for x in value]
         return "[" + inner + ("," + inner).join(items) + newline + "]"
     if isinstance(value, dict):
-        if not value:
-            return "{}"
-        # encode_basestring_ascii raises TypeError for a key that is no str;
-        # str and int values, most of a report, are written in place
-        items = [
-            encode_basestring_ascii(key)
-            + ": "
-            + (
-                encode_basestring_ascii(item)
-                if type(item) is str
-                else int.__repr__(item)
-                if type(item) is int
-                else _json_text(item, inner)
-            )
-            for key, item in sorted(value.items())
-        ]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
+        return _rows([value], newline)[0] if value else "{}"
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _pairs_encoder(newline: str):
-    """The writer of a nonempty list of int pairs whose line breaks start
-    with ``newline``: one template, filled in per pair."""
+def _rows(rows: list[dict[str, Any]], newline: str) -> list[str]:
+    """Dicts with one key set, each written through one template whose line
+    breaks start with ``newline``: int columns fill it with %d, and every
+    other column is encoded first, in one pass per column.  A key that is
+    no str raises TypeError."""
+    deeper = newline + "  "
+    fields = []
+    columns = []
+    for key in sorted(rows[0]):
+        column = [row[key] for row in rows]
+        kinds = set(map(type, column))
+        field = "%d"
+        if kinds == {str}:
+            field, column = "%s", list(map(encode_basestring_ascii, column))
+        elif kinds != {int}:
+            field = "%s"
+            column = _pair_lists(column, deeper) or [_json_text(x, deeper) for x in column]
+        fields.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + field)
+        columns.append(column)
+    template = "{" + deeper + ("," + deeper).join(fields) + newline + "}"
+    return list(map(template.__mod__, zip(*columns)))
+
+
+def _pair_lists(column: list[Any], newline: str) -> Optional[list[str]]:
+    """The texts of a column of nonempty lists of int pairs (a block's
+    edges, say) whose line breaks start with ``newline``, or None when some
+    value is not one: each list fills a template of its length."""
+    if not (set(map(type, column)) <= {list, tuple} and all(column)):
+        return None
+    pairs = list(chain.from_iterable(column))
+    if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) == {2}
+            and set(map(type, chain.from_iterable(pairs))) == {int}):
+        return None
     inner = newline + "  "
-    deeper = inner + "  "
-    pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
-    sep = "," + inner
-    end = newline + "]"
-    return lambda pairs: "[" + inner + sep.join([pair % (u, v) for u, v in pairs]) + end
-
-
-def _is_int_pair(x: Any) -> bool:
-    return (
-        type(x) in (list, tuple)
-        and len(x) == 2
-        and type(x[0]) is int
-        and type(x[1]) is int
-    )
+    pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
+    templates: dict[int, str] = {}
+    texts = []
+    for x in column:
+        template = templates.get(len(x))
+        if template is None:
+            template = templates[len(x)] = (
+                "[" + inner + ("," + inner).join([pair] * len(x)) + newline + "]"
+            )
+        texts.append(template % tuple(chain.from_iterable(x)))
+    return texts
 
 
 def _render_text(rep: dict[str, Any]) -> str:

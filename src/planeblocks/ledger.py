@@ -61,10 +61,11 @@ def slot_table(
             "triangular face contributions need the pseudoface map"
         )
     # boundaries as edge ids, the pseudoface's in triangular mode
+    interior = d.interior_face_block
     boundaries = {
-        f.id: (pf[f.id] if pf else f).eids
-        for f in d.graph.faces
-        if f.id not in d.interior_face_block
+        fid: pf[fid].eids if pf else eids
+        for fid, eids in enumerate(d.graph.face_eids)
+        if fid not in interior
     }
     edge_block = d.edge_block
     denom = lcm(*{len(eids) for eids in boundaries.values()})
@@ -92,8 +93,8 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
         for bid, num in shares.items():
             fnum[bid] += num * scale
 
-    # 1 / (blocks containing v) = vshare[v] / den
-    vshare = {v: den // c for v, c in counts.items()}
+    # 1 / (blocks containing v) = vshare[v] / den; counts run over 0..n-1
+    vshare = [den // c for c in counts.values()]
     quad = mode == "quadrangular"
     dclass = degree_classes(g.rotations)  # degrees in G, not within a block
     # is23[i]: edge i joins a degree-2 and a degree-3 vertex
@@ -106,7 +107,7 @@ def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
             e23 = sum([is23[i] for i in b.eids])
         else:
             knum = e23 = 0
-        vnum = sum([vshare[v] for v in b.vertices])
+        vnum = sum(map(vshare.__getitem__, b.vertices))
         entries.append(
             BlockContribution(b.id, vnum, len(b.eids), fnum[b.id], knum, e23)
         )

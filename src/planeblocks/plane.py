@@ -9,23 +9,19 @@ v, so the traced face lies to the left of each dart.  Construction validates
 simplicity, adjacency symmetry, connectivity and the Euler characteristic
 v - e + f = 2.
 
-An edge's id is its index in ``PlaneGraph.edge_list``, the edges (u, v) with
-u < v in sorted order; ``Face.eids`` gives a face's walk as edge ids, so the
-block decomposition and the ledger index lists by edge id, not dicts by edge.
+Darts are integers (see `dart_tables`).  An edge's id is its index in
+``PlaneGraph.edge_list``, the edges (u, v) with u < v in sorted order, and
+``PlaneGraph.face_eids`` gives each face's walk as edge ids, so the block
+decomposition and the ledger index lists by edge id, not dicts by edge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
-from .errors import (
-    AsymmetricAdjacency,
-    Disconnected,
-    GenusNonZero,
-    NonSimple,
-    UnknownDart,
-)
+from .errors import AsymmetricAdjacency, Disconnected, GenusNonZero, NonSimple, UnknownDart
 from .structure import is_connected
 
 Dart = tuple[int, int]
@@ -62,67 +58,59 @@ class PlaneGraph:
     file format reads it.  By default it is the first (smallest) dart of the
     longest traced face, ties going to the smallest dart, so it depends on
     the rotation system alone.
+
+    ``face_eids[i]`` is face i's walk as edge ids, faces numbered as
+    ``trace_faces`` returns them.  ``faces`` and ``edges`` are built on
+    first read, for callers that want `Face` objects or a set of edges.
     """
 
     def __init__(
         self, rotations: Sequence[Sequence[int]], outer_dart: Optional[Dart] = None
     ):
         self.n = len(rotations)
-        self.rotations: tuple[tuple[int, ...], ...] = tuple(
-            tuple(r) for r in rotations
-        )
-        self._validate_simple()
-        # sorted: vertices in order, and each one's neighbours sorted
-        edge_list = [(u, v) for u, r in enumerate(self.rotations) for v in sorted(r) if u < v]
-        self.edge_list: list[Edge] = edge_list
-        self.edges: frozenset[Edge] = frozenset(edge_list)
-        self.e = len(edge_list)
-        self._validate_connected()
-        walks = trace_faces(self.rotations)
-        if outer_dart is None:
-            if not walks:
-                raise UnknownDart("a graph with no edge has no outer dart")
-            # walks start at their smallest dart and come in that order, and
-            # max keeps the first maximum
-            outer_dart = max(walks, key=len)[0]
-        u, v = outer_dart = (int(outer_dart[0]), int(outer_dart[1]))
-        if not (0 <= u < self.n and v in self.rotations[u]):
-            raise UnknownDart(f"outer dart {u}->{v} is not a dart of the graph")
-        self.outer_dart: Dart = outer_dart
-        # eid[u][v] = eid[v][u] = the id of edge uv
-        eid: list[dict[int, int]] = [{} for _ in range(self.n)]
-        for i, (u, v) in enumerate(edge_list):
-            eid[u][v] = eid[v][u] = i
-        faces = []
-        for fid, walk in enumerate(walks):
-            faces.append(Face(fid, tuple(walk), tuple([eid[u][v] for u, v in walk])))
-        self.faces: tuple[Face, ...] = tuple(faces)
-        self.f = len(self.faces)
-        if self.n - self.e + self.f != 2:
-            raise GenusNonZero(f"v - e + f = {self.n} - {self.e} + {self.f} != 2")
-
-    # -- construction helpers ------------------------------------------------
-
-    def _validate_simple(self) -> None:
-        neighbor_sets = [set(rot) for rot in self.rotations]
-        for u, rot in enumerate(self.rotations):
-            if u in neighbor_sets[u]:
-                raise NonSimple(f"loop at vertex {u}")
-            if len(neighbor_sets[u]) != len(rot):
-                raise NonSimple(f"parallel edge in rotation of vertex {u}")
-            for v in rot:
-                if not 0 <= v < self.n:
-                    raise AsymmetricAdjacency(f"vertex {u} lists unknown neighbor {v}")
-        for u, nbrs in enumerate(neighbor_sets):
-            for v in nbrs:
-                if u not in neighbor_sets[v]:
-                    raise AsymmetricAdjacency(f"{u} lists {v} but {v} does not list {u}")
-
-    def _validate_connected(self) -> None:
+        self.rotations: tuple[tuple[int, ...], ...] = tuple(map(tuple, rotations))
+        pos, head, nxt = dart_tables(self.rotations)
         if self.n == 0:
             raise Disconnected("empty graph")
         if not is_connected(self.rotations):
             raise Disconnected(f"graph on {self.n} vertices is not connected")
+        # the darts (u, v) with u < v, in sorted order; eid[d]: dart d's edge id
+        edge_list = [(u, v) for u, at in enumerate(pos) for v in at if u < v]
+        eid = [0] * len(head)
+        for i, (u, v) in enumerate(edge_list):
+            eid[pos[u][v]] = eid[pos[v][u]] = i
+        self.edge_list: list[Edge] = edge_list
+        self.e = len(edge_list)
+        walks = trace_faces(nxt)
+        if outer_dart is None:
+            if not walks:
+                raise UnknownDart("a graph with no edge has no outer dart")
+            # walks start at their smallest dart and come in that order, and
+            # max keeps the first maximum; a dart's tail is the head before it
+            walk = max(walks, key=len)
+            outer_dart = (head[walk[-1]], head[walk[0]])
+        u, v = outer_dart = (int(outer_dart[0]), int(outer_dart[1]))
+        if not (0 <= u < self.n and v in pos[u]):
+            raise UnknownDart(f"outer dart {u}->{v} is not a dart of the graph")
+        self.outer_dart: Dart = outer_dart
+        self.face_eids: list[list[int]] = [list(map(eid.__getitem__, w)) for w in walks]
+        self.f = len(walks)
+        if self.n - self.e + self.f != 2:
+            raise GenusNonZero(f"v - e + f = {self.n} - {self.e} + {self.f} != 2")
+
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """The faces as `Face` objects, traced again from the rotations."""
+        _, head, nxt = dart_tables(self.rotations)
+        faces = []
+        for fid, (walk, eids) in enumerate(zip(trace_faces(nxt), self.face_eids)):
+            heads = [head[d] for d in walk]
+            faces.append(Face(fid, tuple(zip(heads[-1:] + heads[:-1], heads)), tuple(eids)))
+        return tuple(faces)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.edge_list)
 
     def __repr__(self) -> str:
         return (
@@ -131,30 +119,64 @@ class PlaneGraph:
         )
 
 
-def trace_faces(rotations: Sequence[Sequence[int]]) -> list[list[Dart]]:
-    """The faces of a rotation system as dart walks: (v, w) follows (u, v)
-    when w follows u at v.  Walks come in order of their smallest dart and
-    each starts at it, so a face's index is stable for a fixed rotation system.
+def dart_tables(
+    rotations: Sequence[Sequence[int]],
+) -> tuple[list[dict[int, int]], list[int], list[int]]:
+    """Integer darts of a rotation system, which must be simple and
+    symmetric (NonSimple or AsymmetricAdjacency otherwise).
+
+    Each vertex's darts are numbered in order of their heads, vertex by
+    vertex, so dart ids ascend in the sorted dart order.  Returns
+    (pos, head, nxt): pos[u][v] is the id of dart (u, v), head[d] the head
+    of dart d, and nxt[d] the dart after d on its face, where (v, w) follows
+    (u, v) when w follows u in the rotation at v.
     """
-    # succ[v][u] = the neighbor following u in the rotation at v
-    succ = [dict(zip(rot, rot[1:] + rot[:1])) for rot in rotations]
-    walked: list[set[int]] = [set() for _ in rotations]  # v in walked[u]: dart (u, v)
-    faces = []
-    # darts in sorted order: by tail, then by head
+    n = len(rotations)
+    pos: list[dict[int, int]] = []
+    head: list[int] = []
     for u, rot in enumerate(rotations):
-        for v in sorted(rot):
-            if v in walked[u]:
-                continue
+        heads = sorted(rot)
+        at = dict(zip(heads, range(len(head), len(head) + len(heads))))
+        if u in at:
+            raise NonSimple(f"loop at vertex {u}")
+        if len(at) != len(heads):
+            raise NonSimple(f"parallel edge in rotation of vertex {u}")
+        if heads and not (0 <= heads[0] and heads[-1] < n):
+            bad = heads[0] if heads[0] < 0 else heads[-1]
+            raise AsymmetricAdjacency(f"vertex {u} lists unknown neighbor {bad}")
+        pos.append(at)
+        head += heads
+    nxt = [0] * len(head)
+    try:
+        for v, rot in enumerate(rotations):
+            at = pos[v]
+            u = rot[-1] if rot else v
+            for w in rot:  # w follows u at v
+                nxt[pos[u][v]] = at[w]
+                u = w
+    except KeyError:
+        raise AsymmetricAdjacency(f"{v} lists {u} but {u} does not list {v}") from None
+    return pos, head, nxt
+
+
+def trace_faces(nxt: Sequence[int]) -> list[list[int]]:
+    """The faces as walks of dart ids, given each dart's successor ``nxt``
+    (see `dart_tables`).  Walks come in order of their smallest dart and
+    each starts at it, so a face's index is stable for a fixed rotation
+    system.
+    """
+    walked = bytearray(len(nxt))
+    walks = []
+    for d in range(len(nxt)):
+        if not walked[d]:
             walk = []
-            a, b = u, v
-            while True:
-                walk.append((a, b))
-                walked[a].add(b)
-                a, b = b, succ[b][a]
-                if b == v and a == u:
-                    break
-            faces.append(walk)
-    return faces
+            x = d
+            while not walked[x]:  # until the walk is back at d
+                walk.append(x)
+                walked[x] = 1
+                x = nxt[x]
+            walks.append(walk)
+    return walks
 
 
 def rotations_from_edges(n: int, edges: Iterable[Edge]) -> list[list[int]]:

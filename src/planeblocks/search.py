@@ -53,7 +53,7 @@ from typing import Iterator, Optional, Sequence
 from . import canon, planarity
 from .errors import CeilingExceeded, RetriesExhausted
 from .planarity import Rotations
-from .plane import Dart, Edge, PlaneGraph, edge_of, rotations_from_edges, trace_faces
+from .plane import Edge, PlaneGraph, dart_tables, edge_of, rotations_from_edges, trace_faces
 from .structure import Hypotheses, is_bipartite, is_connected, structural_stats
 
 DEFAULT_CEILING = 10
@@ -279,15 +279,17 @@ class _ParentEmbedding:
         self.rotations = rotations
 
     @cached_property
-    def faces(self) -> list[list[Dart]]:
-        return trace_faces(self.rotations)
+    def faces(self) -> list[list[int]]:
+        """Each face's walk as its darts' heads; a dart's tail is the head before it."""
+        _, head, nxt = dart_tables(self.rotations)
+        return [[head[d] for d in walk] for walk in trace_faces(nxt)]
 
     @cached_property
     def face_masks(self) -> list[int]:
         """Bit f of entry v is set iff vertex v lies on face f."""
         masks = [0] * len(self.adj)
         for f, walk in enumerate(self.faces):
-            for _, v in walk:
+            for v in walk:
                 masks[v] |= 1 << f
         return masks
 
@@ -306,7 +308,7 @@ class _ParentEmbedding:
             out = list(rot)
             for x, y in ((u, v), (v, u)):
                 # the face's corner at x lies after the tail of a dart into x
-                a = next(t for t, h in walk if h == x)
+                a = walk[walk.index(x) - 1]
                 i = rot[x].index(a) + 1
                 out[x] = rot[x][:i] + (y,) + rot[x][i:]
             return tuple(out)

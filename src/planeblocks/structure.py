@@ -66,25 +66,28 @@ def contains_cycle_of_length(adj: Adjacency, length: int) -> bool:
 def _has_cycle(adj: Adjacency, length: int) -> bool:
     far = length + 1
     # dist[w]: BFS distance from the current root to w over the vertices
-    # above it, up to length // 2; far for every other vertex
+    # above it, up to length // 2; far for every other vertex, the root too,
+    # so a path comes back to the root only to close the cycle
     dist = [far] * len(adj)
+    visited = bytearray(len(adj))  # the current path, cleared on the way back
 
-    def search(root: int, last: int, depth: int, visited: int) -> bool:
+    def search(root: int, last: int, depth: int) -> bool:
         left = length - depth  # edges left to close the cycle after a step
         for w in adj[last]:
             if w == root and left == 0:
                 return True
-            if dist[w] <= left and not (visited >> w) & 1:
-                if search(root, w, depth + 1, visited | (1 << w)):
+            if dist[w] <= left and not visited[w]:
+                visited[w] = 1
+                if search(root, w, depth + 1):
                     return True
+                visited[w] = 0
         return False
 
     for root in range(len(adj)):
         if len(adj[root]) < 2:
             continue
         # no vertex of a cycle is farther than length // 2 from its root
-        dist[root] = 0
-        ball, frontier = [root], [root]
+        ball, frontier = [], [root]
         for r in range(1, length // 2 + 1):
             reached = []
             for u in frontier:
@@ -94,7 +97,7 @@ def _has_cycle(adj: Adjacency, length: int) -> bool:
                         reached.append(w)
             ball += reached
             frontier = reached
-        found = search(root, root, 1, 1 << root)
+        found = search(root, root, 1)
         for w in ball:
             dist[w] = far
         if found:

@@ -15,29 +15,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
-from .blocks import (
-    BlockKind,
-    Mode,
-    QUADRANGULAR_KINDS,
-    TRIANGULAR_KINDS,
-)
+from .blocks import QUADRANGULAR_KINDS, TRIANGULAR_KINDS, BlockKind, Mode
 from .errors import (
-    ConservationViolation,
-    DegenerateProfile,
-    HypothesisViolated,
-    UnexpectedBlock,
-    UnknownProfile,
+    ConservationViolation, DegenerateProfile, HypothesisViolated, UnexpectedBlock, UnknownProfile,
 )
 from .ledger import ContributionLedger, build_ledger
 from .plane import PlaneGraph
 # contains_cycle_of_length is not called here; it stays importable from this
 # module, where bench/tracer.py looks it up
 from .structure import (  # noqa: F401
-    Check,
-    Hypotheses,
-    StructuralStats,
-    contains_cycle_of_length,
-    structural_stats,
+    Check, Hypotheses, StructuralStats, contains_cycle_of_length, structural_stats,
 )
 
 Coefficients = tuple[int, int, int, int, int]  # weights of (v, e, f, k, e23)

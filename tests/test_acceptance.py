@@ -10,6 +10,7 @@ import hashlib
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -243,13 +244,21 @@ def _matching_profile(g):
     return None
 
 
+def _named_profile(text):
+    """The profile a witness file names in a '# profile: ID' comment, if any."""
+    found = re.search(r"^#\s*profile:\s*(\S+)", text, re.MULTILINE)
+    return found.group(1) if found else None
+
+
 def test_criterion_8_witness_certification(criterion):
     files = sorted(WITNESS_DIR.glob("*.graph"))
     certified = 0
     bad = []
     for f in files:
-        g = graphio.parse_graph(f.read_text())
-        pid = _matching_profile(g)
+        text = f.read_text()
+        g = graphio.parse_graph(text)
+        # a file outside every family names its profile
+        pid = _named_profile(text) or _matching_profile(g)
         # a tight file counts only if it meets the profile's hypotheses and
         # no block has L(B) > 0
         v = theorems.verify(g, PROFILES[pid]) if pid else None
@@ -261,7 +270,7 @@ def test_criterion_8_witness_certification(criterion):
         8,
         f"{certified} extremal witness file(s) certified tight"
         + (f"; not certified: {', '.join(bad)}" if bad else ""),
-        certified > 0 and not bad,
+        certified >= 2 and not bad,
     )
 
 

@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from planeblocks import search
+from planeblocks import canon, search
+from planeblocks.cli import main
 from planeblocks.errors import (
     AsymmetricAdjacency,
     Disconnected,
@@ -11,7 +13,7 @@ from planeblocks.errors import (
     NonSimple,
     UnknownDart,
 )
-from planeblocks.plane import PlaneGraph
+from planeblocks.plane import PlaneGraph, edge_of
 
 
 def test_c4_faces(fixture_graphs):
@@ -112,3 +114,143 @@ def test_every_k5_rotation_system_has_nonzero_genus():
 
 def test_repr_mentions_counts(fixture_graphs):
     assert "n=8" in repr(fixture_graphs["cube"])
+
+
+# -- integer darts against the tuple-dart tracer ------------------------------
+
+def tuple_dart_faces(rotations):
+    """The tuple-dart face tracer that the integer dart tables replaced, kept
+    as an oracle: walks in smallest-dart order, each starting at it."""
+    succ = [dict(zip(rot, rot[1:] + rot[:1])) for rot in rotations]
+    walked = [set() for _ in rotations]
+    faces = []
+    for u, rot in enumerate(rotations):
+        for v in sorted(rot):
+            if v in walked[u]:
+                continue
+            walk = []
+            a, b = u, v
+            while True:
+                walk.append((a, b))
+                walked[a].add(b)
+                a, b = b, succ[b][a]
+                if (a, b) == (u, v):
+                    break
+            faces.append(walk)
+    return faces
+
+
+def with_pendants(rotations, rng, count):
+    """rotations plus `count` new vertices, each hung by a bridge from an
+    earlier vertex at a random place in its rotation, so some pendants
+    grow into paths."""
+    rot = [list(r) for r in rotations]
+    for _ in range(count):
+        u = rng.randrange(len(rot))
+        rot[u].insert(rng.randint(0, len(rot[u])), len(rot))
+        rot.append([u])
+    return rot
+
+
+def oracle_cases(fixture_graphs, corpus7):
+    cases = [g.rotations for g in fixture_graphs.values()]
+    cases += [rot for n in range(2, 8) for _, rot in corpus7[n]]
+    for seed in range(40):
+        rng = random.Random(seed)
+        g = search.random_plane_graph(rng.randint(3, 12), seed)
+        cases.append(with_pendants(g.rotations, rng, rng.randint(0, 6)))
+    return cases
+
+
+def test_dart_tables_match_the_tuple_dart_tracer(fixture_graphs, corpus7):
+    for rotations in oracle_cases(fixture_graphs, corpus7):
+        walks = tuple_dart_faces(rotations)
+        g = PlaneGraph(rotations)
+        eid = {edge: i for i, edge in enumerate(g.edge_list)}
+        assert g.edge_list == sorted({edge_of(u, v) for u, r in enumerate(rotations) for v in r})
+        assert g.face_eids == [[eid[edge_of(u, v)] for u, v in w] for w in walks]
+        assert g.outer_dart == max(walks, key=len)[0]
+        assert [f.id for f in g.faces] == list(range(len(walks)))
+        assert [f.darts for f in g.faces] == [tuple(w) for w in walks]
+        assert [f.eids for f in g.faces] == [tuple(ids) for ids in g.face_eids]
+        # the search reads the same walks as the heads of their darts
+        adj = canon.masks_from_edges(g.n, g.edge_list)
+        parent = search._ParentEmbedding(adj, g.rotations)
+        assert parent.faces == [[v for _, v in w] for w in walks]
+
+
+def test_faces_and_edges_are_built_on_first_read(fixture_graphs):
+    g = PlaneGraph(fixture_graphs["cube"].rotations)
+    assert "faces" not in vars(g) and "edges" not in vars(g)
+    assert g.faces is g.faces and g.edges == frozenset(g.edge_list)
+
+
+# -- malformed rotation systems ------------------------------------------------
+
+FAULTS = {
+    "loop": NonSimple,
+    "repeated neighbour": NonSimple,
+    "out-of-range id": AsymmetricAdjacency,
+    "asymmetric entry": AsymmetricAdjacency,
+    "disconnected": Disconnected,
+    "non-planar rotation": GenusNonZero,
+    "empty": UnknownDart,
+}
+
+
+def with_fault(rotations, fault, rng):
+    """A copy of a valid rotation system with one fault of the given kind."""
+    rot = [list(r) for r in rotations]
+    n = len(rot)
+    u = rng.randrange(n)
+    if fault == "loop":
+        rot[u].insert(rng.randint(0, len(rot[u])), u)
+    elif fault == "repeated neighbour":
+        rot[u].insert(rng.randint(0, len(rot[u])), rng.choice(rot[u]))
+    elif fault == "out-of-range id":
+        rot[u].insert(rng.randint(0, len(rot[u])), rng.choice([-1, -n, n, n + 3]))
+    elif fault == "asymmetric entry":
+        rot[rng.choice(rot[u])].remove(u)
+    elif fault == "disconnected":
+        rot += [[w + n for w in r] for r in rotations]
+    elif fault == "non-planar rotation":
+        # K5 or K3,3 under any rotation, hung from u by a bridge
+        if rng.random() < 0.5:
+            extra = [[w for w in range(5) if w != x] for x in range(5)]
+        else:
+            extra = [[3, 4, 5]] * 3 + [[0, 1, 2]] * 3
+        for r in extra:
+            r = [w + n for w in r]
+            rng.shuffle(r)
+            rot.append(r)
+        rot[u].append(n)
+        rot[n].append(u)
+    else:
+        rot = [[]]
+    return rot
+
+
+@settings(max_examples=120, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(3, 9),
+    seed=st.integers(0, 10**6),
+    fault=st.sampled_from(sorted(FAULTS)),
+)
+def test_faulty_rotation_systems_end_in_their_documented_error(
+    n, seed, fault, tmp_path_factory, capsys
+):
+    rng = random.Random(seed)
+    rotations = search.random_plane_graph(n, seed).rotations
+    rot = with_fault(rotations, fault, rng)
+    with pytest.raises(FAULTS[fault]):
+        PlaneGraph(rot)
+    # the same rotation system as a file: the CLI exits 2, with no traceback
+    u, v = (0, rot[0][0]) if rot[0] else (0, 1)
+    text = f"planegraph 1\nn {len(rot)}\n"
+    text += "".join(f"{x}: {' '.join(map(str, r))}\n" for x, r in enumerate(rot))
+    graph = tmp_path_factory.getbasetemp() / "faulty.graph"
+    graph.write_text(text + f"outer: {u}->{v}\n")
+    code = main(["verify", str(graph), "--theorem", "C5"])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:"), (fault, rot, err)

@@ -212,8 +212,11 @@ def test_pruned_cycle_search_matches_plain_search():
                 adj[u].append(v)
                 adj[v].append(u)
         for length in range(3, n + 1):
-            assert contains_cycle_of_length(adj, length) == \
-                plain_cycle_search(adj, length), (adj, length)
+            want = plain_cycle_search(adj, length)
+            assert contains_cycle_of_length(adj, length) == want, (adj, length)
+            # the search itself, over the whole graph, with its visited marks
+            # set and cleared across every root
+            assert structure._has_cycle(adj, length) == want, (adj, length)
 
 
 def test_odd_length_on_bipartite_input_is_not_searched(fixture_graphs, monkeypatch):
