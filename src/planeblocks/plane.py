@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Iterable, Optional, Sequence
 
 from .errors import AsymmetricAdjacency, Disconnected, GenusNonZero, NonSimple, UnknownDart
@@ -59,9 +60,8 @@ class PlaneGraph:
     longest traced face, ties going to the smallest dart, so it depends on
     the rotation system alone.
 
-    ``face_eids[i]`` is face i's walk as edge ids, faces numbered as
-    ``trace_faces`` returns them.  ``faces`` and ``edges`` are built on
-    first read, for callers that want `Face` objects or a set of edges.
+    ``face_eids[f]`` is face f's walk as edge ids (see `trace_faces`);
+    ``faces`` and ``edges`` are built on first read.
     """
 
     def __init__(
@@ -81,20 +81,20 @@ class PlaneGraph:
             eid[pos[u][v]] = eid[pos[v][u]] = i
         self.edge_list: list[Edge] = edge_list
         self.e = len(edge_list)
-        walks = trace_faces(nxt)
+        starts, face_eids = trace_faces(nxt, eid)
         if outer_dart is None:
-            if not walks:
+            if not starts:
                 raise UnknownDart("a graph with no edge has no outer dart")
-            # walks start at their smallest dart and come in that order, and
-            # max keeps the first maximum; a dart's tail is the head before it
-            walk = max(walks, key=len)
-            outer_dart = (head[walk[-1]], head[walk[0]])
+            # faces come in order of their smallest dart; max keeps the first longest
+            d = starts[max(range(len(starts)), key=lambda f: len(face_eids[f]))]
+            a, b = edge_list[eid[d]]
+            outer_dart = (a, b) if b == head[d] else (b, a)
         u, v = outer_dart = (int(outer_dart[0]), int(outer_dart[1]))
         if not (0 <= u < self.n and v in pos[u]):
             raise UnknownDart(f"outer dart {u}->{v} is not a dart of the graph")
         self.outer_dart: Dart = outer_dart
-        self.face_eids: list[list[int]] = [list(map(eid.__getitem__, w)) for w in walks]
-        self.f = len(walks)
+        self.face_eids: list[list[int]] = face_eids
+        self.f = len(face_eids)
         if self.n - self.e + self.f != 2:
             raise GenusNonZero(f"v - e + f = {self.n} - {self.e} + {self.f} != 2")
 
@@ -103,8 +103,7 @@ class PlaneGraph:
         """The faces as `Face` objects, traced again from the rotations."""
         _, head, nxt = dart_tables(self.rotations)
         faces = []
-        for fid, (walk, eids) in enumerate(zip(trace_faces(nxt), self.face_eids)):
-            heads = [head[d] for d in walk]
+        for fid, (heads, eids) in enumerate(zip(trace_faces(nxt, head)[1], self.face_eids)):
             faces.append(Face(fid, tuple(zip(heads[-1:] + heads[:-1], heads)), tuple(eids)))
         return tuple(faces)
 
@@ -136,7 +135,7 @@ def dart_tables(
     head: list[int] = []
     for u, rot in enumerate(rotations):
         heads = sorted(rot)
-        at = dict(zip(heads, range(len(head), len(head) + len(heads))))
+        at = dict(zip(heads, count(len(head))))
         if u in at:
             raise NonSimple(f"loop at vertex {u}")
         if len(at) != len(heads):
@@ -159,24 +158,25 @@ def dart_tables(
     return pos, head, nxt
 
 
-def trace_faces(nxt: Sequence[int]) -> list[list[int]]:
-    """The faces as walks of dart ids, given each dart's successor ``nxt``
-    (see `dart_tables`).  Walks come in order of their smallest dart and
-    each starts at it, so a face's index is stable for a fixed rotation
-    system.
-    """
+def trace_faces(nxt: Sequence[int], label: Sequence[int]) -> tuple[list[int], list[list[int]]]:
+    """The faces, given each dart's successor ``nxt`` (see `dart_tables`), as
+    (starts, walks): walks[f] gives ``label[d]`` (an edge id or a head, say)
+    for each dart d of face f.  Faces come in order of their smallest dart,
+    starts[f], and each walk starts at it, so face ids are stable."""
     walked = bytearray(len(nxt))
+    starts = []
     walks = []
     for d in range(len(nxt)):
         if not walked[d]:
+            starts.append(d)
             walk = []
             x = d
             while not walked[x]:  # until the walk is back at d
-                walk.append(x)
+                walk.append(label[x])
                 walked[x] = 1
                 x = nxt[x]
             walks.append(walk)
-    return walks
+    return starts, walks
 
 
 def rotations_from_edges(n: int, edges: Iterable[Edge]) -> list[list[int]]:

@@ -282,7 +282,7 @@ class _ParentEmbedding:
     def faces(self) -> list[list[int]]:
         """Each face's walk as its darts' heads; a dart's tail is the head before it."""
         _, head, nxt = dart_tables(self.rotations)
-        return [[head[d] for d in walk] for walk in trace_faces(nxt)]
+        return trace_faces(nxt, head)[1]
 
     @cached_property
     def face_masks(self) -> list[int]:
