@@ -77,23 +77,27 @@ def _emit(report: dict, fmt: str, out: Optional[str]) -> None:
 def _parse_constraints(n: int, spec: Optional[str]) -> search.ConstraintSet:
     kwargs: dict = {"n": n}
     forbidden: set[int] = set()
+
+    def number(text: str) -> int:
+        try:
+            return int(text)
+        except ValueError:
+            raise _CliError(f"bad constraint token {token!r}") from None
+
     for token in (spec or "").split(","):
         token = token.strip().lower()
         if not token:
             continue
         if token.startswith("c") and token.endswith("free"):
-            try:
-                forbidden.add(int(token[1:-4]))
-            except ValueError:
-                raise _CliError(f"bad constraint token {token!r}") from None
+            forbidden.add(number(token[1:-4]))
         elif token == "bipartite":
             kwargs["bipartite"] = True
         elif token == "trianglefree":
             forbidden.add(3)
         elif token.startswith("mindeg="):
-            kwargs["min_degree"] = int(token.split("=", 1)[1])
+            kwargs["min_degree"] = number(token[7:])
         elif token.startswith("exactmindeg="):
-            kwargs["exact_min_degree"] = int(token.split("=", 1)[1])
+            kwargs["exact_min_degree"] = number(token[12:])
         elif token in ("2connected", "biconnected"):
             kwargs["two_connected"] = True
         elif token == "deg2rule":

@@ -179,6 +179,17 @@ def trace_faces(nxt: Sequence[int], label: Sequence[int]) -> tuple[list[int], li
     return starts, walks
 
 
+def insert_chord(rotations: list, walk: Sequence[int], u: int, v: int) -> None:
+    """Draw edge uv inside a face, given the face's walk as its vertices in
+    order, splitting the face in two: at each end x, the other end goes into
+    x's rotation right after x's predecessor on the walk (at x's first visit).
+    The two rotations are replaced in ``rotations`` by tuples."""
+    for x, y in ((u, v), (v, u)):
+        rot = rotations[x]
+        i = rot.index(walk[walk.index(x) - 1]) + 1
+        rotations[x] = (*rot[:i], y, *rot[i:])
+
+
 def rotations_from_edges(n: int, edges: Iterable[Edge]) -> list[list[int]]:
     """Adjacency lists (sorted, not an embedding) from an edge list."""
     adj: list[list[int]] = [[] for _ in range(n)]

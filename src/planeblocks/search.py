@@ -9,38 +9,39 @@ of its automorphism group and a planar rotation system of the
 representative.  A parent gets one child per orbit of its non-edges under
 those generators.  A child is kept only if its new edge lies in the orbit of
 its canonical edge, the edge whose deletion defines its parent; see
-``_canonical_deletion``.  Each child meets the filters in this order:
+``_canonical_deletion``.  Each parent is tabled once (``_Parent``), and
+each child meets the filters in this order:
 
-1. the degree tier of that test, decided from the parent's degrees
-   (``_DegreeTier``), before the child's masks exist;
-2. the forbidden cycles, as paths of the parent between the new edge's ends;
-3. bipartiteness;
+1. bipartiteness, decided from the parent's components and 2-coloring: the
+   new edge must join two components or two vertices of different colors;
+2. the degree tier of that test, decided from the parent's degrees, before
+   the child's masks exist;
+3. the forbidden cycles, as paths of the parent between the new edge's ends;
 4. the color tier of the test, one color refinement of the child;
 5. the labelling tier of the test, one canonical labelling of the child;
 6. planarity.
 
 The planarity of a child is read from the parent's embedding, as in
 generation by embedding (Brinkmann and McKay, "Fast generation of planar
-graphs", MATCH 58, 2007); see ``_ParentEmbedding``.  If the new edge joins
-two components, or its ends share a face of the parent, the child is planar
-and its embedding is the parent's with the edge added there.  Every other
+graphs", MATCH 58, 2007).  If the new edge joins two components, or its ends
+share a face of the parent, the child is planar and its embedding is the
+parent's with the edge added there (``plane.insert_chord``).  Every other
 child gets the full Left-Right planarity test (``planarity.lr_rotations``),
-whose embedding is kept.  Each planar child gets one canonical labelling,
-the one the labelling tier computed if it ran, started from the color
-tier's refinement if that ran.  So every class is produced from exactly one
-parent class, and most children need no labelling.  A parent's generators
-need only be automorphisms: a missing one would repeat a child, and the
-level dict, keyed by canonical code, drops the repeat.  The test needs the
-child's whole automorphism group, which the generators from
-``canon.canonical_labelling`` generate.  Constraints that are not
-deletion-closed (minimum degree, 2-connectivity, the degree-2 neighbor rule)
-are filtered at emission.  Because level sets store canonical
-representatives and planarity does not depend on the embedding, the classes
-are independent of generation schedule.  Each class is yielded with the
-rotation system its level entry holds, relabelled onto the representative,
-so callers, the extremal search's witnesses included, need no second
-embedding; which of the class's embeddings that is depends on the parent
-that produced it first.
+whose embedding is kept.  Each planar child gets one canonical labelling, the
+one the labelling tier computed if it ran, started from the color tier's
+refinement if that ran.  So every class is produced from exactly one parent
+class, and most children need no labelling.  A parent's generators need only
+be automorphisms: a missing one would repeat a child, and the level dict,
+keyed by canonical code, drops the repeat.  The test needs the child's whole
+automorphism group, which the generators from ``canon.canonical_labelling``
+generate.  Constraints that are not deletion-closed (minimum degree,
+2-connectivity, the degree-2 neighbor rule) are filtered at emission, which
+takes the empty graph as level 0 like every other level.  Because level sets
+store canonical representatives and planarity does not depend on the
+embedding, the classes are independent of generation schedule.  Each class is yielded with the rotation system its level entry
+holds, relabelled onto the representative, so callers, the extremal search's
+witnesses included, need no second embedding; which of the class's
+embeddings that is depends on the parent that produced it first.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ from typing import Iterator, Optional, Sequence
 from . import canon, planarity
 from .errors import CeilingExceeded, RetriesExhausted
 from .planarity import Rotations
-from .plane import Edge, PlaneGraph, dart_tables, edge_of, rotations_from_edges, trace_faces
-from .structure import Hypotheses, is_bipartite, is_connected, structural_stats
+from .plane import (
+    Edge, PlaneGraph, dart_tables, edge_of, insert_chord, rotations_from_edges, trace_faces,
+)
+from .structure import Hypotheses, is_connected, structural_stats
 
 DEFAULT_CEILING = 10
 WITNESS_CAP = 100  # most witnesses one extremal search keeps
@@ -186,28 +189,54 @@ def _positions(order: canon.Perm) -> list[int]:
     return pos
 
 
-class _DegreeTier:
-    """The first tier of the canonical-deletion test, decided for every child
-    adj + uv of one parent adj from the parent's degrees.
+class _Parent:
+    """One parent graph adj with a planar rotation system, tabled once so
+    that each child adj + uv is filtered by lookups.
 
-    A child's canonical edge has the largest sorted degree pair.  Adding uv
-    raises the degrees of u and v by one and no other, so a parent edge that
-    meets neither keeps its pair, and one that meets u or v gets a larger
-    pair.  The parent's edges are grouped by pair once, and each child looks
-    only at the largest pair, the edges at u and v and the group of uv's
-    pair.  The tier is invariant under the parent's automorphisms, so it is
-    the same for every non-edge in an orbit.
+    - Each vertex's component and 2-color parity, from one traversal.  A
+      child of a bipartite parent is bipartite iff its new edge joins two
+      components or two vertices of different parity (``keeps_bipartite``).
+    - The degree tier of the canonical-deletion test (``ties``).  A child's
+      canonical edge has the largest sorted degree pair.  Adding uv raises
+      the degrees of u and v by one and no other, so a parent edge that
+      meets neither keeps its pair, and one that meets u or v gets a larger
+      pair.  The parent's edges are grouped by pair once, and each child
+      looks only at the largest pair, the edges at u and v and the group of
+      uv's pair.  The tier is invariant under the parent's automorphisms, so
+      it is the same for every non-edge in an orbit.
+    - Planarity (``child``).  A child whose new edge joins two components,
+      or whose new edge's ends share a face, is planar, and its embedding is
+      the parent's with the edge added; every other child goes to the
+      Left-Right test.  The faces and vertex face masks are computed on
+      first use.
     """
 
-    def __init__(self, adj: canon.Masks):
-        self.nbrs = canon.neighbor_lists(adj)
-        self.deg = deg = [len(nb) for nb in self.nbrs]
+    def __init__(self, adj: canon.Masks, rotations: Rotations):
+        self.adj = adj
+        self.rotations = rotations
+        self.deg = deg = [len(rot) for rot in rotations]
         self.by_pair: dict[tuple[int, int], list[Edge]] = {}
-        for x, nb in enumerate(self.nbrs):
-            for y in nb:
+        self.comp = comp = [-1] * len(adj)
+        self.parity = parity = [0] * len(adj)
+        for x, rot in enumerate(rotations):
+            for y in rot:
                 if x < y:
                     self.by_pair.setdefault(edge_of(deg[x], deg[y]), []).append((x, y))
+            if comp[x] < 0:
+                comp[x] = x
+                todo = [x]
+                while todo:
+                    w = todo.pop()
+                    for y in rotations[w]:
+                        if comp[y] < 0:
+                            comp[y] = x
+                            parity[y] = parity[w] ^ 1
+                            todo.append(y)
         self.top = max(self.by_pair, default=(0, 0))
+
+    def keeps_bipartite(self, u: int, v: int) -> bool:
+        """Whether adj + uv is bipartite, adj being bipartite."""
+        return self.comp[u] != self.comp[v] or self.parity[u] != self.parity[v]
 
     def ties(self, u: int, v: int) -> Optional[list[Edge]]:
         """None if an edge of adj + uv has a larger sorted degree pair than
@@ -219,7 +248,7 @@ class _DegreeTier:
             return None
         ties = [(u, v)]
         for x, dx in ((u, du), (v, dv)):
-            for y in self.nbrs[x]:
+            for y in self.rotations[x]:
                 dy = deg[y]
                 k = (dx, dy) if dx < dy else (dy, dx)
                 if k > key:
@@ -230,6 +259,35 @@ class _DegreeTier:
         # child, so the loop above has returned; these edges meet neither
         return ties + self.by_pair.get(key, [])
 
+    @cached_property
+    def faces(self) -> list[list[int]]:
+        """Each face's walk as its darts' heads; a dart's tail is the head before it."""
+        _, head, nxt = dart_tables(self.rotations)
+        return trace_faces(nxt, head)[1]
+
+    @cached_property
+    def face_masks(self) -> list[int]:
+        """Bit f of entry v is set iff vertex v lies on face f."""
+        masks = [0] * len(self.adj)
+        for f, walk in enumerate(self.faces):
+            for v in walk:
+                masks[v] |= 1 << f
+        return masks
+
+    def child(self, u: int, v: int) -> Optional[Rotations]:
+        """A planar rotation system of adj + uv, or None if it is not planar."""
+        out = list(self.rotations)
+        if self.comp[u] != self.comp[v]:
+            out[u] += (v,)
+            out[v] += (u,)
+            return tuple(out)
+        common = self.face_masks[u] & self.face_masks[v]
+        if common:
+            insert_chord(out, self.faces[(common & -common).bit_length() - 1], u, v)
+            return tuple(out)
+        adj = self.adj
+        return planarity.lr_rotations(len(adj), canon.edges_from_masks(adj) + [(u, v)])
+
 
 def _canonical_deletion(
     child: canon.Masks, new: Edge, ties: list[Edge]
@@ -237,7 +295,7 @@ def _canonical_deletion(
     """Whether the new edge lies in the orbit of the child's canonical edge.
 
     The canonical edge has the largest sorted degree pair; ties, the edges
-    that ``_DegreeTier`` found to share the new edge's pair, go to the
+    that ``_Parent.ties`` found to share the new edge's pair, go to the
     largest sorted pair of refined colors, then to the smallest sorted pair
     of canonical positions.  Every tier is invariant under isomorphism, so
     each class is accepted from exactly one parent class and one non-edge
@@ -261,73 +319,6 @@ def _canonical_deletion(
     pos = _positions(order)
     best = min(ties, key=lambda e: sorted((pos[e[0]], pos[e[1]])))
     return new in _pair_orbit(best, gens), refined, labelling
-
-
-class _ParentEmbedding:
-    """A parent graph with a planar rotation system, deciding the planarity
-    of each child adj + uv from it.
-
-    A child whose new edge joins two components, or whose new edge's ends
-    share a face, is planar, and its embedding is the parent's with the edge
-    added; every other child goes to the Left-Right test.  The faces and
-    vertex face masks are computed on first use and kept for the parent's
-    other children.
-    """
-
-    def __init__(self, adj: canon.Masks, rotations: Rotations):
-        self.adj = adj
-        self.rotations = rotations
-
-    @cached_property
-    def faces(self) -> list[list[int]]:
-        """Each face's walk as its darts' heads; a dart's tail is the head before it."""
-        _, head, nxt = dart_tables(self.rotations)
-        return trace_faces(nxt, head)[1]
-
-    @cached_property
-    def face_masks(self) -> list[int]:
-        """Bit f of entry v is set iff vertex v lies on face f."""
-        masks = [0] * len(self.adj)
-        for f, walk in enumerate(self.faces):
-            for v in walk:
-                masks[v] |= 1 << f
-        return masks
-
-    def child(self, u: int, v: int) -> Optional[Rotations]:
-        """A planar rotation system of adj + uv, or None if it is not planar."""
-        adj, rot = self.adj, self.rotations
-        comp = _reach(adj, 1 << u)
-        if not (comp >> v) & 1:
-            out = list(rot)
-            out[u] = rot[u] + (v,)
-            out[v] = rot[v] + (u,)
-            return tuple(out)
-        common = self.face_masks[u] & self.face_masks[v]
-        if common:
-            walk = self.faces[(common & -common).bit_length() - 1]
-            out = list(rot)
-            for x, y in ((u, v), (v, u)):
-                # the face's corner at x lies after the tail of a dart into x
-                a = walk[walk.index(x) - 1]
-                i = rot[x].index(a) + 1
-                out[x] = rot[x][:i] + (y,) + rot[x][i:]
-            return tuple(out)
-        return planarity.lr_rotations(len(adj), canon.edges_from_masks(adj) + [(u, v)])
-
-
-def _reach(adj: canon.Masks, seed: int) -> int:
-    """The mask of vertices reachable from those of seed."""
-    seen = frontier = seed
-    while frontier:
-        reach = 0
-        m = frontier
-        while m:
-            b = m & -m
-            reach |= adj[b.bit_length() - 1]
-            m ^= b
-        frontier = reach & ~seen
-        seen |= frontier
-    return seen
 
 
 def _on_representative(order: canon.Perm, gens: list[canon.Perm]) -> list[canon.Perm]:
@@ -357,36 +348,40 @@ def enumerate_graphs(
         raise CeilingExceeded(f"n={n} above ceiling {limit}")
     if stats is None:
         stats = SearchStats()
-    empty = tuple([0] * n)
-    if n == 1:
-        if _passes_emission(empty, cs):
-            stats.emitted += 1
-            yield empty, ((),)
-        return
+    needs_stats = cs.needs_stats
     cap = _planar_cap(n, cs)
+    empty = tuple([0] * n)
     code, order, gens = canon.canonical_labelling(empty)
     level: dict[int, _Entry] = {
         code: (empty, _on_representative(order, gens), ((),) * n)
     }
     edge_total = 0
-    while level and edge_total < cap:
+    while level:
+        for code in sorted(level):
+            adj, _, rotations = level[code]
+            # connectivity and the constraints that do not survive deleting
+            # edges; the others were decided on every child
+            if is_connected(rotations) and (
+                not needs_stats or cs.stats_hold(structural_stats(rotations))
+            ):
+                stats.emitted += 1
+                yield adj, rotations
+        if edge_total == cap:
+            return
         next_level: dict[int, _Entry] = {}
         for adj, gens, rotations in level.values():
-            parent = _ParentEmbedding(adj, rotations)
-            tier = _DegreeTier(adj)
+            parent = _Parent(adj, rotations)
             for u, v in _non_edge_orbits(adj, gens):
                 stats.children += 1
-                ties = tier.ties(u, v)
+                if cs.bipartite and not parent.keeps_bipartite(u, v):
+                    continue
+                ties = parent.ties(u, v)
                 if ties is None or not _new_edge_ok(adj, u, v, cs):
                     continue
                 child = list(adj)
                 child[u] |= 1 << v
                 child[v] |= 1 << u
                 child_t = tuple(child)
-                if cs.bipartite and not is_bipartite(
-                    canon.neighbor_lists(child_t)
-                )[0]:
-                    continue
                 accepted, refined, labelling = _canonical_deletion(child_t, (u, v), ties)
                 if not accepted:
                     continue
@@ -407,20 +402,6 @@ def enumerate_graphs(
         edge_total += 1
         level = next_level
         stats.expanded += len(level)
-        for code in sorted(level):
-            adj, _, rotations = level[code]
-            if _passes_emission(adj, cs):
-                stats.emitted += 1
-                yield adj, rotations
-
-
-def _passes_emission(adj: canon.Masks, cs: ConstraintSet) -> bool:
-    """Connectivity and the non-hereditary constraints; the hereditary ones
-    (forbidden cycles, bipartiteness) were enforced on every child."""
-    nbrs = canon.neighbor_lists(adj)
-    if not is_connected(nbrs):
-        return False
-    return not cs.needs_stats or cs.stats_hold(structural_stats(nbrs))
 
 
 # -- extremal search ---------------------------------------------------------

@@ -20,7 +20,7 @@ from .errors import (
     ConservationViolation, DegenerateProfile, HypothesisViolated, UnexpectedBlock, UnknownProfile,
 )
 from .ledger import ContributionLedger, build_ledger
-from .plane import PlaneGraph
+from .plane import PlaneGraph, insert_chord
 # contains_cycle_of_length is not called here; it stays importable from this
 # module, where bench/tracer.py looks it up
 from .structure import (  # noqa: F401
@@ -405,7 +405,7 @@ def saturate_six_faces(
                 "saturation requires a bipartite C8/C10-free graph with "
                 f"min degree >= 3: {'; '.join(problems)}"
             )
-    rotations = [list(r) for r in g.rotations]  # gains each chord in turn
+    rotations = list(g.rotations)  # gains each chord in turn
     chords: list[tuple[int, int]] = []
     for face in g.faces:
         cycle = [u for u, _ in face.darts]
@@ -419,11 +419,7 @@ def saturate_six_faces(
             raise AssertionError(
                 f"6-face {cycle} has all three opposite pairs already joined"
             )
-        walk = cycle[shift:] + cycle[:shift]
-        # the new chord must sit inside the face: at v0 it goes between the
-        # walk's incoming neighbor (walk[-1]) and outgoing one (walk[1])
-        rotations[v0].insert(rotations[v0].index(walk[-1]) + 1, v3)
-        rotations[v3].insert(rotations[v3].index(walk[2]) + 1, v0)
+        insert_chord(rotations, cycle, v0, v3)
         chords.append((min(v0, v3), max(v0, v3)))
     if not chords:
         return SaturationResult(graph=g, chords=())

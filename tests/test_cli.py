@@ -176,6 +176,10 @@ def test_search_constraint_parsing(capsys):
     assert rep["search"]["max_edges"] == 6
     assert main(["search", "--n", "5", "--constraints", "banana"]) == 2
     assert "unknown constraint" in capsys.readouterr().err
+    # no graph meets the constraints: no witness, and still exit 0
+    assert main(["search", "--n", "3", "--constraints", "mindeg=5", "--format", "json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["search"]["max_edges"], rep["search"]["witnesses"]) == (-1, [])
 
 
 @pytest.mark.parametrize("token", ["c2free", "c1free", "c-4free"])
@@ -188,6 +192,12 @@ def test_search_rejects_cycle_length_below_three(token, capsys):
 def test_search_rejects_negative_min_degree(token, capsys):
     assert main(["search", "--n", "5", "--constraints", token]) == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("token", ["mindeg=x", "exactmindeg=x", "mindeg=", "exactmindeg=1.5"])
+def test_search_rejects_a_non_integer_degree(token, capsys):
+    assert main(["search", "--n", "3", "--constraints", token]) == 2
+    assert capsys.readouterr().err == f"error: bad constraint token {token!r}\n"
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])
@@ -357,6 +367,45 @@ def test_mutated_graph_files_end_in_a_documented_exit(
     assert code in (0, 1, 2), (argv, captured.err)
     assert not captured.err.startswith("internal error")
     if "json" in command and code != 2:
+        schema = json.loads(
+            (resources.files("planeblocks") / "schemas" / "report-v1.json").read_text()
+        )
+        jsonschema.validate(json.loads(captured.out), schema)
+
+
+SEARCH_TOKENS = ("c3free", "c4free", "c5free", "c6free", "trianglefree", "bipartite",
+                 "mindeg=2", "mindeg=3", "exactmindeg=2", "2connected", "biconnected",
+                 "deg2rule")
+MALFORMED_TOKENS = ("c", "cxfree", "c2free", "mindeg=", "mindeg=-1", "exactmindeg=x", "")
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(
+    n=st.integers(1, 6),
+    ceiling=st.one_of(st.none(), st.integers(-1, 8)),
+    tokens=st.one_of(st.none(), st.lists(st.one_of(
+        st.sampled_from(SEARCH_TOKENS + MALFORMED_TOKENS),
+        st.sampled_from(SEARCH_TOKENS).map(str.upper),
+    ), max_size=4)),
+    fmt=st.sampled_from(["json", "text"]),
+)
+def test_fuzzed_search_arguments_end_in_a_documented_exit(n, ceiling, tokens, fmt, capsys):
+    """``search`` has no negative verdict: any arguments end in exit 0 or 2,
+    never in an internal error, and every JSON report fits the schema."""
+    argv = ["search", "--n", str(n), "--format", fmt]
+    if ceiling is not None:
+        argv += ["--ceiling", str(ceiling)]
+    if tokens is not None:
+        argv += ["--constraints", ",".join(tokens)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 2), (argv, captured.err)
+    assert not any(line.startswith("internal error") for line in captured.err.splitlines())
+    if fmt == "json" and code == 0:
         schema = json.loads(
             (resources.files("planeblocks") / "schemas" / "report-v1.json").read_text()
         )

@@ -175,7 +175,7 @@ def test_dart_tables_match_the_tuple_dart_tracer(fixture_graphs, corpus7):
         assert [f.eids for f in g.faces] == [tuple(ids) for ids in g.face_eids]
         # the search reads the same walks as the heads of their darts
         adj = canon.masks_from_edges(g.n, g.edge_list)
-        parent = search._ParentEmbedding(adj, g.rotations)
+        parent = search._Parent(adj, g.rotations)
         assert parent.faces == [[v for _, v in w] for w in walks]
 
 

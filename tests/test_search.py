@@ -38,13 +38,18 @@ def test_enumeration_matches_labeled_quotient(n):
     assert got == expected
 
 
+def emits(adj, cs):
+    nbrs = canon.neighbor_lists(adj)
+    return is_connected(nbrs) and cs.stats_hold(structural_stats(nbrs))
+
+
 def edge_by_edge(cs):
     """Reference enumerator: every child of every kept class, deduplicated by
     canonical form, level by level (the generator enumerate_graphs replaced)."""
     n = cs.n
     empty = tuple([0] * n)
     if n == 1:
-        if search._passes_emission(empty, cs):
+        if emits(empty, cs):
             yield empty
         return
     level = {canon.canonical_form(empty): empty}
@@ -72,7 +77,7 @@ def edge_by_edge(cs):
                         rejected.add(ccode)
         level = next_level
         for code in sorted(level):
-            if search._passes_emission(level[code], cs):
+            if emits(level[code], cs):
                 yield level[code]
 
 
@@ -160,19 +165,20 @@ def reference_degree_ties(child, new):
 def test_degree_tier_from_the_parent_matches_a_scan_of_the_child(corpus7):
     # every non-edge, so every orbit representative the search tries, of
     # every class on 2 to 7 vertices, and two disconnected parents
-    parents = [adj for n in range(2, 8) for adj, _ in corpus7[n]] + [
-        canon.masks_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
-        canon.masks_from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)]),
+    parents = [pair for n in range(2, 8) for pair in corpus7[n]] + [
+        (adj, tuple(map(tuple, canon.neighbor_lists(adj)))) for adj in (
+            canon.masks_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+            canon.masks_from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)]))
     ]
     accepted = rejected = 0
-    for adj in parents:
-        tier = search._DegreeTier(adj)
+    for adj, rotations in parents:
+        parent = search._Parent(adj, rotations)
         for u, v in search._non_edge_orbits(adj, []):
             child = list(adj)
             child[u] |= 1 << v
             child[v] |= 1 << u
             want = reference_degree_ties(tuple(child), (u, v))
-            got = tier.ties(u, v)
+            got = parent.ties(u, v)
             if want is None:
                 assert got is None, (adj, u, v)
                 rejected += 1
@@ -234,15 +240,21 @@ def genus_zero(n, edges, rotations):
 
 def check_children(adj, rotations):
     """Decide every child adj + uv from the embedding and check each decision
-    against is_planar; returns the decisions."""
+    against is_planar, and on a bipartite parent the child's bipartiteness
+    against is_bipartite; returns the planarity decisions."""
     n = len(adj)
-    parent = search._ParentEmbedding(adj, rotations)
+    parent = search._Parent(adj, rotations)
+    bipartite = is_bipartite(canon.neighbor_lists(adj))[0]
     decisions = []
     for u in range(n):
         for v in range(u + 1, n):
             if (adj[u] >> v) & 1:
                 continue
             edges = canon.edges_from_masks(adj) + [(u, v)]
+            if bipartite:
+                child = canon.masks_from_edges(n, edges)
+                want = is_bipartite(canon.neighbor_lists(child))[0]
+                assert parent.keeps_bipartite(u, v) == want, (adj, u, v)
             child = parent.child(u, v)
             assert (child is not None) == search.is_planar(n, edges), (adj, u, v)
             if child is not None:
@@ -282,7 +294,7 @@ def test_cube_plus_an_antipodal_chord_is_not_planar():
     # the vertex no face of the cube shares with vertex 0 is its antipode
     (far,) = [v for v in range(cube.n) if v != 0 and not any(
         {0, v} <= {x for x, _ in f.darts} for f in cube.faces)]
-    parent = search._ParentEmbedding(adj, cube.rotations)
+    parent = search._Parent(adj, cube.rotations)
     assert parent.child(0, far) is None
     assert not search.is_planar(cube.n, sorted(cube.edges) + [(0, far)])
 
@@ -292,7 +304,7 @@ def test_lr_rotations_decides_when_the_embedding_cannot(monkeypatch):
     # hubs: 2 and 4 share no face
     adj = canon.masks_from_edges(6, [(h, r) for h in (0, 1) for r in (2, 3, 4, 5)])
     rotations = ((2, 3, 4, 5), (5, 4, 3, 2), (0, 1), (0, 1), (0, 1), (0, 1))
-    parent = search._ParentEmbedding(adj, rotations)
+    parent = search._Parent(adj, rotations)
     calls = counting_lr_rotations(monkeypatch)
     for u, v in [(0, 1), (2, 3), (2, 5)]:
         assert parent.child(u, v) is not None
