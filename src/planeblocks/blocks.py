@@ -103,7 +103,7 @@ class BlockDecomposition:
     graph: PlaneGraph
     blocks: tuple[Block, ...]
     edge_block: list[int]  # edge id -> block id
-    vertex_block_count: dict[int, int]
+    vertex_block_count: list[int]  # vertex -> number of blocks containing it
     interior_face_block: dict[int, int]  # face id -> owning block id
 
 
@@ -159,7 +159,6 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
     counts = [0] * g.n
     for v in chain.from_iterable(block_vertices):
         counts[v] += 1
-    vertex_block_count = dict(enumerate(counts))
 
     # exterior[i]: edge i borders a face that is not interior to a block
     exterior = bytearray(g.e)
@@ -185,7 +184,7 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
         graph=g,
         blocks=tuple(blocks),
         edge_block=edge_block,
-        vertex_block_count=vertex_block_count,
+        vertex_block_count=counts,
         interior_face_block=interior_face_block,
     )
 

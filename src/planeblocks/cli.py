@@ -80,7 +80,7 @@ def _parse_constraints(n: int, spec: Optional[str]) -> search.ConstraintSet:
 
     def number(text: str) -> int:
         try:
-            return int(text)
+            return graphio.integer(text)
         except ValueError:
             raise _CliError(f"bad constraint token {token!r}") from None
 
@@ -147,18 +147,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser("bound", help="print and evaluate a profile's bound")
     p.add_argument("--theorem", required=True)
     p.add_argument("graph", nargs="?", help="evaluate at this graph's parameters")
-    p.add_argument("--n", type=int, help="evaluate at this vertex count")
-    p.add_argument("--k", type=int, help="degree-2 vertex count (with --n)")
-    p.add_argument("--e23", type=int, help="(2,3)-degree edge count (with --n)")
+    p.add_argument("--n", type=graphio.integer, help="evaluate at this vertex count")
+    p.add_argument("--k", type=graphio.integer, help="degree-2 vertex count (with --n)")
+    p.add_argument("--e23", type=graphio.integer, help="(2,3)-degree edge count (with --n)")
 
     p = sub.add_parser("saturate", help="add chords until no 6-face remains")
     p.add_argument("graph")
     p.add_argument("--out", help="write the saturated graph here (default stdout)")
 
     p = sub.add_parser("search", help="exhaustive extremal search")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=graphio.integer, required=True)
     p.add_argument("--constraints", help="comma list, e.g. 'c5free,mindeg=3,2connected'")
-    p.add_argument("--ceiling", type=int, help="override the enumeration ceiling")
+    p.add_argument("--ceiling", type=graphio.integer, help="override the enumeration ceiling")
     p.add_argument("--witness-dir", help="dump witness graphs into this directory")
     add_common(p)
 
@@ -261,23 +261,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         start = time.perf_counter()
         result = search.extremal_search(cs, ceiling=args.ceiling)
         elapsed = time.perf_counter() - start
-        report = {
-            "schema": graphio.REPORT_SCHEMA,
-            "kind": "search",
-            "search": {
-                "n": result.n,
-                "max_edges": result.max_edges,
-                "witnesses": [
-                    graphio.serialize_graph(w) for w in result.witnesses
-                ],
-                "stats": {
-                    "candidates": result.stats.candidates,
-                    "expanded": result.stats.expanded,
-                    "children": result.stats.children,
-                    "emitted": result.stats.emitted,
-                },
-            },
-        }
         if args.witness_dir:
             directory = Path(args.witness_dir)
             with _writing(args.witness_dir):
@@ -285,7 +268,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                     (directory / f"witness_{i:03d}.graph").write_text(
                         graphio.serialize_graph(w)
                     )
-        _emit(report, args.format, args.out)
+        _emit(graphio.search_report(result), args.format, args.out)
         print(f"elapsed: {elapsed:.2f}s", file=sys.stderr)
         return EXIT_OK
 

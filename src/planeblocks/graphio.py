@@ -18,6 +18,7 @@ text table; rationals are rendered as canonical "p/q" strings, never floats.
 
 from __future__ import annotations
 
+from dataclasses import asdict
 from fractions import Fraction
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -28,6 +29,7 @@ from .blocks import Block, BlockDecomposition, BlockKind
 from .errors import GraphSyntaxError, MissingOuterDart
 from .ledger import ContributionLedger
 from .plane import Edge, PlaneGraph
+from .search import SearchResult
 from .structure import StructuralStats, structural_stats
 from .theorems import Verdict
 
@@ -47,6 +49,15 @@ def format_fraction(num: int | Fraction, den: int = 1) -> str:
 
 
 # -- graph files -------------------------------------------------------------
+
+def integer(text: str) -> int:
+    """``text`` as an int if it is ASCII digits with an optional leading
+    "-", else ValueError; int() would also take "+3", "1_0", spaces and
+    non-ASCII digits."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
 
 def parse_graph(text: str) -> PlaneGraph:
     """Parse a graph file; raises GraphSyntaxError with a 1-based line number."""
@@ -81,7 +92,7 @@ def parse_graph(text: str) -> PlaneGraph:
             if len(parts) != 2:
                 raise GraphSyntaxError(lineno, "'n' line must be 'n <count>'")
             try:
-                n = int(parts[1])
+                n = integer(parts[1])
             except ValueError:
                 raise GraphSyntaxError(lineno, "bad vertex count") from None
             continue
@@ -93,15 +104,15 @@ def parse_graph(text: str) -> PlaneGraph:
                 raise GraphSyntaxError(lineno, "outer line must be 'outer: u->v'")
             a, _, b = rest.partition("->")
             try:
-                outer = (int(a), int(b))
+                outer = (integer(a.strip()), integer(b.strip()))
             except ValueError:
                 raise GraphSyntaxError(lineno, "outer dart endpoints must be integers") from None
             continue
         if ":" in line:
             head, _, tail = line.partition(":")
             try:
-                vid = int(head)
-                nbrs = [int(tok) for tok in tail.split()]
+                vid = integer(head.strip())
+                nbrs = [integer(tok) for tok in tail.split()]
             except ValueError:
                 raise GraphSyntaxError(lineno, f"bad vertex line {line!r}") from None
             if vid in rotations:
@@ -170,17 +181,16 @@ def _edge_rows(b: Block, edge_list: list[Edge]) -> list[list[int]]:
 
 
 def _ledger_blocks(led: ContributionLedger) -> list[dict[str, Any]]:
-    blocks = led.decomposition.blocks
     edge_list = led.decomposition.graph.edge_list
-    entries = led.entries
     # shares repeat across blocks, so each distinct numerator is formatted once
-    nums = {c.vnum for c in entries} | {c.fnum for c in entries} | {c.knum for c in entries}
-    text = {num: format_fraction(num, led.den) for num in nums}
+    text = {num: format_fraction(num, led.den) for num in {*led.vnum, *led.fnum, *led.knum}}
     return [  # one entry per block, in block order
         {"id": b.id, "kind": _KIND_TEXT[b.kind], "edges": _edge_rows(b, edge_list),
          "junctions": len(b.junction_vertices), "interior_faces": len(b.interior_faces),
-         "v": text[c.vnum], "e": c.e, "f": text[c.fnum], "k": text[c.knum], "e23": c.e23}
-        for c, b in zip(entries, blocks)
+         "v": text[v], "e": len(b.eids), "f": text[f], "k": text[k], "e23": e23}
+        for b, v, f, k, e23 in zip(
+            led.decomposition.blocks, led.vnum, led.fnum, led.knum, led.e23
+        )
     ]
 
 
@@ -258,6 +268,19 @@ def verdict_report(g: PlaneGraph, verdict: Verdict) -> dict[str, Any]:
             "tight": b.tight,
         }
     return rep
+
+
+def search_report(result: SearchResult) -> dict[str, Any]:
+    return {
+        "schema": REPORT_SCHEMA,
+        "kind": "search",
+        "search": {
+            "n": result.n,
+            "max_edges": result.max_edges,
+            "witnesses": [serialize_graph(w) for w in result.witnesses],
+            "stats": asdict(result.stats),
+        },
+    }
 
 
 def write_report(report: dict[str, Any], fmt: str = "json") -> bytes:

@@ -24,25 +24,19 @@ from .structure import degree_classes
 PseudofaceMap = dict[int, Pseudoface]
 
 
-@dataclass(slots=True)
-class BlockContribution:
-    """Numerators over the ledger's denominator: v = vnum/den,
-    f = fnum/den and k = knum/den."""
-
-    block_id: int
-    vnum: int
-    e: int
-    fnum: int
-    knum: int
-    e23: int
-
-
 @dataclass
 class ContributionLedger:
+    """One row per block, as columns indexed by block id: v(B) = vnum[B]/den,
+    f(B) = fnum[B]/den, k(B) = knum[B]/den and e23(B) = e23[B]; e(B) is
+    the block's edge count, ``len(decomposition.blocks[B].eids)``."""
+
     mode: Mode
     decomposition: BlockDecomposition
     pseudofaces: Optional[PseudofaceMap]
-    entries: tuple[BlockContribution, ...]
+    vnum: list[int]
+    fnum: list[int]
+    knum: list[int]
+    e23: list[int]
     totals: tuple[int, int, int, int, int]  # (v, e, f, k, e23), conserved
     den: int  # every v, f and k is a multiple of 1/den
 
@@ -83,51 +77,50 @@ def slot_table(
 def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     """Decompose, compute all contributions, and assert conservation."""
     d = decompose(g, mode)
+    blocks = d.blocks
     pf = refine_pseudofaces(d) if mode == "triangular" else None
     slot_den, faces = slot_table(d, pf)
     counts = d.vertex_block_count
-    den = lcm(slot_den, *counts.values())
+    den = lcm(slot_den, *counts)
     scale = den // slot_den
-    fnum = [len(b.interior_faces) * den for b in d.blocks]
+    fnum = [len(b.interior_faces) * den for b in blocks]
     for shares in faces.values():
         for bid, num in shares.items():
             fnum[bid] += num * scale
 
-    # 1 / (blocks containing v) = vshare[v] / den; counts run over 0..n-1
-    vshare = [den // c for c in counts.values()]
+    # 1 / (blocks containing v) = vshare[v] / den
+    vshare = [den // c for c in counts]
+    vnum = [sum(map(vshare.__getitem__, b.vertices)) for b in blocks]
     quad = mode == "quadrangular"
-    dclass = degree_classes(g.rotations)  # degrees in G, not within a block
-    # is23[i]: edge i joins a degree-2 and a degree-3 vertex
-    is23 = bytes([dclass[u] + dclass[v] == 3 for u, v in g.edge_list]) if quad else b""
-
-    entries = []
-    for b in d.blocks:
-        if quad:
-            knum = sum([vshare[v] for v in b.vertices if dclass[v] == 1])
-            e23 = sum([is23[i] for i in b.eids])
-        else:
-            knum = e23 = 0
-        vnum = sum(map(vshare.__getitem__, b.vertices))
-        entries.append(
-            BlockContribution(b.id, vnum, len(b.eids), fnum[b.id], knum, e23)
-        )
+    if quad:
+        dclass = degree_classes(g.rotations)  # degrees in G, not within a block
+        # is23[i]: edge i joins a degree-2 and a degree-3 vertex
+        is23 = bytes([dclass[u] + dclass[v] == 3 for u, v in g.edge_list])
+        knum = [sum([vshare[v] for v in b.vertices if dclass[v] == 1]) for b in blocks]
+        e23 = [sum(map(is23.__getitem__, b.eids)) for b in blocks]
+    else:
+        knum = [0] * len(blocks)
+        e23 = [0] * len(blocks)
 
     # numerators over den (v, f, k) or 1 (e, e23)
-    _check(sum([c.vnum for c in entries]), den, g.n, "vertex", g)
-    _check(sum([c.e for c in entries]), 1, g.e, "edge", g)
+    _check(sum(vnum), den, g.n, "vertex", g)
+    _check(sum([len(b.eids) for b in blocks]), 1, g.e, "edge", g)
     _check(sum(fnum), den, g.f, "face", g)
     deg2 = e23_g = 0
     if quad:
         deg2 = dclass.count(1)
         e23_g = sum(is23)
-        _check(sum([c.knum for c in entries]), den, deg2, "degree-2", g)
-        _check(sum([c.e23 for c in entries]), 1, e23_g, "(2,3)-edge", g)
+        _check(sum(knum), den, deg2, "degree-2", g)
+        _check(sum(e23), 1, e23_g, "(2,3)-edge", g)
 
     return ContributionLedger(
         mode=mode,
         decomposition=d,
         pseudofaces=pf,
-        entries=tuple(entries),
+        vnum=vnum,
+        fnum=fnum,
+        knum=knum,
+        e23=e23,
         totals=(g.n, g.e, g.f, deg2, e23_g),
         den=den,
     )

@@ -220,13 +220,12 @@ def verify_per_block(
             warnings.append(f"added {len(chords)} chord(s) to saturate 6-faces")
 
     led = build_ledger(work, p.mode)
-    blocks = led.decomposition.blocks
     den = led.den
-    a, b, c, dk, de23 = p.coefficients
     values = []
     violations = []
-    for entry in led.entries:
-        block = blocks[entry.block_id]
+    for block, vnum, fnum, knum, e23 in zip(
+        led.decomposition.blocks, led.vnum, led.fnum, led.knum, led.e23
+    ):
         if block.kind not in p.catalog:
             if hyp.ok:
                 raise UnexpectedBlock(
@@ -237,11 +236,9 @@ def verify_per_block(
                 f"block {block.id} has kind {block.kind.value}, outside the "
                 f"{p.id} catalog (hypotheses not satisfied)"
             )
-        num = (
-            a * entry.vnum
-            + c * entry.fnum
-            + dk * entry.knum
-            + (b * entry.e + de23 * entry.e23) * den
+        # den * L(B), with every quantity as a numerator over den
+        num = evaluate_row(
+            p.coefficients, vnum, len(block.eids) * den, fnum, knum, e23 * den
         )
         values.append(num)
         if num > 0:

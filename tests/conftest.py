@@ -8,10 +8,15 @@ from planeblocks import fixtures, search
 EXTENDED = os.environ.get("PLANEBLOCKS_EXTENDED") == "1"
 
 
-def shares(led, c):
-    """(v, e, f, k, e23) of one ledger entry, with v, f and k as Fractions."""
+def shares(led, bid):
+    """(v, e, f, k, e23) of block ``bid``'s ledger row, with v, f and k as
+    Fractions."""
     F = Fraction
-    return F(c.vnum, led.den), c.e, F(c.fnum, led.den), F(c.knum, led.den), c.e23
+    e = len(led.decomposition.blocks[bid].eids)
+    return (
+        F(led.vnum[bid], led.den), e, F(led.fnum[bid], led.den),
+        F(led.knum[bid], led.den), led.e23[bid],
+    )
 
 
 def block_values(v):

@@ -117,10 +117,9 @@ def test_criterion_3_per_block_soundness(criterion, corpus9):
 def test_criterion_4_cube_ledger(criterion, fixture_graphs):
     F = Fraction
     v = theorems.verify(fixture_graphs["cube"], PROFILES["C5"])
-    entries = v.ledger.entries
     ok = (
-        len(entries) == 12
-        and all(shares(v.ledger, c)[:3] == (F(2, 3), 1, F(1, 2)) for c in entries)
+        len(v.ledger.vnum) == 12
+        and all(shares(v.ledger, bid)[:3] == (F(2, 3), 1, F(1, 2)) for bid in range(12))
         and all(value == F(-1, 2) for _, value in block_values(v))
         and v.total == F(-6)
         and v.total == 9 * 8 - 23 * 12 + 33 * 6

@@ -155,7 +155,8 @@ def test_edge_partition_and_counts(fixture_graphs):
             assert len(d.edge_block) == g.e
             for i, bid in enumerate(d.edge_block):
                 assert i in d.blocks[bid].eids
-            for v, count in d.vertex_block_count.items():
+            assert len(d.vertex_block_count) == g.n
+            for v, count in enumerate(d.vertex_block_count):
                 assert count == sum(1 for b in d.blocks if v in b.vertices)
             for b in d.blocks:
                 assert b.junction_vertices == {

@@ -64,11 +64,19 @@ def test_missing_file_is_input_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_bad_graph_file_is_input_error(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "text,line",
+    [
+        ("planegraph 1\nn 2\nhello\n", 3),
+        (fixture_text("c4").replace("n 4", "n \u0664"), 3),
+        (fixture_text("c4").replace("0: 3 1", "0: 3 +1"), 4),
+    ],
+)
+def test_bad_graph_file_is_input_error(text, line, tmp_path, capsys):
     bad = tmp_path / "bad.graph"
-    bad.write_text("planegraph 1\nn 2\nhello\n")
+    bad.write_text(text)
     assert main(["decompose", str(bad), "--mode", "triangular"]) == 2
-    assert "line 3" in capsys.readouterr().err
+    assert f"line {line}:" in capsys.readouterr().err
 
 
 def test_unexpected_exception_is_internal_error(fixture_dir, capsys, monkeypatch):
@@ -194,10 +202,33 @@ def test_search_rejects_negative_min_degree(token, capsys):
     assert "must be >= 0" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("token", ["mindeg=x", "exactmindeg=x", "mindeg=", "exactmindeg=1.5"])
+@pytest.mark.parametrize(
+    "token",
+    ["mindeg=x", "exactmindeg=x", "mindeg=", "exactmindeg=1.5",
+     # int() would take these
+     "mindeg=1_0", "exactmindeg=+1", "mindeg= 2", "c+4free", "c\u0664free"],
+)
 def test_search_rejects_a_non_integer_degree(token, capsys):
     assert main(["search", "--n", "3", "--constraints", token]) == 2
     assert capsys.readouterr().err == f"error: bad constraint token {token!r}\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bound", "--theorem", "C5", "--n", "\u0663\u0660"],
+        ["bound", "--theorem", "C5", "--n", "+30"],
+        ["bound", "--theorem", "C5", "--n", "30", "--k", "1_0"],
+        ["bound", "--theorem", "C5", "--n", "30", "--e23", " 3"],
+        ["search", "--n", "\u0664"],
+        ["search", "--n", "3", "--ceiling", "+3"],
+    ],
+)
+def test_integer_options_take_ascii_digits(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "invalid integer value" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", ["0", "-2"])

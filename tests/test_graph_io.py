@@ -39,6 +39,9 @@ def test_random_round_trips():
         assert h.rotations == g.rotations and h.outer_dart == g.outer_dart
 
 
+C4_FILE = "planegraph 1\nn 4\n0: 1 3\n1: 2 0\n2: 3 1\n3: 0 2\nouter: 0->1\n"
+
+
 @pytest.mark.parametrize(
     "text,lineno",
     [
@@ -56,12 +59,40 @@ def test_random_round_trips():
         # vertex lines that disagree with n are reported at the n line
         ("planegraph 1\n# c\nn 3\n0: 1\n1: 0\nouter: 0->1\n", 3),
         ("planegraph 1\nn 2\n0: 5\n5: 0\nouter: 0->5\n", 2),
+        # numbers are ASCII digits, with no sign but a leading "-"
+        (C4_FILE.replace("n 4", "n \u0664"), 2),  # ARABIC-INDIC DIGIT FOUR
+        (C4_FILE.replace("n 4", "n +4"), 2),
+        (C4_FILE.replace("0: 1 3", "0: 1 +3"), 3),
+        (C4_FILE.replace("0: 1 3", "+0: 1 3"), 3),
+        (C4_FILE.replace("0: 1 3", "0: 1 \u0663"), 3),
+        (C4_FILE.replace("3: 0 2", "3: 0 0_2"), 6),
+        (C4_FILE.replace("outer: 0->1", "outer: +0->1"), 7),
+        (C4_FILE.replace("outer: 0->1", "outer: 0->\u0661"), 7),
     ],
 )
 def test_syntax_errors_carry_line_numbers(text, lineno):
     with pytest.raises(GraphSyntaxError) as exc:
         graphio.parse_graph(text)
     assert exc.value.line == lineno
+
+
+def test_integers_keep_their_surrounding_spaces():
+    text = C4_FILE.replace("0: 1 3", "0 :  1 3").replace("0->1", " 0 -> 1")
+    g = graphio.parse_graph(text)
+    assert tuple(g.rotations[0]) == (1, 3) and g.outer_dart == (0, 1)
+
+
+@pytest.mark.parametrize("text", ["0", "007", "-12", "4" * 40])
+def test_integer_takes_ascii_digits_and_a_leading_minus(text):
+    assert graphio.integer(text) == int(text)
+
+
+@pytest.mark.parametrize(
+    "text", ["", "-", "+3", "--3", "1_0", " 1", "1 ", "1.0", "\u0663", "\uff11", "\u00b2"]
+)
+def test_integer_rejects_what_int_would_stretch_to(text):
+    with pytest.raises(ValueError):
+        graphio.integer(text)
 
 
 def test_missing_or_bad_outer_dart():

@@ -17,18 +17,19 @@ def F(a, b=1):
 
 
 def entry_by_kind(led, kind):
-    for c in led.entries:
-        if led.decomposition.blocks[c.block_id].kind == kind:
-            return c
+    """The id of the first block of this kind."""
+    for b in led.decomposition.blocks:
+        if b.kind == kind:
+            return b.id
     raise AssertionError(f"no {kind} entry")
 
 
 def test_cube_triangular_ledger(fixture_graphs):
     led = build_ledger(fixture_graphs["cube"], "triangular")
-    assert len(led.entries) == 12
+    assert len(led.vnum) == 12
     # every vertex sits in 3 trivial blocks, every edge borders two 4-faces
-    for c in led.entries:
-        assert shares(led, c)[:3] == (F(2, 3), 1, F(1, 2))
+    for bid in range(12):
+        assert shares(led, bid)[:3] == (F(2, 3), 1, F(1, 2))
     assert led.totals == (F(8), 12, F(6), F(0), 0)
 
 
@@ -43,16 +44,16 @@ def test_cube_triangular_ledger(fixture_graphs):
 )
 def test_standalone_quadrangular_ledgers(name, v, e, f, k, e23, fixture_graphs):
     led = build_ledger(fixture_graphs[name], "quadrangular")
-    (c,) = led.entries
-    assert shares(led, c) == (F(v), e, F(f), F(k), e23)
+    assert len(led.vnum) == 1
+    assert shares(led, 0) == (F(v), e, F(f), F(k), e23)
     assert led.totals == (F(v), e, F(f), F(k), e23)
 
 
 def test_standalone_k4_degenerate_pseudoface_still_conserves(fixture_graphs):
     led = build_ledger(fixture_graphs["k4"], "triangular")
-    (c,) = led.entries
+    assert len(led.vnum) == 1
     # all four triangles are interior faces, so no pseudoface is left
-    assert shares(led, c)[:3] == (F(4), 6, F(4))
+    assert shares(led, 0)[:3] == (F(4), 6, F(4))
     assert led.pseudofaces == {}
 
 
@@ -72,16 +73,14 @@ def test_bridge_gets_two_slot_entries():
     g = two_triangles_with_bridge()
     assert g.f == 3
     led = build_ledger(g, "triangular")
-    kinds = sorted(
-        led.decomposition.blocks[c.block_id].kind.value for c in led.entries
-    )
+    kinds = sorted(b.kind.value for b in led.decomposition.blocks)
     assert kinds == ["K2", "K3", "K3"]
     bridge = entry_by_kind(led, BlockKind.K2)
     # the outer walk has length 8 and crosses the bridge twice
     assert shares(led, bridge)[:3] == (F(1), 1, F(2, 8))
-    for c in led.entries:
-        if c is not bridge:
-            assert shares(led, c)[:3] == (F(5, 2), 3, F(11, 8))
+    for bid in range(len(led.vnum)):
+        if bid != bridge:
+            assert shares(led, bid)[:3] == (F(5, 2), 3, F(11, 8))
     assert led.totals[:3] == (F(6), 7, F(3))
 
 
@@ -99,7 +98,8 @@ def test_conservation_on_random_graphs():
 
 def test_triangular_entries_carry_no_aux_terms(fixture_graphs):
     led = build_ledger(fixture_graphs["theta4"], "triangular")
-    assert all(shares(led, c)[3:] == (0, 0) for c in led.entries)
+    assert all(shares(led, bid)[3:] == (0, 0) for bid in range(len(led.vnum)))
+    assert led.knum is not led.e23
 
 
 def test_slot_table_requires_pseudofaces_in_triangular_mode(fixture_graphs):
@@ -108,17 +108,21 @@ def test_slot_table_requires_pseudofaces_in_triangular_mode(fixture_graphs):
         ledger.slot_table(d, None)
 
 
+def c4_with_pendant():
+    # degrees: 0 has 3, 1-3 have 2, 4 has 1; the C4 block holds 0-3 and
+    # the pendant edge 0-4 is a K2 block, so 1-3 and 4 sit in one block each
+    return PlaneGraph([[1, 4, 3], [2, 0], [3, 1], [0, 2], [0]], (4, 0))
+
+
 def test_aux_degrees_taken_in_whole_graph():
     # C4 with one pendant: inside the C4 block every degree is 2, but vertex
     # 0 has degree 3 in G, so k(C4) = 3 and the two edges at vertex 0 are
     # (2,3)-edges
-    rotations = [[1, 4, 3], [2, 0], [3, 1], [0, 2], [0]]
-    g = PlaneGraph(rotations, (4, 0))
-    led = build_ledger(g, "quadrangular")
+    led = build_ledger(c4_with_pendant(), "quadrangular")
     c4 = entry_by_kind(led, BlockKind.C4)
     assert shares(led, c4)[3:] == (F(3), 2)
     pend = entry_by_kind(led, BlockKind.K2)
-    assert pend.e23 == 0  # degrees 1 and 3
+    assert led.e23[pend] == 0  # degrees 1 and 3
 
 
 def test_entries_carry_int_numerators_that_conserve(fixture_graphs, corpus7):
@@ -128,13 +132,14 @@ def test_entries_carry_int_numerators_that_conserve(fixture_graphs, corpus7):
         deg2 = sum(1 for rot in g.rotations if len(rot) == 2)
         for mode in ("triangular", "quadrangular"):
             led = build_ledger(g, mode)
-            for c in led.entries:
-                nums = (c.vnum, c.e, c.fnum, c.knum, c.e23)
-                assert all(type(x) is int for x in nums)
+            nblocks = len(led.decomposition.blocks)
+            for column in (led.vnum, led.fnum, led.knum, led.e23):
+                assert len(column) == nblocks
+                assert all(type(x) is int for x in column)
             k = deg2 if mode == "quadrangular" else 0
-            assert sum(c.vnum for c in led.entries) == g.n * led.den
-            assert sum(c.fnum for c in led.entries) == g.f * led.den
-            assert sum(c.knum for c in led.entries) == k * led.den
+            assert sum(led.vnum) == g.n * led.den
+            assert sum(led.fnum) == g.f * led.den
+            assert sum(led.knum) == k * led.den
 
 
 @pytest.mark.parametrize("mode", ["triangular", "quadrangular"])
@@ -153,3 +158,58 @@ def test_tampered_slot_share_raises(mode, fixture_graphs, monkeypatch):
     monkeypatch.setattr(ledger, "slot_table", tampered)
     with pytest.raises(ConservationViolation, match="face total"):
         build_ledger(fixture_graphs[name], mode)
+
+
+def tamper_blocks(monkeypatch, edit):
+    """Make build_ledger see decompositions whose blocks ``edit`` altered."""
+    real = ledger.decompose
+
+    def tampered(g, mode):
+        d = real(g, mode)
+        edit(g, d.blocks)
+        return d
+
+    monkeypatch.setattr(ledger, "decompose", tampered)
+
+
+def test_tampered_vertex_set_raises(fixture_graphs, monkeypatch):
+    def edit(g, blocks):
+        (outside, *_) = set(range(g.n)) - blocks[0].vertices
+        blocks[0].vertices |= {outside}
+
+    tamper_blocks(monkeypatch, edit)
+    with pytest.raises(ConservationViolation, match="vertex total"):
+        build_ledger(fixture_graphs["cube"], "triangular")
+
+
+def test_tampered_edge_set_raises(fixture_graphs, monkeypatch):
+    def edit(g, blocks):
+        blocks[0].eids += blocks[1].eids
+
+    tamper_blocks(monkeypatch, edit)
+    with pytest.raises(ConservationViolation, match="edge total"):
+        build_ledger(fixture_graphs["cube"], "triangular")
+
+
+def test_tampered_degree_2_vertex_raises(monkeypatch):
+    # trade degree-2 vertex 1 for vertex 4 (degree 1): both sit in one
+    # block, so v(B) keeps its value and only k(B) moves
+    def edit(g, blocks):
+        c4 = next(b for b in blocks if b.kind == BlockKind.C4)
+        c4.vertices = c4.vertices - {1} | {4}
+
+    tamper_blocks(monkeypatch, edit)
+    with pytest.raises(ConservationViolation, match="degree-2 total"):
+        build_ledger(c4_with_pendant(), "quadrangular")
+
+
+def test_tampered_23_edge_raises(monkeypatch):
+    # the pendant block swaps its edge 0-4 for the (2,3)-edge 0-1: the edge
+    # count stays, the (2,3)-edge count grows by one
+    def edit(g, blocks):
+        pend = next(b for b in blocks if b.kind == BlockKind.K2)
+        pend.eids = (g.edge_list.index((0, 1)),)
+
+    tamper_blocks(monkeypatch, edit)
+    with pytest.raises(ConservationViolation, match=r"\(2,3\)-edge total"):
+        build_ledger(c4_with_pendant(), "quadrangular")

@@ -1,10 +1,13 @@
 import itertools
+import json
 import random
+from importlib import resources
 
+import jsonschema
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from planeblocks import canon, search
+from planeblocks import canon, graphio, search
 from planeblocks.cli import main
 from planeblocks.errors import (
     AsymmetricAdjacency,
@@ -14,6 +17,7 @@ from planeblocks.errors import (
     UnknownDart,
 )
 from planeblocks.plane import PlaneGraph, edge_of
+from planeblocks.theorems import PROFILES
 
 
 def test_c4_faces(fixture_graphs):
@@ -246,11 +250,61 @@ def test_faulty_rotation_systems_end_in_their_documented_error(
     with pytest.raises(FAULTS[fault]):
         PlaneGraph(rot)
     # the same rotation system as a file: the CLI exits 2, with no traceback
-    u, v = (0, rot[0][0]) if rot[0] else (0, 1)
-    text = f"planegraph 1\nn {len(rot)}\n"
-    text += "".join(f"{x}: {' '.join(map(str, r))}\n" for x, r in enumerate(rot))
     graph = tmp_path_factory.getbasetemp() / "faulty.graph"
-    graph.write_text(text + f"outer: {u}->{v}\n")
+    graph.write_text(rotation_file(rot))
     code = main(["verify", str(graph), "--theorem", "C5"])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:"), (fault, rot, err)
+
+
+def rotation_file(rot):
+    """A graph file for any rotation system, its outer dart the first one
+    at vertex 0 (or 0->1 when vertex 0 has none)."""
+    u, v = (0, rot[0][0]) if rot[0] else (0, 1)
+    text = f"planegraph 1\nn {len(rot)}\n"
+    text += "".join(f"{x}: {' '.join(map(str, r))}\n" for x, r in enumerate(rot))
+    return text + f"outer: {u}->{v}\n"
+
+
+CLI_COMMANDS = (
+    *(["verify", "--theorem", pid, *force, "--format", "json"]
+      for pid in PROFILES for force in ([], ["--force"])),
+    *([cmd, "--mode", m, "--format", "json"]
+      for cmd in ("decompose", "ledger") for m in ("triangular", "quadrangular")),
+    *(["bound", "--theorem", pid] for pid in PROFILES),
+    ["saturate"],
+)
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    n=st.integers(3, 12),
+    seed=st.integers(0, 10**6),
+    constraints=st.sampled_from([{}, {"bipartite": True}, {"forbidden_cycles": (3,)}]),
+    fault=st.one_of(st.none(), st.sampled_from(sorted(FAULTS))),
+)
+def test_random_rotation_systems_through_the_cli(
+    n, seed, constraints, fault, tmp_path_factory, capsys
+):
+    """Every command on a random rotation system, valid or with one fault,
+    ends in exit 0 or 1 (2 for a faulty one), never in an internal error,
+    and every JSON report fits the schema."""
+    g = search.random_plane_graph(n, seed, search.ConstraintSet(n=n, **constraints))
+    if fault is None:
+        text = graphio.serialize_graph(g)
+    else:
+        text = rotation_file(with_fault(g.rotations, fault, random.Random(seed)))
+    graph = tmp_path_factory.getbasetemp() / "random.graph"
+    graph.write_text(text)
+    schema = json.loads(
+        (resources.files("planeblocks") / "schemas" / "report-v1.json").read_text()
+    )
+    for command in CLI_COMMANDS:
+        argv = [command[0], str(graph), *command[1:]]
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code in ((0, 1) if fault is None else (2,)), (argv, text, err)
+        assert not any(line.startswith("internal error") for line in err.splitlines())
+        if "json" in command and code != 2:
+            jsonschema.validate(json.loads(out), schema)

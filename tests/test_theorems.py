@@ -8,6 +8,7 @@ import pytest
 from planeblocks import graphio, ledger, search, structure, theorems
 from planeblocks.blocks import BlockKind
 from planeblocks.errors import (
+    ConservationViolation,
     DegenerateProfile,
     HypothesisViolated,
     UnexpectedBlock,
@@ -169,6 +170,21 @@ def test_out_of_catalog_on_satisfying_graph_is_internal(fixture_graphs):
         verify_per_block(g, shrunk, check_hypotheses(g, shrunk))
 
 
+def test_tampered_block_value_raises(fixture_graphs, monkeypatch):
+    # one block's v(B) moves by 1/den after the ledger checked its totals
+    real = theorems.build_ledger
+
+    def tampered(g, mode):
+        led = real(g, mode)
+        led.vnum[0] += 1
+        return led
+
+    monkeypatch.setattr(theorems, "build_ledger", tampered)
+    g, p = fixture_graphs["cube"], PROFILES["C5"]
+    with pytest.raises(ConservationViolation, match="sum of block values"):
+        verify_per_block(g, p, check_hypotheses(g, p))
+
+
 def test_unknown_profile():
     with pytest.raises(UnknownProfile):
         get_profile("C7")
@@ -325,8 +341,8 @@ def test_integer_rows_match_fraction_rows(pid, fixture_graphs):
     for g in graphs:
         v = verify_per_block(g, p, check_hypotheses(g, p))
         want = [
-            evaluate_row(p.coefficients, *shares(v.ledger, c))
-            for c in v.ledger.entries
+            evaluate_row(p.coefficients, *shares(v.ledger, b.id))
+            for b in v.ledger.decomposition.blocks
         ]
         assert [value for _, value in block_values(v)] == want
         assert all(type(num) is int for num in v.values)
@@ -350,7 +366,7 @@ def test_verdicts_do_not_depend_on_the_outer_face(fixture_graphs, corpus7):
         verdicts = [verify(g, p, force=True) for p in PROFILES.values()]
         return (
             [{b.eids for b in led.decomposition.blocks} for led in ledgers],
-            [(led.den, led.entries) for led in ledgers],
+            [(led.den, led.vnum, led.fnum, led.knum, led.e23) for led in ledgers],
             [(v.ok, v.violations, v.total) for v in verdicts],
         )
 
