@@ -14,21 +14,26 @@ Vertex lines list counterclockwise neighbors; the outer line names a dart
 of the face a drawing puts outside, and no result depends on it.  Reports
 serialize to stable JSON (sorted keys, no timing data) or a human-readable
 text table; rationals are rendered as canonical "p/q" strings, never floats.
+A report's ``blocks`` and ``block_values`` are `Rows`: read-only sequences
+over the decomposition, the ledger columns and the L(B) numerators, which
+`write_report` writes as JSON straight from those columns.  Indexing or
+iterating them builds plain dicts; ``list(rows)``, or
+``json.loads(write_report(report))`` for a whole report, gives plain lists.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import asdict
 from fractions import Fraction
-from itertools import chain
 from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Any, Optional
 
-from .blocks import Block, BlockDecomposition, BlockKind
+from .blocks import BlockDecomposition, BlockKind
 from .errors import GraphSyntaxError, MissingOuterDart
 from .ledger import ContributionLedger
-from .plane import Edge, PlaneGraph
+from .plane import PlaneGraph
 from .search import SearchResult
 from .structure import StructuralStats, structural_stats
 from .theorems import Verdict
@@ -36,6 +41,7 @@ from .theorems import Verdict
 FORMAT_HEADER = "planegraph"
 FORMAT_VERSION = 1
 REPORT_SCHEMA = "planeblocks-report-v1"
+Columns = tuple[tuple[str, Sequence[int]], ...]  # (key, column indexed by block id) pairs
 
 
 def format_fraction(num: int | Fraction, den: int = 1) -> str:
@@ -57,6 +63,16 @@ def integer(text: str) -> int:
     if not (text.isascii() and text.removeprefix("-").isdigit()):
         raise ValueError(f"invalid integer {text!r}")
     return int(text)
+
+
+def integers(text: str) -> list[int]:
+    """``[integer(t) for t in text.split()]`` with one check for all of
+    ``text``: on ASCII tokens with no "+" or "_", int() takes just that rule."""
+    if not text.isascii():
+        text = " ".join(text.split())  # Unicode whitespace separates too
+    if not text.isascii() or "+" in text or "_" in text:
+        raise ValueError(f"invalid integers {text!r}")
+    return list(map(int, text.split()))
 
 
 def parse_graph(text: str) -> PlaneGraph:
@@ -112,7 +128,7 @@ def parse_graph(text: str) -> PlaneGraph:
             head, _, tail = line.partition(":")
             try:
                 vid = integer(head.strip())
-                nbrs = [integer(tok) for tok in tail.split()]
+                nbrs = integers(tail)
             except ValueError:
                 raise GraphSyntaxError(lineno, f"bad vertex line {line!r}") from None
             if vid in rotations:
@@ -171,27 +187,73 @@ def graph_summary(g: PlaneGraph, stats: StructuralStats) -> dict[str, Any]:
     }
 
 
-_KIND_TEXT = {kind: kind.value for kind in BlockKind}
+class Rows(Sequence):
+    """A report's rows, one per block of ``d``, read-only: each block's
+    ``id`` and ``kind``; with ``shape`` its ``edges`` (``[u, v]`` pairs,
+    ascending), ``junctions`` and ``interior_faces`` counts; an int per
+    ``ints`` column, and a numerator over ``den``, as "p/q", per ``shares``
+    column.  Indexing and iteration build plain dicts; `_json_text` writes
+    the rows straight from the columns."""
+
+    __slots__ = ("blocks", "edge_list", "shape", "ints", "shares", "den")
+
+    def __init__(self, d: BlockDecomposition, shape: bool, ints: Columns = (),
+                 shares: Columns = (), den: int = 1):
+        self.blocks, self.edge_list = d.blocks, d.graph.edge_list
+        self.shape, self.ints, self.shares, self.den = shape, ints, shares, den
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __getitem__(self, i: int) -> dict[str, Any]:
+        b = self.blocks[i]
+        row: dict[str, Any] = {"id": b.id, "kind": b.kind.value}
+        if self.shape:
+            row["edges"] = [list(self.edge_list[j]) for j in b.eids]
+            row["junctions"] = len(b.junction_vertices)
+            row["interior_faces"] = len(b.interior_faces)
+        row.update((key, col[b.id]) for key, col in self.ints)
+        row.update((key, format_fraction(col[b.id], self.den)) for key, col in self.shares)
+        return row
+
+    def __eq__(self, other: object) -> bool:
+        return list(self) == (list(other) if isinstance(other, Rows) else other)
+
+    def _json(self, newline: str) -> str:
+        """The rows as `_json_text` writes a list of their dicts: one
+        template filled from the columns, each value formatted once."""
+        blocks = self.blocks
+        inner = newline + "  "
+        field = inner + "  "
+        # shares repeat across blocks, so each distinct numerator is formatted once
+        text = {num: f'"{format_fraction(num, self.den)}"'
+                for num in set().union(*(col for _, col in self.shares))}
+        columns: dict[str, Sequence[Any]] = {
+            "id": [b.id for b in blocks], "kind": [_KIND_JSON[b.kind] for b in blocks]}
+        if self.shape:
+            edge = field + "  "
+            pair = "[" + edge + "  %d," + edge + "  %d" + edge + "]"
+            # every edge lies in one block, so each pair is written once
+            pairs = list(map(pair.__mod__, self.edge_list))
+            columns["edges"] = ["[" + edge + ("," + edge).join(map(pairs.__getitem__, b.eids))
+                                + field + "]" for b in blocks]
+            columns["junctions"] = [len(b.junction_vertices) for b in blocks]
+            columns["interior_faces"] = [len(b.interior_faces) for b in blocks]
+        columns.update(self.ints)
+        columns.update((key, list(map(text.__getitem__, col))) for key, col in self.shares)
+        keys = sorted(columns)
+        template = "{" + field + ("," + field).join(f'"{key}": %s' for key in keys) + inner + "}"
+        rows = map(template.__mod__, zip(*map(columns.__getitem__, keys)))
+        return "[" + inner + ("," + inner).join(rows) + newline + "]"
 
 
-def _edge_rows(b: Block, edge_list: list[Edge]) -> list[list[int]]:
-    """A block's edges as report rows; ``edge_list`` is its graph's."""
-    # ids ascend as the edges do, so the rows come out sorted
-    return list(map(list, map(edge_list.__getitem__, b.eids)))
+_KIND_JSON = {kind: encode_basestring_ascii(kind.value) for kind in BlockKind}
 
 
-def _ledger_blocks(led: ContributionLedger) -> list[dict[str, Any]]:
-    edge_list = led.decomposition.graph.edge_list
-    # shares repeat across blocks, so each distinct numerator is formatted once
-    text = {num: format_fraction(num, led.den) for num in {*led.vnum, *led.fnum, *led.knum}}
-    return [  # one entry per block, in block order
-        {"id": b.id, "kind": _KIND_TEXT[b.kind], "edges": _edge_rows(b, edge_list),
-         "junctions": len(b.junction_vertices), "interior_faces": len(b.interior_faces),
-         "v": text[v], "e": len(b.eids), "f": text[f], "k": text[k], "e23": e23}
-        for b, v, f, k, e23 in zip(
-            led.decomposition.blocks, led.vnum, led.fnum, led.knum, led.e23
-        )
-    ]
+def _ledger_rows(led: ContributionLedger) -> Rows:
+    d = led.decomposition
+    return Rows(d, True, (("e", [len(b.eids) for b in d.blocks]), ("e23", led.e23)),
+                (("v", led.vnum), ("f", led.fnum), ("k", led.knum)), led.den)
 
 
 def decomposition_report(g: PlaneGraph, d: BlockDecomposition) -> dict[str, Any]:
@@ -200,11 +262,7 @@ def decomposition_report(g: PlaneGraph, d: BlockDecomposition) -> dict[str, Any]
         "kind": "decomposition",
         "graph": graph_summary(g, structural_stats(g.rotations)),
         "mode": d.mode,
-        "blocks": [
-            {"id": b.id, "kind": _KIND_TEXT[b.kind], "edges": _edge_rows(b, d.graph.edge_list),
-             "junctions": len(b.junction_vertices), "interior_faces": len(b.interior_faces)}
-            for b in d.blocks
-        ],
+        "blocks": Rows(d, True),
     }
 
 
@@ -215,7 +273,7 @@ def ledger_report(g: PlaneGraph, led: ContributionLedger) -> dict[str, Any]:
         "kind": "ledger",
         "graph": graph_summary(g, structural_stats(g.rotations)),
         "mode": led.mode,
-        "blocks": _ledger_blocks(led),
+        "blocks": _ledger_rows(led),
         "totals": {
             "v": format_fraction(tv),
             "e": te,
@@ -246,12 +304,8 @@ def verdict_report(g: PlaneGraph, verdict: Verdict) -> dict[str, Any]:
     led = verdict.ledger
     if led is not None:
         rep["mode"] = led.mode
-        rep["blocks"] = _ledger_blocks(led)
-        text = {num: format_fraction(num, led.den) for num in set(verdict.values)}
-        rep["block_values"] = [
-            {"id": b.id, "kind": _KIND_TEXT[b.kind], "value": text[num]}
-            for b, num in zip(led.decomposition.blocks, verdict.values)
-        ]
+        rep["blocks"] = _ledger_rows(led)
+        rep["block_values"] = Rows(led.decomposition, False, (), (("value", verdict.values),), led.den)
         rep["violations"] = list(verdict.violations)
         rep["total"] = format_fraction(verdict.total)
         rep["warnings"] = list(verdict.warnings)
@@ -294,12 +348,10 @@ def write_report(report: dict[str, Any], fmt: str = "json") -> bytes:
 
 def _json_text(value: Any, newline: str = "\n") -> str:
     """``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)``,
-    with ``newline`` starting every line break.
+    with ``newline`` starting every line break and `Rows` written as lists.
 
     Covers only what a report holds: dicts with str keys, lists, tuples,
-    str, int, bool and None; anything else raises TypeError.  A dict, and a
-    list of dicts with one key set (a report's rows, the bulk of a large
-    report), are written column by column (see `_rows`).
+    `Rows`, str, int, bool and None; anything else raises TypeError.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -311,70 +363,18 @@ def _json_text(value: Any, newline: str = "\n") -> str:
         return "false"
     if isinstance(value, int):
         return int.__repr__(value)
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        inner = newline + "  "
-        kinds = set(map(type, value))
-        if kinds == {int}:
-            items = map(int.__repr__, value)
-        elif kinds == {dict} and value[0] and all(
-            map(value[0].keys().__eq__, map(dict.keys, value))
-        ):
-            items = _rows(value, inner)
-        else:
-            items = [_json_text(x, inner) for x in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if isinstance(value, dict):
-        return _rows([value], newline)[0] if value else "{}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-def _rows(rows: list[dict[str, Any]], newline: str) -> list[str]:
-    """Dicts with one key set, each written through one template whose line
-    breaks start with ``newline``: int columns fill it with %d, and every
-    other column is encoded first, in one pass per column.  A key that is
-    no str raises TypeError."""
-    deeper = newline + "  "
-    fields = []
-    columns = []
-    for key in sorted(rows[0]):
-        column = [row[key] for row in rows]
-        kinds = set(map(type, column))
-        field = "%d"
-        if kinds == {str}:
-            field, column = "%s", list(map(encode_basestring_ascii, column))
-        elif kinds != {int}:
-            field = "%s"
-            column = _pair_lists(column, deeper) or [_json_text(x, deeper) for x in column]
-        fields.append(encode_basestring_ascii(key).replace("%", "%%") + ": " + field)
-        columns.append(column)
-    template = "{" + deeper + ("," + deeper).join(fields) + newline + "}"
-    return list(map(template.__mod__, zip(*columns)))
-
-
-def _pair_lists(column: list[Any], newline: str) -> Optional[list[str]]:
-    """The texts of a column of nonempty lists of int pairs (a block's
-    edges, say) whose line breaks start with ``newline``, or None when some
-    value is not one: each list fills a template of its length."""
-    if not (set(map(type, column)) <= {list, tuple} and all(column)):
-        return None
-    pairs = list(chain.from_iterable(column))
-    if not (set(map(type, pairs)) <= {list, tuple} and set(map(len, pairs)) == {2}
-            and set(map(type, chain.from_iterable(pairs))) == {int}):
-        return None
+    if isinstance(value, Rows):
+        return value._json(newline) if value else "[]"
     inner = newline + "  "
-    pair = "[" + inner + "  %d," + inner + "  %d" + inner + "]"
-    templates: dict[int, str] = {}
-    texts = []
-    for x in column:
-        template = templates.get(len(x))
-        if template is None:
-            template = templates[len(x)] = (
-                "[" + inner + ("," + inner).join([pair] * len(x)) + newline + "]"
-            )
-        texts.append(template % tuple(chain.from_iterable(x)))
-    return texts
+    if isinstance(value, (list, tuple)):
+        items = (map(int.__repr__, value) if set(map(type, value)) == {int}
+                 else [_json_text(x, inner) for x in value])
+        return "[" + inner + ("," + inner).join(items) + newline + "]" if value else "[]"
+    if isinstance(value, dict):
+        items = [encode_basestring_ascii(key) + ": " + _json_text(x, inner)
+                 for key, x in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}" if value else "{}"
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _render_text(rep: dict[str, Any]) -> str:

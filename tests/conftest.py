@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from planeblocks import fixtures, search
+from planeblocks import fixtures, graphio, search
 
 EXTENDED = os.environ.get("PLANEBLOCKS_EXTENDED") == "1"
 
@@ -23,6 +23,11 @@ def block_values(v):
     """(block, L(B)) pairs of a verdict, with L(B) as a Fraction."""
     blocks = v.ledger.decomposition.blocks
     return [(b, Fraction(num, v.ledger.den)) for b, num in zip(blocks, v.values)]
+
+
+def plain(rep):
+    """``rep`` with every `graphio.Rows` in it turned into a list of dicts."""
+    return {key: list(x) if isinstance(x, graphio.Rows) else x for key, x in rep.items()}
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,8 @@ from planeblocks.blocks import decompose
 from planeblocks.errors import GraphSyntaxError, MissingOuterDart
 from planeblocks.fixtures import FIXTURE_NAMES, fixture_text
 
+from conftest import plain
+
 
 def load_schema():
     text = (
@@ -95,6 +97,39 @@ def test_integer_rejects_what_int_would_stretch_to(text):
         graphio.integer(text)
 
 
+def per_token(text):
+    """The rule `graphio.integers` checks in one pass: `integer` on each
+    token; None where it raises."""
+    try:
+        return [graphio.integer(tok) for tok in text.split()]
+    except ValueError:
+        return None
+
+
+# digits, signs, "_" and whitespace, ASCII or not (tab, the file separator
+# that str.split() takes as space, no-break and em space), non-ASCII digits
+# and a few other characters
+line_chars = st.sampled_from("0123456789-+_ \t\x1c\xa0\u2003\u0663\u00b2\uff11.a")
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text(line_chars, max_size=12))
+@example("1\t2\u20033\xa04 -0 007")
+@example("1 --3")
+@example("1 - 3")
+@example("3-4")
+@example("1_0")
+@example("+3")
+@example("1\u0663")
+@example("")
+def test_integers_match_the_per_token_rule(text):
+    try:
+        got = graphio.integers(text)
+    except ValueError:
+        got = None
+    assert got == per_token(text)
+
+
 def test_missing_or_bad_outer_dart():
     with pytest.raises(MissingOuterDart):
         graphio.parse_graph("planegraph 1\nn 2\n0: 1\n1: 0\n")
@@ -152,7 +187,7 @@ def make_reports(fixture_graphs):
 def test_reports_validate_against_schema(fixture_graphs):
     schema = load_schema()
     for rep in make_reports(fixture_graphs).values():
-        jsonschema.validate(rep, schema)
+        jsonschema.validate(plain(rep), schema)
         # a json round trip must preserve the report exactly
         assert json.loads(graphio.write_report(rep)) == rep
 
@@ -162,7 +197,7 @@ def test_failed_verdict_report_validates(fixture_graphs):
     v = theorems.verify(fixture_graphs["cube"], theorems.PROFILES["BI_C8"],
                         force=True)
     rep = graphio.verdict_report(fixture_graphs["cube"], v)
-    jsonschema.validate(rep, schema)
+    jsonschema.validate(plain(rep), schema)
     assert rep["ok"] is False
 
 
@@ -269,4 +304,33 @@ def test_writer_rejects_other_types(value):
 
 def test_reports_match_json_dumps(fixture_graphs):
     for rep in make_reports(fixture_graphs).values():
-        assert graphio.write_report(rep) == json_dumps_bytes(rep)
+        assert graphio.write_report(rep) == json_dumps_bytes(plain(rep))
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(3, 60), seed=st.integers(0, 10**6))
+def test_rows_write_as_their_plain_dicts(n, seed):
+    """Every report kind, each profile forced and both ledger modes, writes
+    the bytes json.dumps writes for the report with its rows as lists."""
+    g = search.random_plane_graph(n, seed)
+    reps = [graphio.verdict_report(g, theorems.verify(g, p, force=True))
+            for p in theorems.PROFILES.values()]
+    for mode in ("triangular", "quadrangular"):
+        reps.append(graphio.ledger_report(g, ledger.build_ledger(g, mode)))
+        reps.append(graphio.decomposition_report(g, decompose(g, mode)))
+    for rep in reps:
+        out = graphio.write_report(rep)
+        assert out == json_dumps_bytes(plain(rep))
+        assert json.loads(out) == rep
+
+
+def test_rows_never_dump_as_an_empty_list(fixture_graphs):
+    """json.dumps, with the C encoder or the Python one, refuses rows rather
+    than writing them as []; with default=list it writes every row."""
+    for rep in make_reports(fixture_graphs).values():
+        assert len(rep["blocks"]) > 0
+        with pytest.raises(TypeError):
+            json.dumps(rep)
+        with pytest.raises(TypeError):
+            json.dumps(rep, indent=2)
+        assert json.loads(json.dumps(rep, default=list)) == json.loads(graphio.write_report(rep))
