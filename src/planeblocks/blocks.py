@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from typing import Literal
 
@@ -101,10 +102,28 @@ class Block:
 class BlockDecomposition:
     mode: Mode
     graph: PlaneGraph
-    blocks: tuple[Block, ...]
+    kinds: list[BlockKind]  # the blocks as columns indexed by block id
+    eids: list[list[int]]  # block id -> its edge ids, ascending
+    vertices: list[tuple[int, ...]]  # block id -> its vertices, ascending
+    interior_counts: list[int]  # block id -> faces its closure absorbed
+    junction_counts: list[int]  # block id -> its vertices that lie in other blocks too
+    exterior: bytearray  # edge id -> 1 if the edge borders a face no block absorbed
     edge_block: list[int]  # edge id -> block id
     vertex_block_count: list[int]  # vertex -> number of blocks containing it
-    interior_face_block: dict[int, int]  # face id -> owning block id
+    interior_face_block: dict[int, int]  # face id -> owning block id, in face-id order
+
+    @cached_property
+    def blocks(self) -> tuple[Block, ...]:
+        """The blocks as `Block` objects, built from the columns on first read."""
+        interior: list[list[int]] = [[] for _ in self.kinds]
+        for fid, bid in self.interior_face_block.items():
+            interior[bid].append(fid)
+        counts, ext = self.vertex_block_count, self.exterior
+        return tuple([
+            Block(bid, tuple(ids), frozenset(vs), kind, tuple(interior[bid]),
+                  tuple([i for i in ids if ext[i]]), frozenset([v for v in vs if counts[v] >= 2]))
+            for bid, (kind, ids, vs) in enumerate(zip(self.kinds, self.eids, self.vertices))
+        ])
 
 
 def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
@@ -121,10 +140,13 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
             x = parent[x]
         return x
 
+    exterior = bytearray(g.e)
     block_faces = []
     for fid, eids in enumerate(g.face_eids):
-        # a closed 3- or 4-walk with distinct edges is a cycle
+        # a closed 3- or 4-walk with distinct edges is a cycle; no block absorbs another face
         if len(eids) != m or len(set(eids)) != m:
+            for i in eids:
+                exterior[i] = 1
             continue
         block_faces.append((fid, eids[0]))
         roots = list(map(find, eids))
@@ -145,48 +167,27 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
             block_eids[bid].append(i)
 
     interior_face_block: dict[int, int] = {}
-    interior: list[list[int]] = [[] for _ in block_eids]
+    interior_counts = [0] * len(block_eids)
     for fid, i in block_faces:  # in face-id order
-        bid = edge_block[i]
-        interior_face_block[fid] = bid
-        interior[bid].append(fid)
+        bid = interior_face_block[fid] = edge_block[i]
+        interior_counts[bid] += 1
 
+    # a one-edge block's vertices are its edge, (u, v) with u < v
     block_vertices = [
-        frozenset(edges[ids[0]]) if len(ids) == 1
-        else frozenset(chain.from_iterable(map(edges.__getitem__, ids)))
+        edges[ids[0]] if len(ids) == 1
+        else tuple(sorted(set(chain.from_iterable(map(edges.__getitem__, ids)))))
         for ids in block_eids
     ]
     counts = [0] * g.n
     for v in chain.from_iterable(block_vertices):
         counts[v] += 1
-
-    # exterior[i]: edge i borders a face that is not interior to a block
-    exterior = bytearray(g.e)
-    for fid, eids in enumerate(g.face_eids):
-        if fid not in interior_face_block:
-            for i in eids:
-                exterior[i] = 1
-    junction = frozenset([v for v, c in enumerate(counts) if c >= 2])
-    blocks = []
-    for bid, ids in enumerate(block_eids):
-        bverts = block_vertices[bid]
-        eids = tuple(ids)
-        if len(ids) == 1:  # in no m-cycle face, so both its faces are non-interior
-            ext = eids
-            kind = BlockKind.K2
-        else:
-            ext = tuple([i for i in ids if exterior[i]])
-            kind = _classify(bverts, [edges[i] for i in ids])
-        blocks.append(Block(bid, eids, bverts, kind, tuple(interior[bid]), ext, bverts & junction))
-
-    return BlockDecomposition(
-        mode=mode,
-        graph=g,
-        blocks=tuple(blocks),
-        edge_block=edge_block,
-        vertex_block_count=counts,
-        interior_face_block=interior_face_block,
-    )
+    junction = bytes([c >= 2 for c in counts])
+    # a one-edge block lies in no m-cycle face
+    kinds = [BlockKind.K2 if len(ids) == 1 else _classify(vs, [edges[i] for i in ids])
+             for ids, vs in zip(block_eids, block_vertices)]
+    junctions = [sum(map(junction.__getitem__, vs)) for vs in block_vertices]
+    return BlockDecomposition(mode, g, kinds, block_eids, block_vertices, interior_counts,
+                              junctions, exterior, edge_block, counts, interior_face_block)
 
 
 # relabelled masks -> kind, for blocks of a catalog (n, e); at most one entry
@@ -194,9 +195,9 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
 _KIND_MEMO: dict[canon.Masks, BlockKind] = {}
 
 
-def _classify(vertices: frozenset[int], edges: list[Edge]) -> BlockKind:
-    """Isomorphism test against the block catalog for a block of two or
-    more edges (``decompose`` makes a single edge K2 itself).
+def _classify(vertices: tuple[int, ...], edges: list[Edge]) -> BlockKind:
+    """Isomorphism test against the block catalog for a block of two or more
+    edges, given its vertices ascending (``decompose`` makes one edge K2 itself).
 
     A block of a catalog size is looked up by its vertex-order relabelling,
     and canonical_form runs once per new relabelled graph.
@@ -205,7 +206,7 @@ def _classify(vertices: frozenset[int], edges: list[Edge]) -> BlockKind:
     n = len(vertices)
     if (n, e) not in _CATALOG_SIZES:
         return BlockKind.OTHER
-    relabel = {v: i for i, v in enumerate(sorted(vertices))}
+    relabel = {v: i for i, v in enumerate(vertices)}
     masks = canon.masks_from_edges(n, [(relabel[u], relabel[v]) for u, v in edges])
     kind = _KIND_MEMO.get(masks)
     if kind is None:
@@ -247,10 +248,11 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
         raise WrongMode("pseudofaces are defined for triangular decompositions")
     # k4_of[i]: the K4 block of which edge i is an exterior edge, else -1
     k4_of = [-1] * d.graph.e
-    for b in d.blocks:
-        if b.kind == BlockKind.K4:
-            for i in b.exterior_eids:
-                k4_of[i] = b.id
+    for bid, kind in enumerate(d.kinds):
+        if kind is BlockKind.K4:
+            for i in d.eids[bid]:
+                if d.exterior[i]:
+                    k4_of[i] = bid
     out: dict[int, Pseudoface] = {}
     for fid, eids in enumerate(d.graph.face_eids):
         if fid in d.interior_face_block:
@@ -273,7 +275,7 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
                 ):
                     degenerate = True
                     continue
-                (third,) = [x for x in d.blocks[bid].exterior_eids if x != e1 and x != e2]
+                (third,) = [x for x in d.eids[bid] if k4_of[x] == bid and x != e1 and x != e2]
                 reductions.append(
                     Reduction(block_id=bid, pair=(e1, e2), replacement=third)
                 )

@@ -192,59 +192,56 @@ class Rows(Sequence):
     ``id`` and ``kind``; with ``shape`` its ``edges`` (``[u, v]`` pairs,
     ascending), ``junctions`` and ``interior_faces`` counts; an int per
     ``ints`` column, and a numerator over ``den``, as "p/q", per ``shares``
-    column.  Indexing and iteration build plain dicts; `_json_text` writes
-    the rows straight from the columns."""
+    column.  Indexing and iteration build plain dicts; `write_report`
+    writes the rows straight from the columns."""
 
-    __slots__ = ("blocks", "edge_list", "shape", "ints", "shares", "den")
+    __slots__ = ("decomposition", "shape", "ints", "shares", "den")
 
     def __init__(self, d: BlockDecomposition, shape: bool, ints: Columns = (),
                  shares: Columns = (), den: int = 1):
-        self.blocks, self.edge_list = d.blocks, d.graph.edge_list
-        self.shape, self.ints, self.shares, self.den = shape, ints, shares, den
+        if shape:
+            ints = (("junctions", d.junction_counts), ("interior_faces", d.interior_counts), *ints)
+        self.decomposition, self.shape, self.den = d, shape, den
+        self.ints, self.shares = ints, shares
 
     def __len__(self) -> int:
-        return len(self.blocks)
+        return len(self.decomposition.kinds)
 
     def __getitem__(self, i: int) -> dict[str, Any]:
-        b = self.blocks[i]
-        row: dict[str, Any] = {"id": b.id, "kind": b.kind.value}
+        d = self.decomposition
+        i = range(len(self))[i]  # a block id; IndexError past either end
+        row: dict[str, Any] = {"id": i, "kind": d.kinds[i].value}
         if self.shape:
-            row["edges"] = [list(self.edge_list[j]) for j in b.eids]
-            row["junctions"] = len(b.junction_vertices)
-            row["interior_faces"] = len(b.interior_faces)
-        row.update((key, col[b.id]) for key, col in self.ints)
-        row.update((key, format_fraction(col[b.id], self.den)) for key, col in self.shares)
+            row["edges"] = [list(d.graph.edge_list[j]) for j in d.eids[i]]
+        row.update((key, col[i]) for key, col in self.ints)
+        row.update((key, format_fraction(col[i], self.den)) for key, col in self.shares)
         return row
 
     def __eq__(self, other: object) -> bool:
         return list(self) == (list(other) if isinstance(other, Rows) else other)
 
-    def _json(self, newline: str) -> str:
-        """The rows as `_json_text` writes a list of their dicts: one
-        template filled from the columns, each value formatted once."""
-        blocks = self.blocks
-        inner = newline + "  "
+    def _json(self, inner: str) -> str:
+        """The items of the rows' list as `write_report` writes them at indent
+        ``inner``: one template filled from the columns, each value formatted once."""
+        d = self.decomposition
         field = inner + "  "
         # shares repeat across blocks, so each distinct numerator is formatted once
         text = {num: f'"{format_fraction(num, self.den)}"'
                 for num in set().union(*(col for _, col in self.shares))}
         columns: dict[str, Sequence[Any]] = {
-            "id": [b.id for b in blocks], "kind": [_KIND_JSON[b.kind] for b in blocks]}
+            "id": range(len(self)), "kind": list(map(_KIND_JSON.__getitem__, d.kinds))}
         if self.shape:
             edge = field + "  "
             pair = "[" + edge + "  %d," + edge + "  %d" + edge + "]"
             # every edge lies in one block, so each pair is written once
-            pairs = list(map(pair.__mod__, self.edge_list))
-            columns["edges"] = ["[" + edge + ("," + edge).join(map(pairs.__getitem__, b.eids))
-                                + field + "]" for b in blocks]
-            columns["junctions"] = [len(b.junction_vertices) for b in blocks]
-            columns["interior_faces"] = [len(b.interior_faces) for b in blocks]
+            pairs = list(map(pair.__mod__, d.graph.edge_list))
+            columns["edges"] = ["[" + edge + ("," + edge).join(map(pairs.__getitem__, ids))
+                                + field + "]" for ids in d.eids]
         columns.update(self.ints)
         columns.update((key, list(map(text.__getitem__, col))) for key, col in self.shares)
         keys = sorted(columns)
         template = "{" + field + ("," + field).join(f'"{key}": %s' for key in keys) + inner + "}"
-        rows = map(template.__mod__, zip(*map(columns.__getitem__, keys)))
-        return "[" + inner + ("," + inner).join(rows) + newline + "]"
+        return ("," + inner).join(map(template.__mod__, zip(*map(columns.__getitem__, keys))))
 
 
 _KIND_JSON = {kind: encode_basestring_ascii(kind.value) for kind in BlockKind}
@@ -252,7 +249,7 @@ _KIND_JSON = {kind: encode_basestring_ascii(kind.value) for kind in BlockKind}
 
 def _ledger_rows(led: ContributionLedger) -> Rows:
     d = led.decomposition
-    return Rows(d, True, (("e", [len(b.eids) for b in d.blocks]), ("e23", led.e23)),
+    return Rows(d, True, (("e", list(map(len, d.eids))), ("e23", led.e23)),
                 (("v", led.vnum), ("f", led.fnum), ("k", led.knum)), led.den)
 
 
@@ -340,41 +337,50 @@ def search_report(result: SearchResult) -> dict[str, Any]:
 def write_report(report: dict[str, Any], fmt: str = "json") -> bytes:
     """Serialize a report; JSON output is byte-stable for identical reports."""
     if fmt == "json":
-        return (_json_text(report) + "\n").encode()
+        out: list[str] = []
+        _json_parts(report, "\n", out)
+        return "".join(out + ["\n"]).encode()
     if fmt == "text":
         return _render_text(report).encode()
     raise ValueError(f"unknown report format {fmt!r}")
 
 
-def _json_text(value: Any, newline: str = "\n") -> str:
-    """``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)``,
-    with ``newline`` starting every line break and `Rows` written as lists.
+def _json_parts(value: Any, newline: str, out: list[str]) -> None:
+    """Append ``json.dumps(value, sort_keys=True, indent=2, ensure_ascii=True)``
+    to ``out`` in pieces, with ``newline`` starting every line break and `Rows`
+    written as lists; one join of ``out`` copies each piece once.
 
     Covers only what a report holds: dicts with str keys, lists, tuples,
     `Rows`, str, int, bool and None; anything else raises TypeError.
     """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, Rows):
-        return value._json(newline) if value else "[]"
     inner = newline + "  "
-    if isinstance(value, (list, tuple)):
-        items = (map(int.__repr__, value) if set(map(type, value)) == {int}
-                 else [_json_text(x, inner) for x in value])
-        return "[" + inner + ("," + inner).join(items) + newline + "]" if value else "[]"
-    if isinstance(value, dict):
-        items = [encode_basestring_ascii(key) + ": " + _json_text(x, inner)
-                 for key, x in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}" if value else "{}"
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    sep = "," + inner
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or isinstance(value, bool):
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (dict, list, tuple, Rows)):
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        out.append("{" + inner)
+        for key, x in sorted(value.items()):
+            out += (encode_basestring_ascii(key), ": ")
+            _json_parts(x, inner, out)
+            out.append(sep)
+        out[-1] = newline + "}"  # in place of the last item's separator
+    elif isinstance(value, Rows) or set(map(type, value)) == {int}:
+        rows = value._json(inner) if isinstance(value, Rows) else sep.join(map(int.__repr__, value))
+        out += ("[" + inner, rows, newline + "]")
+    else:
+        out.append("[" + inner)
+        for x in value:
+            _json_parts(x, inner, out)
+            out.append(sep)
+        out[-1] = newline + "]"
 
 
 def _render_text(rep: dict[str, Any]) -> str:

@@ -28,7 +28,7 @@ PseudofaceMap = dict[int, Pseudoface]
 class ContributionLedger:
     """One row per block, as columns indexed by block id: v(B) = vnum[B]/den,
     f(B) = fnum[B]/den, k(B) = knum[B]/den and e23(B) = e23[B]; e(B) is
-    the block's edge count, ``len(decomposition.blocks[B].eids)``."""
+    the length of the block's edge-id column, ``len(decomposition.eids[B])``."""
 
     mode: Mode
     decomposition: BlockDecomposition
@@ -77,34 +77,33 @@ def slot_table(
 def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     """Decompose, compute all contributions, and assert conservation."""
     d = decompose(g, mode)
-    blocks = d.blocks
     pf = refine_pseudofaces(d) if mode == "triangular" else None
     slot_den, faces = slot_table(d, pf)
     counts = d.vertex_block_count
     den = lcm(slot_den, *counts)
     scale = den // slot_den
-    fnum = [len(b.interior_faces) * den for b in blocks]
+    fnum = [c * den for c in d.interior_counts]
     for shares in faces.values():
         for bid, num in shares.items():
             fnum[bid] += num * scale
 
     # 1 / (blocks containing v) = vshare[v] / den
     vshare = [den // c for c in counts]
-    vnum = [sum(map(vshare.__getitem__, b.vertices)) for b in blocks]
+    vnum = [sum(map(vshare.__getitem__, vs)) for vs in d.vertices]
     quad = mode == "quadrangular"
     if quad:
         dclass = degree_classes(g.rotations)  # degrees in G, not within a block
         # is23[i]: edge i joins a degree-2 and a degree-3 vertex
         is23 = bytes([dclass[u] + dclass[v] == 3 for u, v in g.edge_list])
-        knum = [sum([vshare[v] for v in b.vertices if dclass[v] == 1]) for b in blocks]
-        e23 = [sum(map(is23.__getitem__, b.eids)) for b in blocks]
+        knum = [sum([vshare[v] for v in vs if dclass[v] == 1]) for vs in d.vertices]
+        e23 = [sum(map(is23.__getitem__, ids)) for ids in d.eids]
     else:
-        knum = [0] * len(blocks)
-        e23 = [0] * len(blocks)
+        knum = [0] * len(d.eids)
+        e23 = [0] * len(d.eids)
 
     # numerators over den (v, f, k) or 1 (e, e23)
     _check(sum(vnum), den, g.n, "vertex", g)
-    _check(sum([len(b.eids) for b in blocks]), 1, g.e, "edge", g)
+    _check(sum(map(len, d.eids)), 1, g.e, "edge", g)
     _check(sum(fnum), den, g.f, "face", g)
     deg2 = e23_g = 0
     if quad:

@@ -221,39 +221,32 @@ def verify_per_block(
 
     led = build_ledger(work, p.mode)
     den = led.den
-    values = []
-    violations = []
-    for block, vnum, fnum, knum, e23 in zip(
-        led.decomposition.blocks, led.vnum, led.fnum, led.knum, led.e23
-    ):
-        if block.kind not in p.catalog:
+    d = led.decomposition
+    for bid, kind in enumerate(d.kinds):
+        if kind not in p.catalog:
             if hyp.ok:
                 raise UnexpectedBlock(
-                    f"block {block.id} of kind {block.kind.value} outside the "
+                    f"block {bid} of kind {kind.value} outside the "
                     f"{p.id} catalog on a hypothesis-satisfying graph"
                 )
             warnings.append(
-                f"block {block.id} has kind {block.kind.value}, outside the "
+                f"block {bid} has kind {kind.value}, outside the "
                 f"{p.id} catalog (hypotheses not satisfied)"
             )
-        # den * L(B), with every quantity as a numerator over den
-        num = evaluate_row(
-            p.coefficients, vnum, len(block.eids) * den, fnum, knum, e23 * den
+    # den * L(B), with every quantity as a numerator over den
+    values = [
+        evaluate_row(p.coefficients, vnum, len(ids) * den, fnum, knum, e23 * den)
+        for ids, vnum, fnum, knum, e23 in zip(d.eids, led.vnum, led.fnum, led.knum, led.e23)
+    ]
+    violations = [bid for bid, num in enumerate(values) if num > 0]
+    # one block holds every edge: below the floor its L(B) > 0 is no violation
+    if violations and len(values) == 1 and p.floor_n is not None and work.n < p.floor_n:
+        warnings.append(
+            f"block 0 spans the whole graph below the "
+            f"theorem floor (n = {work.n} < {p.floor_n}); "
+            f"L(B) = {Fraction(values[0], den)} not counted as a violation"
         )
-        values.append(num)
-        if num > 0:
-            if (
-                p.floor_n is not None
-                and work.n < p.floor_n
-                and len(block.eids) == work.e
-            ):
-                warnings.append(
-                    f"block {block.id} spans the whole graph below the "
-                    f"theorem floor (n = {work.n} < {p.floor_n}); "
-                    f"L(B) = {Fraction(num, den)} not counted as a violation"
-                )
-            else:
-                violations.append(block.id)
+        violations = []
 
     # the ledger asserted its totals against the graph's own quantities, so
     # a sum of block values that disagrees with them is a bug in this sum

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from planeblocks import blocks, canon, ledger, search
+from planeblocks import blocks, canon, graphio, ledger, search, theorems
 from planeblocks.blocks import BlockKind, decompose, refine_pseudofaces
 from planeblocks.errors import WrongMode
 from planeblocks.plane import PlaneGraph, edge_of
@@ -98,6 +98,35 @@ def test_decompose_matches_worklist_oracle(mode, fixture_graphs):
                 expected = got
             assert got == expected  # seed-order independence of the oracle
         assert partition_of(decompose(g, mode)) == expected
+
+
+def test_verify_and_reports_build_no_block(fixture_graphs, monkeypatch):
+    """Verify, the ledger and every report read the decomposition's columns:
+    with `Block` made to raise they all run, and the `Block` views built
+    afterwards from the same columns match the worklist oracle."""
+
+    def no_block(*args):
+        raise AssertionError("a Block was built")
+
+    decompositions = []
+    with monkeypatch.context() as m:
+        m.setattr(blocks, "Block", no_block)
+        for g in fixture_graphs.values():
+            reports = []
+            for p in theorems.PROFILES.values():
+                verdict = theorems.verify(g, p, force=True)
+                reports.append(graphio.verdict_report(g, verdict))
+                decompositions.append(verdict.ledger.decomposition)
+            for mode in ("triangular", "quadrangular"):
+                led = ledger.build_ledger(g, mode)
+                d = decompose(g, mode)
+                reports += [graphio.ledger_report(g, led), graphio.decomposition_report(g, d)]
+                decompositions += [led.decomposition, d]
+            for rep in reports:
+                for fmt in ("json", "text"):
+                    graphio.write_report(rep, fmt)
+    for d in decompositions:
+        assert partition_of(d) == worklist_decompose(d.graph, d.mode, sorted(d.graph.edges))
 
 
 def test_fixture_decompositions(fixture_graphs):

@@ -161,21 +161,22 @@ def test_tampered_slot_share_raises(mode, fixture_graphs, monkeypatch):
 
 
 def tamper_blocks(monkeypatch, edit):
-    """Make build_ledger see decompositions whose blocks ``edit`` altered."""
+    """Make build_ledger see decompositions whose block columns ``edit``
+    altered; ``edit(g, d)`` gets the graph and the decomposition."""
     real = ledger.decompose
 
     def tampered(g, mode):
         d = real(g, mode)
-        edit(g, d.blocks)
+        edit(g, d)
         return d
 
     monkeypatch.setattr(ledger, "decompose", tampered)
 
 
 def test_tampered_vertex_set_raises(fixture_graphs, monkeypatch):
-    def edit(g, blocks):
-        (outside, *_) = set(range(g.n)) - blocks[0].vertices
-        blocks[0].vertices |= {outside}
+    def edit(g, d):
+        (outside, *_) = set(range(g.n)) - set(d.vertices[0])
+        d.vertices[0] = tuple(sorted({*d.vertices[0], outside}))
 
     tamper_blocks(monkeypatch, edit)
     with pytest.raises(ConservationViolation, match="vertex total"):
@@ -183,8 +184,8 @@ def test_tampered_vertex_set_raises(fixture_graphs, monkeypatch):
 
 
 def test_tampered_edge_set_raises(fixture_graphs, monkeypatch):
-    def edit(g, blocks):
-        blocks[0].eids += blocks[1].eids
+    def edit(g, d):
+        d.eids[0] = d.eids[0] + d.eids[1]
 
     tamper_blocks(monkeypatch, edit)
     with pytest.raises(ConservationViolation, match="edge total"):
@@ -194,9 +195,9 @@ def test_tampered_edge_set_raises(fixture_graphs, monkeypatch):
 def test_tampered_degree_2_vertex_raises(monkeypatch):
     # trade degree-2 vertex 1 for vertex 4 (degree 1): both sit in one
     # block, so v(B) keeps its value and only k(B) moves
-    def edit(g, blocks):
-        c4 = next(b for b in blocks if b.kind == BlockKind.C4)
-        c4.vertices = c4.vertices - {1} | {4}
+    def edit(g, d):
+        c4 = d.kinds.index(BlockKind.C4)
+        d.vertices[c4] = tuple(sorted(set(d.vertices[c4]) - {1} | {4}))
 
     tamper_blocks(monkeypatch, edit)
     with pytest.raises(ConservationViolation, match="degree-2 total"):
@@ -206,9 +207,9 @@ def test_tampered_degree_2_vertex_raises(monkeypatch):
 def test_tampered_23_edge_raises(monkeypatch):
     # the pendant block swaps its edge 0-4 for the (2,3)-edge 0-1: the edge
     # count stays, the (2,3)-edge count grows by one
-    def edit(g, blocks):
-        pend = next(b for b in blocks if b.kind == BlockKind.K2)
-        pend.eids = (g.edge_list.index((0, 1)),)
+    def edit(g, d):
+        pend = d.kinds.index(BlockKind.K2)
+        d.eids[pend] = [g.edge_list.index((0, 1))]
 
     tamper_blocks(monkeypatch, edit)
     with pytest.raises(ConservationViolation, match=r"\(2,3\)-edge total"):
