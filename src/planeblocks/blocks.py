@@ -133,13 +133,6 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
     # a union puts every root under the smallest, so parent[x] <= x and a
     # block's root is its smallest edge id
     parent = list(range(g.e))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     exterior = bytearray(g.e)
     block_faces = []
     for fid, eids in enumerate(g.face_eids):
@@ -149,7 +142,7 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
                 exterior[i] = 1
             continue
         block_faces.append((fid, eids[0]))
-        roots = list(map(find, eids))
+        roots = [canon.find(parent, x) for x in eids]
         r = min(roots)
         for x in roots:
             parent[x] = r

@@ -128,7 +128,7 @@ def degree_refinement(nbrs: Sequence[Sequence[int]]) -> Refinement:
     return refine(nbrs, deg, len(set(deg)))
 
 
-def _find(root: list[int], x: int) -> int:
+def find(root: list[int], x: int) -> int:
     """The union-find root of x, halving the path to it."""
     while root[x] != x:
         root[x] = root[root[x]]
@@ -203,12 +203,12 @@ def canonical_labelling(
                     if all(g[x] == x for x in path):
                         for x, y in enumerate(g):
                             if x != y:
-                                a, b = _find(root, x), _find(root, y)
+                                a, b = find(root, x), find(root, y)
                                 if a != b:
                                     root[max(a, b)] = min(a, b)
                 folded = len(gens)
-                rv = _find(root, v)
-                if any(_find(root, w) == rv for w in explored):
+                rv = find(root, v)
+                if any(find(root, w) == rv for w in explored):
                     continue
                 twin = next(
                     (w for w in explored if adj[w] & ~(1 << v) == adj[v] & ~(1 << w)),

@@ -140,7 +140,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--force",
         action="store_true",
         help="evaluate blocks and bound even if hypotheses fail "
-        "(the verdict still counts as negative)",
+        "(the verdict is still negative, exit 1)",
     )
     add_common(p)
 
@@ -231,7 +231,7 @@ def _dispatch(args: argparse.Namespace) -> int:
                 f"bound {frac(check.bound)}, edges {check.edges}, "
                 f"slack {frac(check.slack)}{extra}"
             )
-            return EXIT_OK if check.ok or not check.asserted else EXIT_NEGATIVE
+            return EXIT_OK if check.passes else EXIT_NEGATIVE
         if args.n is not None:
             k, e23 = args.k or 0, args.e23 or 0
             value = formula.evaluate(args.n, k=k, e23=e23)

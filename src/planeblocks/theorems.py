@@ -169,6 +169,12 @@ class BoundCheck:
     def tight(self) -> bool:
         return self.slack == 0
 
+    @property
+    def passes(self) -> bool:
+        """The bound counts only where asserted: it passes when it holds
+        or when the source does not assert it at this n."""
+        return self.ok or not self.asserted
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -185,13 +191,12 @@ class Verdict:
 
     @property
     def ok(self) -> bool:
-        if not (self.hypotheses.ok or self.forced):
-            return False
-        if self.violations:
-            return False
-        if self.bound is not None and self.bound.asserted and not self.bound.ok:
-            return False
-        return True
+        """Hypotheses hold, no block has L(B) > 0 and the bound passes;
+        forcing a run never makes it pass."""
+        return (
+            self.hypotheses.ok and not self.violations
+            and (self.bound is None or self.bound.passes)
+        )
 
 
 def evaluate_row(coeffs: Coefficients, v, e, f, k, e23):
@@ -350,7 +355,7 @@ def verify(g: PlaneGraph, p: TheoremProfile, force: bool = False) -> Verdict:
     """Hypotheses, per-block inequalities and the global bound in one verdict.
 
     With failing hypotheses the blocks and the bound are evaluated only when
-    forced.
+    forced, and the verdict is negative either way.
     """
     hyp = check_hypotheses(g, p)
     if not (hyp.ok or force):

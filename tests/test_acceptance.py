@@ -2,8 +2,11 @@
 
 Each test prints a single PASS/FAIL line for its criterion; the expensive
 shared corpus (all connected planar classes up to n = 9) is built once per
-session.  Set PLANEBLOCKS_EXTENDED=1 to run the larger gates (criterion 5 at
-n <= 11, criterion 7 at n <= 10).
+session.  Set PLANEBLOCKS_EXTENDED=1 to run the larger gates:
+
+- criterion 5 at n <= 11 (n <= 9 otherwise);
+- criterion 6's BI_C6 classes at n <= 14 (n <= 12 otherwise);
+- criterion 7 at n <= 10 (n <= 9 otherwise).
 """
 
 import hashlib
@@ -154,20 +157,20 @@ def test_criterion_6_desk_scale_bounds(criterion):
             if 5 * e > 12 * n - 33:
                 failures += 1
             checked_c5 += 1
-    checked_bi = 0
-    f = derive_global_bound(PROFILES["BI_C6"])
-    for n in range(6, 10):
-        # min degree >= 2: the pointwise formula does not cover degree-1
-        # vertices (the source handles them by induction, not pointwise)
+    # every class meeting the BI_C6 hypotheses (min degree exactly 2: the
+    # pointwise formula does not cover degree-1 vertices, which the source
+    # handles by induction) passes the profile's hypotheses, blocks and bound
+    top = 14 if EXTENDED else 12
+    bi_counts = []
+    for n in range(6, top + 1):
         cs = search.ConstraintSet(
-            n=n, bipartite=True, forbidden_cycles=(6,), min_degree=2,
+            n=n, bipartite=True, forbidden_cycles=(6,), exact_min_degree=2,
             deg2_neighbor_ok=True
         )
-        for adj, _ in search.enumerate_graphs(cs):
-            s = structural_stats(canon.neighbor_lists(adj))
-            if canon.edge_count(adj) > f.evaluate(n, k=s.k, e23=s.e23):
-                failures += 1
-            checked_bi += 1
+        bi_classes = list(search.enumerate_graphs(cs, ceiling=top))
+        bi_counts.append(len(bi_classes))
+        for _, rot in bi_classes:
+            failures += not theorems.verify(PlaneGraph(rot), PROFILES["BI_C6"]).ok
     # exhaustively one vertex short of the C5 floor: every class meets the
     # hypotheses, and the per-block inequalities hold on each
     cs = search.ConstraintSet(
@@ -180,11 +183,12 @@ def test_criterion_6_desk_scale_bounds(criterion):
         failures += not v.hypotheses.ok or bool(v.violations)
     criterion(
         6,
-        f"bounds hold on {checked_c5} C5-profile and {checked_bi} "
-        f"BI_C6-profile enumerated graphs; C5 at n = 10: {len(classes)} "
-        f"classes, max e {max_e10} <= floor((12*10 - 33)/5) = 17, no L(B) > 0",
-        failures == 0 and checked_c5 > 0 and checked_bi > 0
-        and len(classes) == 4 and max_e10 == 17,
+        f"bounds hold on {checked_c5} C5-profile enumerated graphs; C5 at "
+        f"n = 10: {len(classes)} classes, max e {max_e10} <= "
+        f"floor((12*10 - 33)/5) = 17, no L(B) > 0; BI_C6 verified on "
+        f"{bi_counts} classes for n = 6..{top}",
+        failures == 0 and checked_c5 > 0 and len(classes) == 4 and max_e10 == 17
+        and bi_counts == [0, 1, 4, 7, 14, 25, 82, 196, 548][:top - 5],
     )
 
 
@@ -275,7 +279,7 @@ def test_criterion_8_witness_certification(criterion):
         8,
         f"{certified} extremal witness file(s) certified tight"
         + (f"; not certified: {', '.join(bad)}" if bad else ""),
-        certified >= 2 and not bad,
+        certified >= 3 and not bad,
     )
 
 

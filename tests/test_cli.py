@@ -13,7 +13,7 @@ import planeblocks
 from planeblocks import graphio
 from planeblocks.cli import main
 from planeblocks.fixtures import FIXTURE_NAMES, fixture_text
-from planeblocks.theorems import PROFILES
+from planeblocks.theorems import PROFILES, verify
 
 
 @pytest.fixture
@@ -52,6 +52,17 @@ def test_verify_positive_and_negative(fixture_dir, capsys):
     assert "FAIL" in out
     assert main(["verify", path(fixture_dir, "cube"), "--theorem", "BI_C8",
                  "--force"]) == 1
+    capsys.readouterr()
+    # forcing evaluates the blocks and the bound, never passes the verdict:
+    # c6 is no TRI_C6 graph (it has a C6 and min degree 2)
+    assert main(["verify", path(fixture_dir, "c6"), "--theorem", "TRI_C6",
+                 "--force", "--format", "json"]) == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
+    for name in FIXTURE_NAMES:
+        g = graphio.parse_graph(fixture_text(name))
+        for pid, p in PROFILES.items():
+            v = verify(g, p, force=True)
+            assert v.hypotheses.ok or not v.ok, (name, pid)
 
 
 def test_verify_unknown_profile_is_input_error(fixture_dir, capsys):

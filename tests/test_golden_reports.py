@@ -32,7 +32,7 @@ SEARCH_CONSTRAINTS = (
 )
 
 # SHA-256 over the reports of large_report_bytes()
-LARGE_REPORTS_SHA256 = "375fa446921eae8f1ff2c243b7a523a6fa9f6c47eb4fc0ce991c9a290b7f5fa0"
+LARGE_REPORTS_SHA256 = "b241d78725b94acee7f883dac3493606b21720bf6b51b7e01c3b67a60272863b"
 
 RANDOM_CONSTRAINTS = {
     "mindeg2_2conn": dict(min_degree=2, two_connected=True),
