@@ -86,9 +86,12 @@ def refine(
     Relabelling the graph and its colors relabels the result, so colors
     computed from degrees are isomorphism invariants of the vertices.  A
     caller that knows the number of distinct colors passes it as ncolors,
-    which saves the second pass when the first splits nothing.
+    which saves the second pass when the first splits nothing.  A discrete
+    partition is stable and ranked by its own colors, since the own color
+    leads each signature, so a pass that makes one is the last.
     """
-    w, shift = _weights(len(nbrs))
+    n = len(nbrs)
+    w, shift = _weights(n)
     while True:
         weight = [w[c] for c in colors]
         sigs = [
@@ -98,7 +101,7 @@ def refine(
         order = {s: i for i, s in enumerate(sorted(set(sigs)))}
         k = len(order)
         colors = [order[s] for s in sigs]
-        if k == ncolors:
+        if k == ncolors or k == n:
             return colors, k
         ncolors = k
 
@@ -189,8 +192,12 @@ def canonical_labelling(
                 gens.append(tuple(g))
             return
         # branch on the first cell, in color order, with more than one vertex
-        ranked = sorted(colors)
-        c = next(a for a, b in zip(ranked, ranked[1:]) if a == b)
+        size = [0] * nc
+        for c in colors:
+            size[c] += 1
+        c = 0
+        while size[c] == 1:
+            c += 1
         cell = [v for v in verts if colors[v] == c]
         explored: list[int] = []
         # the orbits of the generators that fix the path, as a union-find

@@ -12,6 +12,7 @@ import argparse
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 from typing import Iterator, Optional, Sequence
 
@@ -158,6 +159,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p = sub.add_parser("search", help="exhaustive extremal search")
     p.add_argument("--n", type=graphio.integer, required=True)
     p.add_argument("--constraints", help="comma list, e.g. 'c5free,mindeg=3,2connected'")
+    p.add_argument("--theorem", help="search under this profile's hypotheses")
     p.add_argument("--ceiling", type=graphio.integer, help="override the enumeration ceiling")
     p.add_argument("--witness-dir", help="dump witness graphs into this directory")
     add_common(p)
@@ -253,7 +255,13 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "search":
-        cs = _parse_constraints(args.n, args.constraints)
+        if args.theorem is None:
+            cs = _parse_constraints(args.n, args.constraints)
+        elif args.constraints is not None:
+            raise _CliError("--theorem and --constraints cannot both be given")
+        else:
+            hypotheses = theorems.get_profile(args.theorem).hypotheses
+            cs = search.ConstraintSet(n=args.n, **asdict(hypotheses))
         _check_out(args.out)
         if args.witness_dir:
             with _writing(args.witness_dir):

@@ -302,7 +302,9 @@ def verdict_report(g: PlaneGraph, verdict: Verdict) -> dict[str, Any]:
     if led is not None:
         rep["mode"] = led.mode
         rep["blocks"] = _ledger_rows(led)
-        rep["block_values"] = Rows(led.decomposition, False, (), (("value", verdict.values),), led.den)
+        rep["block_values"] = Rows(
+            led.decomposition, False, (), (("value", verdict.values),), led.den
+        )
         rep["violations"] = list(verdict.violations)
         rep["total"] = format_fraction(verdict.total)
         rep["warnings"] = list(verdict.warnings)

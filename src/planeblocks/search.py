@@ -7,7 +7,9 @@ works level by level on edge count, by canonical deletion (McKay,
 maps a canonical code to the class's canonical representative, generators
 of its automorphism group and a planar rotation system of the
 representative.  A parent gets one child per orbit of its non-edges under
-those generators.  A child is kept only if its new edge lies in the orbit of
+those generators: one breadth-first search over the generators from each
+orbit's first non-edge marks the orbit in a flat table of vertex pairs
+(``_mark_orbit``).  A child is kept only if its new edge lies in the orbit of
 its canonical edge, the edge whose deletion defines its parent; see
 ``_canonical_deletion``.  Each parent is tabled once (``_Parent``), and
 each child meets the filters in this order:
@@ -18,7 +20,8 @@ each child meets the filters in this order:
    the child's masks exist;
 3. the forbidden cycles, as paths of the parent between the new edge's ends;
 4. the color tier of the test, one color refinement of the child;
-5. the labelling tier of the test, one canonical labelling of the child;
+5. the labelling tier of the test, one canonical labelling of the child,
+   whose generators mark the canonical edge's orbit by the same search;
 6. planarity.
 
 The planarity of a child is read from the parent's embedding, as in
@@ -38,10 +41,14 @@ generate.  Constraints that are not deletion-closed (minimum degree,
 2-connectivity, the degree-2 neighbor rule) are filtered at emission, which
 takes the empty graph as level 0 like every other level.  Because level sets
 store canonical representatives and planarity does not depend on the
-embedding, the classes are independent of generation schedule.  Each class is yielded with the rotation system its level entry
-holds, relabelled onto the representative, so callers, the extremal search's
-witnesses included, need no second embedding; which of the class's
-embeddings that is depends on the parent that produced it first.
+embedding, the classes are independent of generation schedule.
+
+A new class's level entry relabels the child that produced it through its
+canonical order: its masks, which are ``canon.decode`` of its code, its
+rotation system and its generators.  Each class is yielded with that
+rotation system, so callers, the extremal search's witnesses included, need
+no second embedding; which of the class's embeddings that is depends on the
+parent that produced it first.
 """
 
 from __future__ import annotations
@@ -55,7 +62,7 @@ from . import canon, planarity
 from .errors import CeilingExceeded, RetriesExhausted
 from .planarity import Rotations
 from .plane import (
-    Edge, PlaneGraph, dart_tables, edge_of, insert_chord, rotations_from_edges, trace_faces,
+    Edge, PlaneGraph, dart_tables, insert_chord, rotations_from_edges, trace_faces,
 )
 from .structure import Hypotheses, is_connected, structural_stats
 
@@ -151,18 +158,20 @@ def _planar_cap(n: int, cs: ConstraintSet) -> int:
     return 3 * n - 6
 
 
-def _pair_orbit(p: Edge, gens: list[canon.Perm]) -> set[Edge]:
-    """The orbit of a vertex pair under the group generated by gens."""
-    orbit = {p}
-    todo = [p]
+def _mark_orbit(seen: bytearray, n: int, u: int, v: int, gens: list[canon.Perm]) -> None:
+    """Set ``seen[x * n + y]`` for every pair x < y in the orbit of the pair
+    u < v under the group generated by gens."""
+    seen[u * n + v] = 1
+    todo = [(u, v)]
     while todo:
         x, y = todo.pop()
         for g in gens:
-            q = edge_of(g[x], g[y])
-            if q not in orbit:
-                orbit.add(q)
-                todo.append(q)
-    return orbit
+            a, b = g[x], g[y]
+            if a > b:
+                a, b = b, a
+            if not seen[a * n + b]:
+                seen[a * n + b] = 1
+                todo.append((a, b))
 
 
 def _non_edge_orbits(adj: canon.Masks, gens: list[canon.Perm]) -> list[Edge]:
@@ -172,12 +181,12 @@ def _non_edge_orbits(adj: canon.Masks, gens: list[canon.Perm]) -> list[Edge]:
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if not (adj[u] >> v) & 1]
     if not gens:
         return pairs
-    seen: set[Edge] = set()
+    seen = bytearray(n * n)
     reps = []
-    for p in pairs:
-        if p not in seen:
-            reps.append(p)
-            seen |= _pair_orbit(p, gens)
+    for u, v in pairs:
+        if not seen[u * n + v]:
+            reps.append((u, v))
+            _mark_orbit(seen, n, u, v, gens)
     return reps
 
 
@@ -215,13 +224,16 @@ class _Parent:
         self.adj = adj
         self.rotations = rotations
         self.deg = deg = [len(rot) for rot in rotations]
-        self.by_pair: dict[tuple[int, int], list[Edge]] = {}
+        by_pair: dict[tuple[int, int], list[Edge]] = {}
         self.comp = comp = [-1] * len(adj)
         self.parity = parity = [0] * len(adj)
         for x, rot in enumerate(rotations):
+            dx = deg[x]
             for y in rot:
                 if x < y:
-                    self.by_pair.setdefault(edge_of(deg[x], deg[y]), []).append((x, y))
+                    dy = deg[y]
+                    key = (dx, dy) if dx < dy else (dy, dx)
+                    by_pair.setdefault(key, []).append((x, y))
             if comp[x] < 0:
                 comp[x] = x
                 todo = [x]
@@ -232,7 +244,8 @@ class _Parent:
                             comp[y] = x
                             parity[y] = parity[w] ^ 1
                             todo.append(y)
-        self.top = max(self.by_pair, default=(0, 0))
+        self.by_pair = by_pair
+        self.top = max(by_pair, default=(0, 0))
 
     def keeps_bipartite(self, u: int, v: int) -> bool:
         """Whether adj + uv is bipartite, adj being bipartite."""
@@ -318,18 +331,24 @@ def _canonical_deletion(
     _, order, gens = labelling
     pos = _positions(order)
     best = min(ties, key=lambda e: sorted((pos[e[0]], pos[e[1]])))
-    return new in _pair_orbit(best, gens), refined, labelling
-
-
-def _on_representative(order: canon.Perm, gens: list[canon.Perm]) -> list[canon.Perm]:
-    """Generators conjugated onto the canonical representative, whose vertex
-    i is order[i]."""
-    pos = _positions(order)
-    return [tuple(pos[g[x]] for x in order) for g in gens]
+    n = len(child)
+    seen = bytearray(n * n)
+    _mark_orbit(seen, n, *best, gens)
+    return bool(seen[u * n + v]), refined, labelling
 
 
 # a level entry: canonical representative, automorphism generators, embedding
 _Entry = tuple[canon.Masks, list[canon.Perm], Rotations]
+
+
+def _representative(order: canon.Perm, rotations: Rotations, gens: list[canon.Perm]) -> _Entry:
+    """The level entry of a class: its canonical representative, whose vertex
+    i is order[i], and the rotation system and generators relabelled onto it.
+    The representative's masks are ``canon.decode(n, code)``."""
+    pos = _positions(order)
+    rot = tuple([tuple(map(pos.__getitem__, rotations[x])) for x in order])
+    masks = tuple([sum([1 << w for w in r]) for r in rot])
+    return masks, [tuple([pos[g[x]] for x in order]) for g in gens], rot
 
 
 def enumerate_graphs(
@@ -352,9 +371,7 @@ def enumerate_graphs(
     cap = _planar_cap(n, cs)
     empty = tuple([0] * n)
     code, order, gens = canon.canonical_labelling(empty)
-    level: dict[int, _Entry] = {
-        code: (empty, _on_representative(order, gens), ((),) * n)
-    }
+    level: dict[int, _Entry] = {code: _representative(order, ((),) * n, gens)}
     edge_total = 0
     while level:
         for code in sorted(level):
@@ -371,8 +388,9 @@ def enumerate_graphs(
         next_level: dict[int, _Entry] = {}
         for adj, gens, rotations in level.values():
             parent = _Parent(adj, rotations)
-            for u, v in _non_edge_orbits(adj, gens):
-                stats.children += 1
+            orbits = _non_edge_orbits(adj, gens)
+            stats.children += len(orbits)
+            for u, v in orbits:
                 if cs.bipartite and not parent.keeps_bipartite(u, v):
                     continue
                 ties = parent.ties(u, v)
@@ -393,12 +411,7 @@ def enumerate_graphs(
                 if code not in next_level:
                     # store the canonical representative so output does not
                     # depend on which parent produced the class
-                    pos = _positions(order)
-                    next_level[code] = (
-                        canon.decode(n, code),
-                        _on_representative(order, cgens),
-                        tuple(tuple(pos[w] for w in child_rot[x]) for x in order),
-                    )
+                    next_level[code] = _representative(order, child_rot, cgens)
         edge_total += 1
         level = next_level
         stats.expanded += len(level)

@@ -9,6 +9,7 @@ session.  Set PLANEBLOCKS_EXTENDED=1 to run the larger gates:
 - criterion 7 at n <= 10 (n <= 9 otherwise).
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -176,7 +177,8 @@ def test_criterion_6_desk_scale_bounds(criterion):
     cs = search.ConstraintSet(
         n=10, forbidden_cycles=(5,), min_degree=3, two_connected=True
     )
-    classes = list(search.enumerate_graphs(cs))
+    stats10 = search.SearchStats()
+    classes = list(search.enumerate_graphs(cs, stats=stats10))
     max_e10 = max(canon.edge_count(adj) for adj, _ in classes)
     for _, rot in classes:
         v = theorems.verify(PlaneGraph(rot), PROFILES["C5"])
@@ -185,9 +187,12 @@ def test_criterion_6_desk_scale_bounds(criterion):
         6,
         f"bounds hold on {checked_c5} C5-profile enumerated graphs; C5 at "
         f"n = 10: {len(classes)} classes, max e {max_e10} <= "
-        f"floor((12*10 - 33)/5) = 17, no L(B) > 0; BI_C6 verified on "
+        f"floor((12*10 - 33)/5) = 17, no L(B) > 0, search stats "
+        f"{dataclasses.astuple(stats10)}; BI_C6 verified on "
         f"{bi_counts} classes for n = 6..{top}",
         failures == 0 and checked_c5 > 0 and len(classes) == 4 and max_e10 == 17
+        # (candidates, expanded, children, emitted) of the n = 10 search
+        and dataclasses.astuple(stats10) == (16523, 15805, 307892, 4)
         and bi_counts == [0, 1, 4, 7, 14, 25, 82, 196, 548][:top - 5],
     )
 

@@ -201,6 +201,18 @@ def test_search_constraint_parsing(capsys):
     assert (rep["search"]["max_edges"], rep["search"]["witnesses"]) == (-1, [])
 
 
+def test_search_under_a_profile_is_the_search_under_its_hypotheses(capsys):
+    argv = ["search", "--n", "8", "--format", "json"]
+    assert main(argv + ["--theorem", "C5"]) == 0
+    by_profile = capsys.readouterr().out
+    assert main(argv + ["--constraints", "c5free,mindeg=3,2connected"]) == 0
+    assert capsys.readouterr().out == by_profile
+    assert main(argv + ["--theorem", "C5", "--constraints", "c5free"]) == 2
+    assert "cannot both be given" in capsys.readouterr().err
+    assert main(argv + ["--theorem", "C7"]) == 2
+    assert "unknown profile 'C7'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("token", ["c2free", "c1free", "c-4free"])
 def test_search_rejects_cycle_length_below_three(token, capsys):
     assert main(["search", "--n", "5", "--constraints", token]) == 2

@@ -162,13 +162,18 @@ def reference_degree_ties(child, new):
     return ties
 
 
+# two triangles, and an edge and an isolated vertex beside a 4-cycle
+DISCONNECTED_PARENTS = [
+    canon.masks_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
+    canon.masks_from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)]),
+]
+
+
 def test_degree_tier_from_the_parent_matches_a_scan_of_the_child(corpus7):
     # every non-edge, so every orbit representative the search tries, of
     # every class on 2 to 7 vertices, and two disconnected parents
     parents = [pair for n in range(2, 8) for pair in corpus7[n]] + [
-        (adj, tuple(map(tuple, canon.neighbor_lists(adj)))) for adj in (
-            canon.masks_from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
-            canon.masks_from_edges(7, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)]))
+        (adj, tuple(map(tuple, canon.neighbor_lists(adj)))) for adj in DISCONNECTED_PARENTS
     ]
     accepted = rejected = 0
     for adj, rotations in parents:
@@ -186,6 +191,32 @@ def test_degree_tier_from_the_parent_matches_a_scan_of_the_child(corpus7):
                 assert sorted(got) == sorted(want), (adj, u, v)
                 accepted += 1
     assert (accepted, rejected) == (1723, 6008)  # 7,706 + 9 + 16 non-edges
+
+
+def brute_non_edge_orbits(adj, group):
+    """The lexicographically first non-edge of each orbit under ``group``,
+    a list of every permutation in the group, in lexicographic order."""
+    reps = {min(tuple(sorted((g[u], g[v]))) for g in group)
+            for u, v in itertools.combinations(range(len(adj)), 2) if not (adj[u] >> v) & 1}
+    return sorted(reps)
+
+
+def test_non_edge_orbits_match_a_brute_force_orbit_partition(corpus7):
+    # every class on at most 6 vertices, and the disconnected parents, under
+    # their labelling's generators and under no generator
+    graphs = [adj for n in range(1, 7) for adj, _ in corpus7[n]] + DISCONNECTED_PARENTS
+    counts = [0, 0]
+    for adj in graphs:
+        n = len(adj)
+        nbrs = canon.neighbor_lists(adj)
+        autos = [p for p in itertools.permutations(range(n))
+                 if all(adj[p[u]] == sum(1 << p[w] for w in nbrs[u]) for u in range(n))]
+        for i, (gens, group) in enumerate([(canon.canonical_labelling(adj)[2], autos),
+                                           ([], [tuple(range(n))])]):
+            reps = search._non_edge_orbits(adj, gens)
+            assert reps == brute_non_edge_orbits(adj, group), (adj, gens)
+            counts[i] += len(reps)
+    assert counts == [440, 805]  # orbits under the automorphisms, and non-edges
 
 
 def test_yielded_rotations_embed_their_class(corpus7):
@@ -272,11 +303,8 @@ def test_children_decided_from_the_parent_embedding(corpus7):
             g = search.planar_embed(n, canon.edges_from_masks(adj))
             decided += len(check_children(adj, g.rotations))
     assert decided == 7706  # the non-edges of all 774 classes on 2 to 7 vertices
-    # disconnected parents, as the search keeps them: two triangles, and an
-    # edge and an isolated vertex beside a 4-cycle
-    for n, edges in [(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]),
-                     (7, [(0, 1), (2, 3), (3, 4), (4, 5), (2, 5)])]:
-        adj = canon.masks_from_edges(n, edges)
+    # disconnected parents, as the search keeps them
+    for adj in DISCONNECTED_PARENTS:
         rotations = tuple(tuple(nb) for nb in canon.neighbor_lists(adj))
         assert all(check_children(adj, rotations))
 
