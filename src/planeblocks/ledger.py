@@ -43,12 +43,13 @@ class ContributionLedger:
 
 def slot_table(
     d: BlockDecomposition, pf: Optional[PseudofaceMap] = None
-) -> tuple[int, dict[int, dict[int, int]]]:
-    """Slot shares of all non-interior faces, over one common denominator.
+) -> tuple[int, list[int]]:
+    """Each block's share of the non-interior faces, over one common
+    denominator.
 
-    Returns (D, face id -> (block id -> numerator)): a face whose (pseudo)face
-    boundary has L entries gives each entry the share 1/L = (D/L)/D, and D is
-    the lcm of those lengths.
+    Returns (D, shares): a face whose (pseudo)face boundary has L entries
+    gives each entry's block the share 1/L = (D/L)/D, D is the lcm of those
+    lengths, and shares[bid] is the numerator of block bid's summed shares.
     """
     if d.mode == "triangular" and pf is None:
         raise MissingPseudoface(
@@ -56,36 +57,30 @@ def slot_table(
         )
     # boundaries as edge ids, the pseudoface's in triangular mode
     interior = d.interior_face_block
-    boundaries = {
-        fid: pf[fid].eids if pf else eids
+    boundaries = [
+        pf[fid].eids if pf else eids
         for fid, eids in enumerate(d.graph.face_eids)
         if fid not in interior
-    }
+    ]
     edge_block = d.edge_block
-    denom = lcm(*{len(eids) for eids in boundaries.values()})
-    out: dict[int, dict[int, int]] = {}
-    for fid, eids in boundaries.items():
+    denom = lcm(*{len(eids) for eids in boundaries})
+    shares = [0] * len(d.eids)
+    for eids in boundaries:
         unit = denom // len(eids)
-        shares: dict[int, int] = {}
         for i in eids:
-            bid = edge_block[i]
-            shares[bid] = shares.get(bid, 0) + unit
-        out[fid] = shares
-    return denom, out
+            shares[edge_block[i]] += unit
+    return denom, shares
 
 
 def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     """Decompose, compute all contributions, and assert conservation."""
     d = decompose(g, mode)
     pf = refine_pseudofaces(d) if mode == "triangular" else None
-    slot_den, faces = slot_table(d, pf)
+    slot_den, shares = slot_table(d, pf)
     counts = d.vertex_block_count
     den = lcm(slot_den, *counts)
     scale = den // slot_den
-    fnum = [c * den for c in d.interior_counts]
-    for shares in faces.values():
-        for bid, num in shares.items():
-            fnum[bid] += num * scale
+    fnum = [c * den + s * scale for c, s in zip(d.interior_counts, shares)]
 
     # 1 / (blocks containing v) = vshare[v] / den
     vshare = [den // c for c in counts]

@@ -29,11 +29,6 @@ Dart = tuple[int, int]
 Edge = tuple[int, int]
 
 
-def edge_of(u: int, v: int) -> Edge:
-    """Undirected edge key (min, max)."""
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True, slots=True)
 class Face:
     """One face of a plane graph: a cyclic walk of darts.

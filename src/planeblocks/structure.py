@@ -26,8 +26,8 @@ class StructuralStats:
     k: int  # number of degree-2 vertices
     e23: int  # edges joining a degree-2 and a degree-3 vertex
     bipartite: bool
-    two_connected: bool = False
-    deg2_neighbor_ok: bool = True  # every degree-2 vertex has a neighbor of degree <= 3
+    two_connected: bool
+    deg2_neighbor_ok: bool  # every degree-2 vertex has a neighbor of degree <= 3
 
 
 def contains_cycle_of_length(adj: Adjacency, length: int) -> bool:
@@ -35,41 +35,28 @@ def contains_cycle_of_length(adj: Adjacency, length: int) -> bool:
     ``length`` vertices.
 
     Every cycle lies in one biconnected component, so each component with at
-    least ``length`` vertices is searched on its own.  Within one, an exact
+    least ``length`` vertices is searched on its own, in place: its vertices
+    are marked, and no step leaves the marked ones.  Within one, an exact
     backtracking path search roots each cycle at its smallest vertex and
     never visits vertices below the root, nor one whose distance back to the
     root exceeds the edges left.
 
     Worst case: from each root at most length * D**(length - 1) simple paths
-    are extended, D the component's largest degree, each scanning D
-    neighbours; a component of c vertices costs O(c * length * D**length).
+    are extended, D the graph's largest degree, each scanning D neighbours;
+    a component of c vertices costs O(c * length * D**length).
     """
     if length < 3:
         raise BadLength(f"cycle length must be >= 3, got {length}")
     n = len(adj)
     if length > n:
         return False
-    for comp in biconnected_components(adj):
-        if len(comp) < length:
-            continue
-        if len(comp) == n:
-            local = adj
-        else:
-            # an edge between two vertices of one component belongs to it
-            index = {v: i for i, v in enumerate(comp)}
-            local = [[index[w] for w in adj[v] if w in index] for v in comp]
-        if _has_cycle(local, length):
-            return True
-    return False
-
-
-def _has_cycle(adj: Adjacency, length: int) -> bool:
     far = length + 1
-    # dist[w]: BFS distance from the current root to w over the vertices
-    # above it, up to length // 2; far for every other vertex, the root too,
-    # so a path comes back to the root only to close the cycle
-    dist = [far] * len(adj)
-    visited = bytearray(len(adj))  # the current path, cleared on the way back
+    # dist[w]: BFS distance from the current root to w over the marked
+    # vertices above it, up to length // 2; far for every other vertex, the
+    # root too, so a path comes back to the root only to close the cycle
+    dist = [far] * n
+    visited = bytearray(n)  # the current path, cleared on the way back
+    marked = bytearray(n)  # the current component's vertices
 
     def search(root: int, last: int, depth: int) -> bool:
         left = length - depth  # edges left to close the cycle after a step
@@ -83,25 +70,30 @@ def _has_cycle(adj: Adjacency, length: int) -> bool:
                 visited[w] = 0
         return False
 
-    for root in range(len(adj)):
-        if len(adj[root]) < 2:
+    for comp in biconnected_components(adj):
+        if len(comp) < length:
             continue
-        # no vertex of a cycle is farther than length // 2 from its root
-        ball, frontier = [], [root]
-        for r in range(1, length // 2 + 1):
-            reached = []
-            for u in frontier:
-                for w in adj[u]:
-                    if w > root and dist[w] == far:
-                        dist[w] = r
-                        reached.append(w)
-            ball += reached
-            frontier = reached
-        found = search(root, root, 1)
-        for w in ball:
-            dist[w] = far
-        if found:
-            return True
+        for v in comp:
+            marked[v] = 1
+        for root in comp:
+            # no vertex of a cycle is farther than length // 2 from its root
+            ball, frontier = [], [root]
+            for r in range(1, length // 2 + 1):
+                reached = []
+                for u in frontier:
+                    for w in adj[u]:
+                        if w > root and dist[w] == far and marked[w]:
+                            dist[w] = r
+                            reached.append(w)
+                ball += reached
+                frontier = reached
+            found = search(root, root, 1)
+            for w in ball:
+                dist[w] = far
+            if found:
+                return True
+        for v in comp:
+            marked[v] = 0
     return False
 
 

@@ -7,6 +7,10 @@ import importlib
 import sys
 from pathlib import Path
 
+import pytest
+
+from planeblocks import fixtures, graphio, theorems
+
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
 
@@ -21,3 +25,44 @@ def test_every_traced_name_resolves_to_a_callable(monkeypatch):
         if not callable(getattr(owner, attr, None))
     ]
     assert sites and missing == []
+
+
+# every span one parse, forced verify and report pass through; triangular
+# mode adds blocks.refine_pseudofaces
+VERIFY_SPANS = (
+    "graphio.parse_graph",
+    "plane.PlaneGraph",
+    "theorems.verify",
+    "theorems.check_hypotheses",
+    "structure.structural_stats",
+    "structure.contains_cycle_of_length",
+    "theorems.verify_per_block",
+    "ledger.build_ledger",
+    "blocks.decompose",
+    "ledger.slot_table",
+    "theorems.check_bound",
+    "graphio.verdict_report",
+    "graphio.write_report",
+)
+
+
+@pytest.mark.parametrize(
+    "fixture, profile, spans",
+    [
+        ("k4", "C5", (*VERIFY_SPANS, "blocks.refine_pseudofaces")),
+        ("cube", "BI_C8", VERIFY_SPANS),
+    ],
+)
+def test_every_verify_span_records_a_call(monkeypatch, fixture, profile, spans):
+    # a refactor that routes the verify path around a traced name would
+    # silently turn that layer's per-op metric into 0
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(BENCH))
+    tracer = importlib.import_module("tracer")
+    t = tracer.Tracer()
+    with tracer.installed(t), t.op():
+        g = graphio.parse_graph(fixtures.fixture_text(fixture))
+        verdict = theorems.verify(g, theorems.PROFILES[profile], force=True)
+        graphio.write_report(graphio.verdict_report(g, verdict), "json")
+    silent = [name for name in spans if t.total(name, field=0) == 0]
+    assert silent == []

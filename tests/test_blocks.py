@@ -1,11 +1,12 @@
 import random
+from fractions import Fraction as F
 
 import pytest
 
 from planeblocks import blocks, canon, graphio, ledger, search, theorems
 from planeblocks.blocks import BlockKind, decompose, refine_pseudofaces
 from planeblocks.errors import WrongMode
-from planeblocks.plane import PlaneGraph, edge_of
+from planeblocks.plane import PlaneGraph
 
 
 def worklist_decompose(g, mode, edge_order):
@@ -282,9 +283,11 @@ def test_c4_with_pendants():
     c4 = next(b for b in d.blocks if b.kind == BlockKind.C4)
     assert c4.junction_vertices == frozenset(range(4))
     assert c4.exterior_eids == c4.eids
-    denom, table = ledger.slot_table(d)
-    # each C4 edge appears once on the outer face, whose length is 12
-    assert table[outer.id][c4.id] * 12 == 4 * denom
+    denom, shares = ledger.slot_table(d)
+    # the outer face, of length 12, is the only one no block absorbs: each
+    # C4 edge appears on it once, each pendant edge twice
+    assert shares[c4.id] * 12 == 4 * denom
+    assert all(shares[b.id] * 12 == 2 * denom for b in d.blocks if b.kind == BlockKind.K2)
 
 
 def test_slot_completeness_random():
@@ -294,9 +297,19 @@ def test_slot_completeness_random():
         for mode in ("triangular", "quadrangular"):
             d = decompose(g, mode)
             pf = refine_pseudofaces(d) if mode == "triangular" else None
-            denom, table = ledger.slot_table(d, pf)
-            for fid, shares in table.items():
-                assert sum(shares.values()) == denom, (seed, mode, fid)
+            denom, shares = ledger.slot_table(d, pf)
+            # each face no block absorbs gives 1/L to each of the L entries
+            # of its (pseudo)face boundary, so each such face adds 1 in all
+            want = [F(0)] * len(d.eids)
+            for fid, eids in enumerate(g.face_eids):
+                if fid in d.interior_face_block:
+                    continue
+                boundary = pf[fid].eids if pf else eids
+                for i in boundary:
+                    want[d.edge_block[i]] += F(1, len(boundary))
+            assert [F(s, denom) for s in shares] == want, (seed, mode)
+            outside = g.f - len(d.interior_face_block)
+            assert sum(shares) == outside * denom, (seed, mode)
 
 
 def test_interior_faces_partition_block_faces(fixture_graphs):
@@ -313,7 +326,7 @@ def test_interior_faces_partition_block_faces(fixture_graphs):
             for fid, bid in d.interior_face_block.items():
                 face = next(f for f in g.faces if f.id == fid)
                 block_edges = {g.edge_list[i] for i in d.blocks[bid].eids}
-                assert all(edge_of(u, v) in block_edges for u, v in face.darts)
+                assert all((min(u, v), max(u, v)) in block_edges for u, v in face.darts)
 
 
 def test_edge_ids_run_from_faces_to_blocks(fixture_graphs, corpus7):
@@ -327,7 +340,7 @@ def test_edge_ids_run_from_faces_to_blocks(fixture_graphs, corpus7):
     for g in graphs:
         assert g.edge_list == sorted(g.edges)
         for face in g.faces:
-            walk = [edge_of(u, v) for u, v in face.darts]
+            walk = [(min(u, v), max(u, v)) for u, v in face.darts]
             assert [g.edge_list[i] for i in face.eids] == walk
         for mode in ("triangular", "quadrangular"):
             d = decompose(g, mode)

@@ -150,10 +150,10 @@ def test_tampered_slot_share_raises(mode, fixture_graphs, monkeypatch):
     real = ledger.slot_table
 
     def tampered(d, pf=None):
-        denom, faces = real(d, pf)
-        slots = next(iter(faces.values()))
-        slots[next(iter(slots))] += 1
-        return denom, faces
+        denom, shares = real(d, pf)
+        bid = next(b for b, num in enumerate(shares) if num)  # a block with a face share
+        shares[bid] += 1
+        return denom, shares
 
     monkeypatch.setattr(ledger, "slot_table", tampered)
     with pytest.raises(ConservationViolation, match="face total"):

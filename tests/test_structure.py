@@ -170,6 +170,11 @@ def test_cycle_search_stays_inside_biconnected_components():
     assert time.perf_counter() - start < 1.0
     assert [contains_cycle_of_length(adj, n) for n in (4, 6, 8, 10)] == \
         [True, False, False, False]
+    # a search that steps through the hubs into the next K2,m takes about
+    # 5 s here, against about 0.03 s for one kept inside each component
+    start = time.perf_counter()
+    assert not contains_cycle_of_length(hub_chain(5, 160), 8)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_cycle_across_a_bridge_is_not_found():
@@ -201,22 +206,58 @@ def plain_cycle_search(adj, length):
     return any(search(root, root, 1, {root}) for root in range(len(adj)))
 
 
+def random_adjacency(rng, n, p):
+    adj = [[] for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < p:
+            adj[u].append(v)
+            adj[v].append(u)
+    return adj
+
+
+def glued_blocks(rng):
+    """Random dense pieces, each glued to the graph so far at one shared cut
+    vertex or joined to it by a bridge, with vertex numbers shuffled so that
+    components interleave in vertex order."""
+    adj = []
+    for _ in range(rng.randint(2, 4)):
+        piece = random_adjacency(rng, rng.randint(3, 7), rng.choice([0.5, 0.7, 0.9]))
+        start = len(adj)
+        glue = start > 0 and rng.random() < 0.5
+        ids = [rng.randrange(start)] if glue else []  # the piece's vertex numbers
+        ids += range(start, start + len(piece) - glue)
+        adj += [[] for _ in range(len(piece) - glue)]
+        for u, nbrs in enumerate(piece):
+            adj[ids[u]] += [ids[w] for w in nbrs]
+        if start and not glue:
+            u, v = rng.randrange(start), rng.choice(ids)
+            adj[u].append(v)
+            adj[v].append(u)
+    order = list(range(len(adj)))
+    rng.shuffle(order)
+    relabelled = [[] for _ in adj]
+    for u, nbrs in enumerate(adj):
+        relabelled[order[u]] = [order[w] for w in nbrs]
+    return relabelled
+
+
 def test_pruned_cycle_search_matches_plain_search():
     rng = random.Random(5)
     for _ in range(300):
         n = rng.randint(3, 13)
-        p = rng.choice([0.15, 0.25, 0.4])
-        adj = [[] for _ in range(n)]
-        for u, v in itertools.combinations(range(n), 2):
-            if rng.random() < p:
-                adj[u].append(v)
-                adj[v].append(u)
+        adj = random_adjacency(rng, n, rng.choice([0.15, 0.25, 0.4]))
         for length in range(3, n + 1):
             want = plain_cycle_search(adj, length)
             assert contains_cycle_of_length(adj, length) == want, (adj, length)
-            # the search itself, over the whole graph, with its visited marks
-            # set and cleared across every root
-            assert structure._has_cycle(adj, length) == want, (adj, length)
+    # graphs that are not 2-connected: the search marks each component and
+    # must neither cross a cut vertex nor miss a cycle through one
+    for _ in range(300):
+        adj = glued_blocks(rng)
+        assert not is_two_connected(adj)
+        # no cycle is longer than a piece, which has at most 7 vertices
+        for length in range(3, min(len(adj), 9) + 1):
+            want = plain_cycle_search(adj, length)
+            assert contains_cycle_of_length(adj, length) == want, (adj, length)
 
 
 def test_odd_length_on_bipartite_input_is_not_searched(fixture_graphs, monkeypatch):
