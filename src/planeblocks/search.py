@@ -2,13 +2,13 @@
 
 The enumeration yields exactly one representative per isomorphism class of
 connected simple planar graphs on n vertices satisfying a constraint set.  It
-works level by level on edge count, by canonical deletion (McKay,
-"Isomorph-free exhaustive generation", J. Algorithms 26, 1998).  Each level
-maps a canonical code to the class's canonical representative, generators
-of its automorphism group and a planar rotation system of the
-representative.  A parent gets one child per orbit of its non-edges under
-those generators: one breadth-first search over the generators from each
-orbit's first non-edge marks the orbit in a flat table of vertex pairs
+walks the tree of canonical deletion (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26, 1998) depth first from the empty graph, with
+one explicit stack.  Each node is a class's canonical representative, with
+its canonical code, generators of its automorphism group and a planar
+rotation system of it.  A parent gets one child per orbit of its non-edges
+under those generators: one breadth-first search over the generators from
+each orbit's first non-edge marks the orbit in a flat table of vertex pairs
 (``_mark_orbit``).  A child is kept only if its new edge lies in the orbit of
 its canonical edge, the edge whose deletion defines its parent; see
 ``_canonical_deletion``.  Each parent is tabled once (``_Parent``), and
@@ -33,22 +33,20 @@ child gets the full Left-Right planarity test (``planarity.lr_rotations``),
 whose embedding is kept.  Each planar child gets one canonical labelling, the
 one the labelling tier computed if it ran, started from the color tier's
 refinement if that ran.  So every class is produced from exactly one parent
-class, and most children need no labelling.  A parent's generators need only
-be automorphisms: a missing one would repeat a child, and the level dict,
-keyed by canonical code, drops the repeat.  The test needs the child's whole
-automorphism group, which the generators from ``canon.canonical_labelling``
-generate.  Constraints that are not deletion-closed (minimum degree,
-2-connectivity, the degree-2 neighbor rule) are filtered at emission, which
-takes the empty graph as level 0 like every other level.  Because level sets
-store canonical representatives and planarity does not depend on the
-embedding, the classes are independent of generation schedule.
+class, and most children need no labelling.  A parent's generators must
+generate its whole automorphism group: a missing one would split an orbit of
+non-edges and yield a class twice.  The test needs the child's whole group
+too.  The generators from ``canon.canonical_labelling`` generate it.
+Constraints that are not deletion-closed (minimum degree, 2-connectivity,
+the degree-2 neighbor rule) are filtered at emission, the empty graph
+included.  The emitted classes are sorted by (edge count, canonical code)
+once the walk ends, so memory is bounded by them and the stack, not by the
+largest edge level.
 
-A new class's level entry relabels the child that produced it through its
-canonical order: its masks, which are ``canon.decode`` of its code, its
-rotation system and its generators.  Each class is yielded with that
-rotation system, so callers, the extremal search's witnesses included, need
-no second embedding; which of the class's embeddings that is depends on the
-parent that produced it first.
+A child's node relabels it through its canonical order: its masks, which are
+``canon.decode`` of its code, its rotation system and its generators.  Each
+class is yielded with that rotation system, so callers, the extremal
+search's witnesses included, need no second embedding.
 """
 
 from __future__ import annotations
@@ -90,7 +88,7 @@ class ConstraintSet(Hypotheses):
 @dataclass
 class SearchStats:
     candidates: int = 0  # children passing canonical deletion; each tested for planarity
-    expanded: int = 0  # planar classes kept in some level
+    expanded: int = 0  # planar children: the tree's nodes below the empty graph
     children: int = 0  # edge-augmented children generated, one per non-edge orbit
     emitted: int = 0  # connected graphs passing all constraints
 
@@ -337,13 +335,11 @@ def _canonical_deletion(
     return bool(seen[u * n + v]), refined, labelling
 
 
-# a level entry: canonical representative, automorphism generators, embedding
-_Entry = tuple[canon.Masks, list[canon.Perm], Rotations]
-
-
-def _representative(order: canon.Perm, rotations: Rotations, gens: list[canon.Perm]) -> _Entry:
-    """The level entry of a class: its canonical representative, whose vertex
-    i is order[i], and the rotation system and generators relabelled onto it.
+def _representative(
+    order: canon.Perm, rotations: Rotations, gens: list[canon.Perm]
+) -> tuple[canon.Masks, list[canon.Perm], Rotations]:
+    """A class's tree node: its canonical representative, whose vertex i is
+    order[i], and the generators and rotation system relabelled onto it.
     The representative's masks are ``canon.decode(n, code)``."""
     pos = _positions(order)
     rot = tuple([tuple(map(pos.__getitem__, rotations[x])) for x in order])
@@ -357,8 +353,8 @@ def enumerate_graphs(
     stats: Optional[SearchStats] = None,
 ) -> Iterator[tuple[canon.Masks, Rotations]]:
     """One representative per isomorphism class of connected simple planar
-    graphs on cs.n vertices satisfying cs, in ascending edge count and
-    canonical-code order, each with a planar rotation system of it."""
+    graphs on cs.n vertices satisfying cs, in ascending (edge count,
+    canonical code) order, each with a planar rotation system of it."""
     n = cs.n
     if n < 1:
         raise ValueError(f"search needs n >= 1, got {n}")
@@ -369,52 +365,47 @@ def enumerate_graphs(
         stats = SearchStats()
     needs_stats = cs.needs_stats
     cap = _planar_cap(n, cs)
-    empty = tuple([0] * n)
-    code, order, gens = canon.canonical_labelling(empty)
-    level: dict[int, _Entry] = {code: _representative(order, ((),) * n, gens)}
-    edge_total = 0
-    while level:
-        for code in sorted(level):
-            adj, _, rotations = level[code]
-            # connectivity and the constraints that do not survive deleting
-            # edges; the others were decided on every child
-            if is_connected(rotations) and (
-                not needs_stats or cs.stats_hold(structural_stats(rotations))
-            ):
-                stats.emitted += 1
-                yield adj, rotations
-        if edge_total == cap:
-            return
-        next_level: dict[int, _Entry] = {}
-        for adj, gens, rotations in level.values():
-            parent = _Parent(adj, rotations)
-            orbits = _non_edge_orbits(adj, gens)
-            stats.children += len(orbits)
-            for u, v in orbits:
-                if cs.bipartite and not parent.keeps_bipartite(u, v):
-                    continue
-                ties = parent.ties(u, v)
-                if ties is None or not _new_edge_ok(adj, u, v, cs):
-                    continue
-                child = list(adj)
-                child[u] |= 1 << v
-                child[v] |= 1 << u
-                child_t = tuple(child)
-                accepted, refined, labelling = _canonical_deletion(child_t, (u, v), ties)
-                if not accepted:
-                    continue
-                stats.candidates += 1
-                child_rot = parent.child(u, v)
-                if child_rot is None:
-                    continue
-                code, order, cgens = labelling or canon.canonical_labelling(child_t, refined)
-                if code not in next_level:
-                    # store the canonical representative so output does not
-                    # depend on which parent produced the class
-                    next_level[code] = _representative(order, child_rot, cgens)
-        edge_total += 1
-        level = next_level
-        stats.expanded += len(level)
+    code, order, gens = canon.canonical_labelling(tuple([0] * n))
+    stack = [(0, code, *_representative(order, ((),) * n, gens))]
+    emitted = []
+    while stack:
+        e, code, adj, gens, rotations = stack.pop()
+        # connectivity and the constraints that do not survive deleting
+        # edges; the others were decided on every child
+        if is_connected(rotations) and (
+            not needs_stats or cs.stats_hold(structural_stats(rotations))
+        ):
+            emitted.append((e, code, adj, rotations))
+        if e == cap:
+            continue
+        parent = _Parent(adj, rotations)
+        orbits = _non_edge_orbits(adj, gens)
+        stats.children += len(orbits)
+        for u, v in orbits:
+            if cs.bipartite and not parent.keeps_bipartite(u, v):
+                continue
+            ties = parent.ties(u, v)
+            if ties is None or not _new_edge_ok(adj, u, v, cs):
+                continue
+            child = list(adj)
+            child[u] |= 1 << v
+            child[v] |= 1 << u
+            child_t = tuple(child)
+            accepted, refined, labelling = _canonical_deletion(child_t, (u, v), ties)
+            if not accepted:
+                continue
+            stats.candidates += 1
+            child_rot = parent.child(u, v)
+            if child_rot is None:
+                continue
+            code, order, cgens = labelling or canon.canonical_labelling(child_t, refined)
+            stats.expanded += 1
+            stack.append((e + 1, code, *_representative(order, child_rot, cgens)))
+    # each class is emitted once, so the sort never compares past (e, code)
+    emitted.sort()
+    for _, _, adj, rotations in emitted:
+        stats.emitted += 1
+        yield adj, rotations
 
 
 # -- extremal search ---------------------------------------------------------

@@ -5,7 +5,8 @@ shared corpus (all connected planar classes up to n = 9) is built once per
 session.  Set PLANEBLOCKS_EXTENDED=1 to run the larger gates:
 
 - criterion 5 at n <= 11 (n <= 9 otherwise);
-- criterion 6's BI_C6 classes at n <= 14 (n <= 12 otherwise);
+- criterion 6's BI_C6 classes at n <= 14 (n <= 12 otherwise) and its C5
+  classes at n = 11 as well as n = 10;
 - criterion 7 at n <= 10 (n <= 9 otherwise).
 """
 
@@ -172,27 +173,37 @@ def test_criterion_6_desk_scale_bounds(criterion):
         bi_counts.append(len(bi_classes))
         for _, rot in bi_classes:
             failures += not theorems.verify(PlaneGraph(rot), PROFILES["BI_C6"]).ok
-    # exhaustively one vertex short of the C5 floor: every class meets the
-    # hypotheses, and the per-block inequalities hold on each
-    cs = search.ConstraintSet(
-        n=10, forbidden_cycles=(5,), min_degree=3, two_connected=True
+    # exhaustively one vertex short of the C5 floor, and at n = 11 under
+    # EXTENDED: every class meets the hypotheses, the per-block inequalities
+    # hold on each, and the bound floor((12n - 33)/5) is reached
+    # n: (classes, max e, (candidates, expanded, children, emitted))
+    c5_pins = {
+        10: (4, 17, (16523, 15805, 307892, 4)),
+        11: (10, 19, (83907, 78851, 2084601, 10)),
+    }
+    c5_seen = {}
+    for n in (10, 11) if EXTENDED else (10,):
+        cs = search.ConstraintSet(
+            n=n, forbidden_cycles=(5,), min_degree=3, two_connected=True
+        )
+        stats = search.SearchStats()
+        classes = list(search.enumerate_graphs(cs, ceiling=n, stats=stats))
+        max_e = max(canon.edge_count(adj) for adj, _ in classes)
+        for _, rot in classes:
+            v = theorems.verify(PlaneGraph(rot), PROFILES["C5"])
+            failures += not v.hypotheses.ok or bool(v.violations)
+        c5_seen[n] = (len(classes), max_e, dataclasses.astuple(stats))
+    c5_text = "; ".join(
+        f"C5 at n = {n}: {k} classes, max e {e} <= floor((12*{n} - 33)/5) = "
+        f"{(12 * n - 33) // 5}, search stats {st}"
+        for n, (k, e, st) in c5_seen.items()
     )
-    stats10 = search.SearchStats()
-    classes = list(search.enumerate_graphs(cs, stats=stats10))
-    max_e10 = max(canon.edge_count(adj) for adj, _ in classes)
-    for _, rot in classes:
-        v = theorems.verify(PlaneGraph(rot), PROFILES["C5"])
-        failures += not v.hypotheses.ok or bool(v.violations)
     criterion(
         6,
-        f"bounds hold on {checked_c5} C5-profile enumerated graphs; C5 at "
-        f"n = 10: {len(classes)} classes, max e {max_e10} <= "
-        f"floor((12*10 - 33)/5) = 17, no L(B) > 0, search stats "
-        f"{dataclasses.astuple(stats10)}; BI_C6 verified on "
-        f"{bi_counts} classes for n = 6..{top}",
-        failures == 0 and checked_c5 > 0 and len(classes) == 4 and max_e10 == 17
-        # (candidates, expanded, children, emitted) of the n = 10 search
-        and dataclasses.astuple(stats10) == (16523, 15805, 307892, 4)
+        f"bounds hold on {checked_c5} C5-profile enumerated graphs; {c5_text}; "
+        f"no L(B) > 0; BI_C6 verified on {bi_counts} classes for n = 6..{top}",
+        failures == 0 and checked_c5 > 0
+        and all(c5_seen[n] == c5_pins[n] for n in c5_seen)
         and bi_counts == [0, 1, 4, 7, 14, 25, 82, 196, 548][:top - 5],
     )
 

@@ -366,6 +366,9 @@ def test_enumeration_is_deterministic():
     assert first == second
     edge_counts = [canon.edge_count(adj) for adj, _ in first]
     assert edge_counts == sorted(edge_counts)
+    # strictly ascending: the final sort holds, and no class comes twice
+    keys = [(canon.edge_count(adj), canon.canonical_form(adj)) for adj, _ in first]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def test_constrained_enumeration_filters():
