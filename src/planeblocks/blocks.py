@@ -13,7 +13,12 @@ pseudofaces list their edges as ids.
 
 Exterior pseudofaces: the boundary of a non-interior face, rewritten while it
 contains exactly two consecutive exterior edges of one K4 block (the pair is
-replaced by the block's third exterior edge).
+replaced by the block's third exterior edge).  A rewrite keeps the block id
+of every boundary entry next to it, so no pair through the new edge reduces
+and every other pair is judged as on the original walk: one left-to-right
+pass over each walk finds all rewrites.  A same-K4 pair that cannot be
+rewritten (a third edge of its block next to it, or three edges left) stays
+to the end and makes the face degenerate.
 """
 
 from __future__ import annotations
@@ -233,9 +238,12 @@ class Pseudoface:
 def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
     """Pseudoface of every face of G that is not interior to a block.
 
-    Pairs are found left-to-right along the boundary walk; a pattern of three
-    consecutive same-K4 edges, or a reduction that would leave fewer than
-    three edges, is not defined and flags the face degenerate instead.
+    One pass over each boundary walk judges its pairs left to right against
+    the walk's own K4 block ids, which no rewrite changes.  A same-K4 pair
+    with a neighbour in its block, or met when only three edges are left, is
+    not rewritten and flags the face degenerate for good.  After a rewrite
+    of the first pair, walk[-1] lies outside that pair's block, so the pair
+    that wraps around the end is not same-K4 and is skipped.
     """
     if d.mode != "triangular":
         raise WrongMode("pseudofaces are defined for triangular decompositions")
@@ -247,44 +255,34 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
                 if d.exterior[i]:
                     k4_of[i] = bid
     out: dict[int, Pseudoface] = {}
-    for fid, eids in enumerate(d.graph.face_eids):
+    for fid, walk in enumerate(d.graph.face_eids):
         if fid in d.interior_face_block:
             continue
-        seq = list(eids)
+        bids = [k4_of[i] for i in walk]
+        if max(bids, default=-1) < 0:
+            out[fid] = Pseudoface(fid, tuple(walk))
+            continue
+        n = len(walk)
+        seq: list[int] = []
         reductions: list[Reduction] = []
         degenerate = False
-        while True:
-            n = len(seq)
-            applied = False
-            for i in range(n):
-                e1, e2 = seq[i], seq[(i + 1) % n]
-                bid = k4_of[e1]
-                if bid < 0 or k4_of[e2] != bid or e1 == e2:
-                    continue
-                if (
-                    n <= 3
-                    or k4_of[seq[(i - 1) % n]] == bid
-                    or k4_of[seq[(i + 2) % n]] == bid
-                ):
+        j = 0
+        while j < n:
+            bid, k = bids[j], (j + 1) % n
+            if bid >= 0 and bids[k] == bid:
+                if n - len(reductions) <= 3 or bids[j - 1] == bid or bids[(j + 2) % n] == bid:
                     degenerate = True
+                else:
+                    e1, e2 = walk[j], walk[k]
+                    (third,) = [x for x in d.eids[bid] if k4_of[x] == bid and x != e1 and x != e2]
+                    reductions.append(Reduction(block_id=bid, pair=(e1, e2), replacement=third))
+                    if k:
+                        seq.append(third)
+                    else:  # the pair wraps around: third takes walk[0]'s place
+                        seq[0] = third
+                    j += 2
                     continue
-                (third,) = [x for x in d.eids[bid] if k4_of[x] == bid and x != e1 and x != e2]
-                reductions.append(
-                    Reduction(block_id=bid, pair=(e1, e2), replacement=third)
-                )
-                if i + 1 < n:
-                    seq[i : i + 2] = [third]
-                else:  # pair wraps around the end of the list
-                    seq = [third] + seq[1:-1]
-                applied = True
-                break
-            if not applied:
-                break
-            degenerate = False  # re-judge after the rewrite
-        out[fid] = Pseudoface(
-            face_id=fid,
-            eids=tuple(seq),
-            reductions=tuple(reductions),
-            degenerate=degenerate,
-        )
+            seq.append(walk[j])
+            j += 1
+        out[fid] = Pseudoface(fid, tuple(seq), tuple(reductions), degenerate)
     return out

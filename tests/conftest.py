@@ -25,6 +25,29 @@ def block_values(v):
     return [(b, Fraction(num, v.ledger.den)) for b, num in zip(blocks, v.values)]
 
 
+def k4_necklace(m):
+    """A ring 0..m-1 with a K4 on each ring edge (i, i+1): apex m + 2i and
+    centre m + 2i + 1.  n = 3m, e = 6m, embedded by ``search.planar_embed``."""
+    edges = []
+    for i in range(m):
+        u, v, w, c = i, (i + 1) % m, m + 2 * i, m + 2 * i + 1
+        edges += [(min(u, v), max(u, v)), (u, w), (v, w), (u, c), (v, c), (w, c)]
+    return search.planar_embed(3 * m, edges)
+
+
+def hang_k4s(g, k, rng):
+    """``g`` with k K4s hung on random edges, embedded by
+    ``search.planar_embed``: each takes an edge uv of the graph built so far,
+    an apex w adjacent to u and v, and a centre c adjacent to u, v and w."""
+    n, edges = g.n, list(g.edge_list)
+    for _ in range(k):
+        u, v = rng.choice(edges)
+        w, c = n, n + 1
+        edges += [(u, w), (v, w), (u, c), (v, c), (w, c)]
+        n += 2
+    return search.planar_embed(n, edges)
+
+
 def plain(rep):
     """``rep`` with every `graphio.Rows` in it turned into a list of dicts."""
     return {key: list(x) if isinstance(x, graphio.Rows) else x for key, x in rep.items()}

@@ -28,7 +28,7 @@ from planeblocks.plane import PlaneGraph
 from planeblocks.structure import contains_cycle_of_length, structural_stats
 from planeblocks.theorems import PROFILES, derive_global_bound
 
-from conftest import EXTENDED, block_values, shares
+from conftest import EXTENDED, block_values, k4_necklace, shares
 
 WITNESS_DIR = Path(__file__).parent / "witnesses"
 
@@ -206,6 +206,21 @@ def test_criterion_6_desk_scale_bounds(criterion):
         and all(c5_seen[n] == c5_pins[n] for n in c5_seen)
         and bi_counts == [0, 1, 4, 7, 14, 25, 82, 196, 548][:top - 5],
     )
+
+
+def test_c5_bound_on_k4_necklaces_above_the_floor():
+    """A ring of m >= 6 K4s (n = 3m >= 18, e = 6m) meets the C5 hypotheses,
+    and its bound holds with slack (12n - 33)/5 - e = (6m - 33)/5; each K4
+    rewrites one pair of a pseudoface.  At m = 4 and 5 the ring closes a C5."""
+    for m in range(6, 12):
+        g = k4_necklace(m)
+        v = theorems.verify(g, PROFILES["C5"])
+        assert v.ok and v.bound.asserted, m
+        assert v.bound.slack == Fraction(6 * m - 33, 5), m
+        assert sum(len(p.reductions) for p in v.ledger.pseudofaces.values()) == m
+    for m in (4, 5):
+        v = theorems.verify(k4_necklace(m), PROFILES["C5"])
+        assert [c.name for c in v.hypotheses.checks if not c.ok] == ["C5-free"], m
 
 
 def test_criterion_7_saturation(criterion):

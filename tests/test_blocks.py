@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,8 @@ from planeblocks import blocks, canon, graphio, ledger, search, theorems
 from planeblocks.blocks import BlockKind, decompose, refine_pseudofaces
 from planeblocks.errors import WrongMode
 from planeblocks.plane import PlaneGraph
+
+from conftest import hang_k4s, k4_necklace
 
 
 def worklist_decompose(g, mode, edge_order):
@@ -80,6 +83,19 @@ def reduce_by_tuples(d, face, pick):
             seq[i:i + 2] = [third]
         else:
             seq = [third] + seq[1:-1]
+
+
+def matches_left_to_right_reference(d, p):
+    """Assert that pseudoface ``p`` of ``d`` has the walk and rewrites of
+    `reduce_by_tuples` taking pairs left to right, and return those."""
+    edges = d.graph.edge_list
+    seq, reductions = reduce_by_tuples(d, d.graph.faces[p.face_id], lambda options: options[0])
+    assert [edges[i] for i in p.eids] == seq, p
+    assert [
+        (r.block_id, tuple([edges[i] for i in r.pair]), edges[r.replacement])
+        for r in p.reductions
+    ] == reductions, p
+    return seq, reductions
 
 
 @pytest.mark.parametrize("mode", ["triangular", "quadrangular"])
@@ -240,6 +256,16 @@ def test_pseudoface_reduction_order_independent():
             assert sorted(seq) == sorted([g.edge_list[i] for i in pf[face.id].eids])
 
 
+def k4_pair_left(k4_of, edges):
+    """Whether two consecutive edges of the cyclic sequence ``edges`` are
+    exterior edges of one K4 block (``k4_of`` as from `k4_exterior`)."""
+    m = len(edges)
+    return any(
+        edges[i] in k4_of and k4_of.get(edges[(i + 1) % m]) == k4_of[edges[i]]
+        for i in range(m)
+    )
+
+
 def test_degenerate_iff_a_k4_pair_is_left():
     """A pseudoface is degenerate iff two consecutive edges of its reduced
     boundary are exterior edges of one K4 block."""
@@ -250,15 +276,48 @@ def test_degenerate_iff_a_k4_pair_is_left():
         d = decompose(g, "triangular")
         k4_of = k4_exterior(d)
         for p in refine_pseudofaces(d).values():
-            edges = [g.edge_list[i] for i in p.eids]
-            m = len(edges)
-            pair = any(
-                edges[i] in k4_of and k4_of.get(edges[(i + 1) % m]) == k4_of[edges[i]]
-                for i in range(m)
-            )
+            pair = k4_pair_left(k4_of, [g.edge_list[i] for i in p.eids])
             assert p.degenerate == pair, (seed, p)
             seen.add((pair, bool(p.reductions)))
     assert {(True, False), (False, True), (False, False)} <= seen
+
+
+def test_one_pass_pseudofaces_match_the_tuple_reference():
+    """On graphs with K4s hung on random edges, and a random relabelling of
+    each, every pseudoface is the tuple reference's walk and rewrites, pairs
+    taken left to right, and is degenerate iff a same-K4 pair is left."""
+    rng = random.Random(27)
+    rewrites = wraps = degenerate = 0
+    for seed in range(300):
+        base = search.random_plane_graph(rng.randint(3, 12), seed)
+        g = hang_k4s(base, rng.randint(4, 8), rng)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        h = search.planar_embed(g.n, [(perm[u], perm[v]) for u, v in g.edge_list])
+        for x in (g, h):
+            d = decompose(x, "triangular")
+            k4_of = k4_exterior(d)
+            edges = x.edge_list
+            for fid, p in refine_pseudofaces(d).items():
+                seq, reductions = matches_left_to_right_reference(d, p)
+                assert p.degenerate == k4_pair_left(k4_of, seq), (seed, fid)
+                walk = x.face_eids[fid]
+                rewrites += len(reductions)
+                wraps += sum([pair == (edges[walk[-1]], edges[walk[0]]) for _, pair, _ in reductions])
+                degenerate += p.degenerate
+    assert rewrites >= 500 and wraps >= 50 and degenerate >= 40, (rewrites, wraps, degenerate)
+
+
+def test_k4_necklace_pseudofaces_take_linear_time():
+    """One rewrite per K4 of the m = 8,000 necklace, in one pass: well under
+    the 3 s a rescan from the face start after each rewrite takes."""
+    d = decompose(k4_necklace(8000), "triangular")
+    start = time.perf_counter()
+    pf = refine_pseudofaces(d)
+    elapsed = time.perf_counter() - start
+    assert sum(len(p.reductions) for p in pf.values()) == 8000
+    assert not any(p.degenerate for p in pf.values())
+    assert elapsed < 0.5, elapsed
 
 
 def test_refine_pseudofaces_requires_triangular(fixture_graphs):
@@ -360,16 +419,9 @@ def test_edge_ids_run_from_faces_to_blocks(fixture_graphs, corpus7):
                     assert b.exterior_eids == b.eids
                     assert b.interior_faces == ()
             edge_ids_checked += g.e
-        # pseudofaces against the tuple reference, pairs taken left to right
         d = decompose(g, "triangular")
-        for fid, p in refine_pseudofaces(d).items():
-            seq, reductions = reduce_by_tuples(d, g.faces[fid], lambda options: options[0])
-            assert [g.edge_list[i] for i in p.eids] == seq
-            assert [
-                (r.block_id, tuple([g.edge_list[i] for i in r.pair]), g.edge_list[r.replacement])
-                for r in p.reductions
-            ] == reductions
-            pairs_reduced += len(reductions)
+        for p in refine_pseudofaces(d).values():
+            pairs_reduced += len(matches_left_to_right_reference(d, p)[1])
     assert edge_ids_checked and pairs_reduced
 
 

@@ -111,6 +111,8 @@ def test_bipartite_coloring_is_proper():
     assert flag
     assert all(coloring[u] != coloring[v] for u in range(4) for v in adj[u])
     assert is_bipartite([[1, 2], [0, 2], [0, 1]]) == (False, None)
+    # a C4 and then a K3: the odd component is found after the even one
+    assert is_bipartite(adj + [[5, 6], [4, 6], [4, 5]]) == (False, None)
 
 
 def components(adj):
