@@ -17,8 +17,8 @@ replaced by the block's third exterior edge).  A rewrite keeps the block id
 of every boundary entry next to it, so no pair through the new edge reduces
 and every other pair is judged as on the original walk: one left-to-right
 pass over each walk finds all rewrites.  A same-K4 pair that cannot be
-rewritten (a third edge of its block next to it, or three edges left) stays
-to the end and makes the face degenerate.
+rewritten (a third edge of its block next to it) stays to the end and makes
+the face degenerate.
 """
 
 from __future__ import annotations
@@ -240,10 +240,13 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
 
     One pass over each boundary walk judges its pairs left to right against
     the walk's own K4 block ids, which no rewrite changes.  A same-K4 pair
-    with a neighbour in its block, or met when only three edges are left, is
-    not rewritten and flags the face degenerate for good.  After a rewrite
-    of the first pair, walk[-1] lies outside that pair's block, so the pair
-    that wraps around the end is not same-K4 and is skipped.
+    with a neighbour in its block is not rewritten and flags the face
+    degenerate for good.  The n <= 3 rule needs no test of its own: on a
+    simple graph a reduced walk of three edges holding two outer-triangle
+    edges u-x, x-v of a K4 closes with the edge uv, the triangle's third
+    edge, which is a neighbour in the pair's block.  After a rewrite of the
+    first pair, walk[-1] lies outside that pair's block, so the pair that
+    wraps around the end is not same-K4 and is skipped.
     """
     if d.mode != "triangular":
         raise WrongMode("pseudofaces are defined for triangular decompositions")
@@ -270,7 +273,7 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
         while j < n:
             bid, k = bids[j], (j + 1) % n
             if bid >= 0 and bids[k] == bid:
-                if n - len(reductions) <= 3 or bids[j - 1] == bid or bids[(j + 2) % n] == bid:
+                if bids[j - 1] == bid or bids[(j + 2) % n] == bid:
                     degenerate = True
                 else:
                     e1, e2 = walk[j], walk[k]

@@ -23,7 +23,7 @@ iterating them builds plain dicts; ``list(rows)``, or
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import asdict
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
@@ -220,28 +220,37 @@ class Rows(Sequence):
     def __eq__(self, other: object) -> bool:
         return list(self) == (list(other) if isinstance(other, Rows) else other)
 
-    def _json(self, inner: str) -> str:
-        """The items of the rows' list as `write_report` writes them at indent
-        ``inner``: one template filled from the columns, each value formatted once."""
+    def _json(self, newline: str, out: list[str]) -> None:
+        """Append the rows' list to ``out`` as `write_report` writes it, with
+        ``newline`` starting every line break: one piece per row, each filled
+        into one template straight from the columns as it is reached.  No
+        column of formatted values is built, so the rows cost about one copy
+        of their bytes until `write_report` joins the pieces, and its peak
+        stays about twice the report's bytes."""
         d = self.decomposition
+        inner = newline + "  "
         field = inner + "  "
+        sep = "," + inner
         # shares repeat across blocks, so each distinct numerator is formatted once
         text = {num: f'"{format_fraction(num, self.den)}"'
                 for num in set().union(*(col for _, col in self.shares))}
-        columns: dict[str, Sequence[Any]] = {
-            "id": range(len(self)), "kind": list(map(_KIND_JSON.__getitem__, d.kinds))}
+        columns: dict[str, Iterable[Any]] = {
+            "id": range(len(self)), "kind": map(_KIND_JSON.__getitem__, d.kinds)}
         if self.shape:
             edge = field + "  "
             pair = "[" + edge + "  %d," + edge + "  %d" + edge + "]"
-            # every edge lies in one block, so each pair is written once
-            pairs = list(map(pair.__mod__, d.graph.edge_list))
-            columns["edges"] = ["[" + edge + ("," + edge).join(map(pairs.__getitem__, ids))
-                                + field + "]" for ids in d.eids]
+            edges, join = d.graph.edge_list, ("," + edge).join
+            columns["edges"] = ("[" + edge + join([pair % edges[i] for i in ids]) + field + "]"
+                                for ids in d.eids)
         columns.update(self.ints)
-        columns.update((key, list(map(text.__getitem__, col))) for key, col in self.shares)
+        columns.update((key, map(text.__getitem__, col)) for key, col in self.shares)
         keys = sorted(columns)
-        template = "{" + field + ("," + field).join(f'"{key}": %s' for key in keys) + inner + "}"
-        return ("," + inner).join(map(template.__mod__, zip(*map(columns.__getitem__, keys))))
+        # each row ends with its separator; the last one's gives way to the close
+        template = ("{" + field + ("," + field).join(f'"{key}": %s' for key in keys)
+                    + inner + "}" + sep)
+        out.append("[" + inner)
+        out += map(template.__mod__, zip(*map(columns.__getitem__, keys)))
+        out[-1] = out[-1][:-len(sep)] + newline + "]"
 
 
 _KIND_JSON = {kind: encode_basestring_ascii(kind.value) for kind in BlockKind}
@@ -337,11 +346,19 @@ def search_report(result: SearchResult) -> dict[str, Any]:
 
 
 def write_report(report: dict[str, Any], fmt: str = "json") -> bytes:
-    """Serialize a report; JSON output is byte-stable for identical reports."""
+    """Serialize a report; JSON output is byte-stable for identical reports.
+
+    Rows are formatted straight from the columns, one piece per row, and the
+    pieces are joined once and dropped before the text is encoded, so while
+    writing, the peak is about twice the report's bytes: the text, then its
+    encoding.  The text format joins its lines once, the same way."""
     if fmt == "json":
         out: list[str] = []
         _json_parts(report, "\n", out)
-        return "".join(out + ["\n"]).encode()
+        out.append("\n")
+        text = "".join(out)
+        del out  # the pieces go before encoding makes the second copy
+        return text.encode()
     if fmt == "text":
         return _render_text(report).encode()
     raise ValueError(f"unknown report format {fmt!r}")
@@ -374,9 +391,10 @@ def _json_parts(value: Any, newline: str, out: list[str]) -> None:
             _json_parts(x, inner, out)
             out.append(sep)
         out[-1] = newline + "}"  # in place of the last item's separator
-    elif isinstance(value, Rows) or set(map(type, value)) == {int}:
-        rows = value._json(inner) if isinstance(value, Rows) else sep.join(map(int.__repr__, value))
-        out += ("[" + inner, rows, newline + "]")
+    elif isinstance(value, Rows):
+        value._json(newline, out)
+    elif set(map(type, value)) == {int}:
+        out += ("[" + inner, sep.join(map(int.__repr__, value)), newline + "]")
     else:
         out.append("[" + inner)
         for x in value:
@@ -454,4 +472,5 @@ def _render_text(rep: dict[str, Any]) -> str:
             if b["tight"]:
                 lines.append("bound is tight (slack 0)")
         lines.append(f"verdict: {'ok' if rep['ok'] else 'FAIL'}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the join ends in a newline, with no second copy of the text
+    return "\n".join(lines) or "\n"

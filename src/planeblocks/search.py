@@ -62,7 +62,7 @@ from .planarity import Rotations
 from .plane import (
     Edge, PlaneGraph, dart_tables, insert_chord, rotations_from_edges, trace_faces,
 )
-from .structure import Hypotheses, is_connected, structural_stats
+from .structure import Hypotheses, structural_stats
 
 DEFAULT_CEILING = 10
 WITNESS_CAP = 100  # most witnesses one extremal search keeps
@@ -370,15 +370,16 @@ def enumerate_graphs(
     emitted = []
     while stack:
         e, code, adj, gens, rotations = stack.pop()
-        # connectivity and the constraints that do not survive deleting
-        # edges; the others were decided on every child
-        if is_connected(rotations) and (
+        parent = _Parent(adj, rotations)
+        # connectivity (every vertex in vertex 0's component) and the
+        # constraints that do not survive deleting edges; the others were
+        # decided on every child
+        if not any(parent.comp) and (
             not needs_stats or cs.stats_hold(structural_stats(rotations))
         ):
             emitted.append((e, code, adj, rotations))
         if e == cap:
             continue
-        parent = _Parent(adj, rotations)
         orbits = _non_edge_orbits(adj, gens)
         stats.children += len(orbits)
         for u, v in orbits:

@@ -1,5 +1,6 @@
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from importlib import resources
 
@@ -334,3 +335,27 @@ def test_rows_never_dump_as_an_empty_list(fixture_graphs):
         with pytest.raises(TypeError):
             json.dumps(rep, indent=2)
         assert json.loads(json.dumps(rep, default=list)) == json.loads(graphio.write_report(rep))
+
+
+def test_writer_peak_stays_near_two_copies_of_the_output():
+    """While writing, a report holds its joined text and then its encoded
+    bytes, about two copies of the output, plus one piece per row or line:
+    the traced peak of each writer stays under a small multiple of the
+    output's length (JSON rows run longer than text lines, so less is spent
+    per piece)."""
+    g = search.random_plane_graph(600, 0)
+    cases = [
+        (graphio.verdict_report(g, theorems.verify(g, theorems.PROFILES[p], force=True)), fmt, bound)
+        for p in ("C5", "TRI_C6")
+        for fmt, bound in (("json", 2.6), ("text", 4))
+    ]
+    cases.append((graphio.ledger_report(g, ledger.build_ledger(g, "quadrangular")), "json", 2.6))
+    for rep, fmt, bound in cases:
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = graphio.write_report(rep, fmt)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * len(out), (rep["kind"], fmt, len(out), peak / len(out))
