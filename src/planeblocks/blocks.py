@@ -8,8 +8,9 @@ The closure is computed as connected components of the hypergraph whose
 hyperedges are the block faces, which is equivalent to the seed-and-absorb
 loop and independent of the seed edge.  It runs on edge ids (the index of
 an edge in ``PlaneGraph.edge_list``): ``face_eids[f]`` joins f's edges,
-``BlockDecomposition.edge_block`` is indexed by edge id, and blocks and
-pseudofaces list their edges as ids.
+``BlockDecomposition.edge_block`` is indexed by edge id,
+``BlockDecomposition.face_block`` by face id, and blocks and pseudofaces
+list their edges as ids.
 
 Exterior pseudofaces: the boundary of a non-interior face, rewritten while it
 contains exactly two consecutive exterior edges of one K4 block (the pair is
@@ -18,7 +19,9 @@ of every boundary entry next to it, so no pair through the new edge reduces
 and every other pair is judged as on the original walk: one left-to-right
 pass over each walk finds all rewrites.  A same-K4 pair that cannot be
 rewritten (a third edge of its block next to it) stays to the end and makes
-the face degenerate.
+the face degenerate.  Only a face with a rewrite or that flag gets a
+`Pseudoface`; every other non-interior face is its own pseudoface, its walk
+in ``face_eids``.
 """
 
 from __future__ import annotations
@@ -115,14 +118,15 @@ class BlockDecomposition:
     exterior: bytearray  # edge id -> 1 if the edge borders a face no block absorbed
     edge_block: list[int]  # edge id -> block id
     vertex_block_count: list[int]  # vertex -> number of blocks containing it
-    interior_face_block: dict[int, int]  # face id -> owning block id, in face-id order
+    face_block: list[int]  # face id -> the block that absorbed the face, or -1
 
     @cached_property
     def blocks(self) -> tuple[Block, ...]:
         """The blocks as `Block` objects, built from the columns on first read."""
         interior: list[list[int]] = [[] for _ in self.kinds]
-        for fid, bid in self.interior_face_block.items():
-            interior[bid].append(fid)
+        for fid, bid in enumerate(self.face_block):
+            if bid >= 0:
+                interior[bid].append(fid)
         counts, ext = self.vertex_block_count, self.exterior
         return tuple([
             Block(bid, tuple(ids), frozenset(vs), kind, tuple(interior[bid]),
@@ -139,14 +143,14 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
     # block's root is its smallest edge id
     parent = list(range(g.e))
     exterior = bytearray(g.e)
-    block_faces = []
+    face_block = [-1] * g.f  # an edge of each block face until block ids are known
     for fid, eids in enumerate(g.face_eids):
         # a closed 3- or 4-walk with distinct edges is a cycle; no block absorbs another face
         if len(eids) != m or len(set(eids)) != m:
             for i in eids:
                 exterior[i] = 1
             continue
-        block_faces.append((fid, eids[0]))
+        face_block[fid] = eids[0]
         roots = [canon.find(parent, x) for x in eids]
         r = min(roots)
         for x in roots:
@@ -164,11 +168,11 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
             bid = edge_block[i] = edge_block[p]
             block_eids[bid].append(i)
 
-    interior_face_block: dict[int, int] = {}
     interior_counts = [0] * len(block_eids)
-    for fid, i in block_faces:  # in face-id order
-        bid = interior_face_block[fid] = edge_block[i]
-        interior_counts[bid] += 1
+    for fid, i in enumerate(face_block):
+        if i >= 0:
+            bid = face_block[fid] = edge_block[i]
+            interior_counts[bid] += 1
 
     # a one-edge block's vertices are its edge, (u, v) with u < v
     block_vertices = [
@@ -185,7 +189,7 @@ def decompose(g: PlaneGraph, mode: Mode) -> BlockDecomposition:
              for ids, vs in zip(block_eids, block_vertices)]
     junctions = [sum(map(junction.__getitem__, vs)) for vs in block_vertices]
     return BlockDecomposition(mode, g, kinds, block_eids, block_vertices, interior_counts,
-                              junctions, exterior, edge_block, counts, interior_face_block)
+                              junctions, exterior, edge_block, counts, face_block)
 
 
 # relabelled masks -> kind, for blocks of a catalog (n, e); at most one entry
@@ -230,13 +234,11 @@ class Pseudoface:
     # two consecutive edges of `eids` are exterior edges of one K4 block
     degenerate: bool = False
 
-    @property
-    def length(self) -> int:
-        return len(self.eids)
-
 
 def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
-    """Pseudoface of every face of G that is not interior to a block.
+    """Pseudofaces of the non-interior faces of G that the K4 rule rewrites
+    or flags degenerate, by face id; every other non-interior face is its own
+    pseudoface, its walk ``d.graph.face_eids[fid]``.
 
     One pass over each boundary walk judges its pairs left to right against
     the walk's own K4 block ids, which no rewrite changes.  A same-K4 pair
@@ -250,21 +252,18 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
     """
     if d.mode != "triangular":
         raise WrongMode("pseudofaces are defined for triangular decompositions")
-    # k4_of[i]: the K4 block of which edge i is an exterior edge, else -1
-    k4_of = [-1] * d.graph.e
+    # k4_of[i]: the K4 block of which edge i is an exterior edge
+    k4_of: dict[int, int] = {}
     for bid, kind in enumerate(d.kinds):
         if kind is BlockKind.K4:
             for i in d.eids[bid]:
                 if d.exterior[i]:
                     k4_of[i] = bid
     out: dict[int, Pseudoface] = {}
-    for fid, walk in enumerate(d.graph.face_eids):
-        if fid in d.interior_face_block:
+    for fid, (owner, walk) in enumerate(zip(d.face_block, d.graph.face_eids)):
+        if owner >= 0 or k4_of.keys().isdisjoint(walk):
             continue
-        bids = [k4_of[i] for i in walk]
-        if max(bids, default=-1) < 0:
-            out[fid] = Pseudoface(fid, tuple(walk))
-            continue
+        bids = [k4_of.get(i, -1) for i in walk]
         n = len(walk)
         seq: list[int] = []
         reductions: list[Reduction] = []
@@ -277,7 +276,7 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
                     degenerate = True
                 else:
                     e1, e2 = walk[j], walk[k]
-                    (third,) = [x for x in d.eids[bid] if k4_of[x] == bid and x != e1 and x != e2]
+                    (third,) = [x for x in d.eids[bid] if x in k4_of and x != e1 and x != e2]
                     reductions.append(Reduction(block_id=bid, pair=(e1, e2), replacement=third))
                     if k:
                         seq.append(third)
@@ -287,5 +286,6 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
                     continue
             seq.append(walk[j])
             j += 1
-        out[fid] = Pseudoface(fid, tuple(seq), tuple(reductions), degenerate)
+        if reductions or degenerate:
+            out[fid] = Pseudoface(fid, tuple(seq), tuple(reductions), degenerate)
     return out

@@ -242,6 +242,11 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "saturate":
         g = _read_graph(args.graph)
+        hyp = theorems.check_hypotheses(g, theorems.PROFILES["BI_C8C10"])
+        if not hyp.ok:
+            problems = "; ".join([f"{c.name} ({c.detail})" for c in hyp.checks if not c.ok])
+            raise HypothesisViolated("saturation requires a bipartite C8/C10-free graph "
+                                     f"with min degree >= 3: {problems}")
         result = theorems.saturate_six_faces(g)
         chords = ", ".join(f"{u}-{v}" for u, v in result.chords) or "none"
         text = graphio.serialize_graph(

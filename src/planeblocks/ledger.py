@@ -6,7 +6,9 @@ ledger (``den``), the lcm of the vertices' block counts and the
 conservation identities (vertex, edge, face, degree-2, and (2,3)-edge
 totals) are asserted exactly, on the numerators, on every ledger build, so
 any slot-accounting bug surfaces immediately as a ConservationViolation
-rather than a slightly-off bound.
+rather than a slightly-off bound.  Faces are read as edge-id walks and one
+owner column (``face_eids``, ``face_block``); the pseudoface map holds only
+the faces the K4 rule rewrites or flags degenerate.
 """
 
 from __future__ import annotations
@@ -21,8 +23,6 @@ from .errors import ConservationViolation, MissingPseudoface
 from .plane import PlaneGraph
 from .structure import degree_classes
 
-PseudofaceMap = dict[int, Pseudoface]
-
 
 @dataclass
 class ContributionLedger:
@@ -32,7 +32,7 @@ class ContributionLedger:
 
     mode: Mode
     decomposition: BlockDecomposition
-    pseudofaces: Optional[PseudofaceMap]
+    pseudofaces: Optional[dict[int, Pseudoface]]  # rewritten or degenerate faces only
     vnum: list[int]
     fnum: list[int]
     knum: list[int]
@@ -42,7 +42,7 @@ class ContributionLedger:
 
 
 def slot_table(
-    d: BlockDecomposition, pf: Optional[PseudofaceMap] = None
+    d: BlockDecomposition, pf: Optional[dict[int, Pseudoface]] = None
 ) -> tuple[int, list[int]]:
     """Each block's share of the non-interior faces, over one common
     denominator.
@@ -50,17 +50,17 @@ def slot_table(
     Returns (D, shares): a face whose (pseudo)face boundary has L entries
     gives each entry's block the share 1/L = (D/L)/D, D is the lcm of those
     lengths, and shares[bid] is the numerator of block bid's summed shares.
+    The faces are those ``d.face_block`` maps to -1; each one's boundary is
+    its pseudoface where ``pf`` has one, else its walk in ``face_eids``.
     """
     if d.mode == "triangular" and pf is None:
-        raise MissingPseudoface(
-            "triangular face contributions need the pseudoface map"
-        )
-    # boundaries as edge ids, the pseudoface's in triangular mode
-    interior = d.interior_face_block
+        raise MissingPseudoface("triangular face contributions need the pseudoface map")
+    reduced = pf or {}
+    face_block = d.face_block
     boundaries = [
-        pf[fid].eids if pf else eids
+        reduced[fid].eids if fid in reduced else eids
         for fid, eids in enumerate(d.graph.face_eids)
-        if fid not in interior
+        if face_block[fid] < 0
     ]
     edge_block = d.edge_block
     denom = lcm(*{len(eids) for eids in boundaries})

@@ -16,9 +16,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .blocks import QUADRANGULAR_KINDS, TRIANGULAR_KINDS, BlockKind, Mode
-from .errors import (
-    ConservationViolation, DegenerateProfile, HypothesisViolated, UnexpectedBlock, UnknownProfile,
-)
+from .errors import ConservationViolation, DegenerateProfile, UnexpectedBlock, UnknownProfile
 from .ledger import ContributionLedger, build_ledger
 from .plane import PlaneGraph, insert_chord
 # contains_cycle_of_length is not called here; it stays importable from this
@@ -216,13 +214,10 @@ def verify_per_block(
     (the source proves the catalogs exhaustive) and raises UnexpectedBlock.
     """
     warnings = list(hyp.warnings)
-    work = g
-    chords: tuple[tuple[int, int], ...] = ()
-    if p.saturate and hyp.ok:
-        sat = saturate_six_faces(g, require_hypotheses=False)
-        work, chords = sat.graph, sat.chords
-        if chords:
-            warnings.append(f"added {len(chords)} chord(s) to saturate 6-faces")
+    sat = saturate_six_faces(g) if p.saturate and hyp.ok else SaturationResult(g, ())
+    work, chords = sat.graph, sat.chords
+    if chords:
+        warnings.append(f"added {len(chords)} chord(s) to saturate 6-faces")
 
     led = build_ledger(work, p.mode)
     den = led.den
@@ -372,55 +367,48 @@ class SaturationResult:
     chords: tuple[tuple[int, int], ...]
 
 
-def saturate_six_faces(
-    g: PlaneGraph, require_hypotheses: bool = True
-) -> SaturationResult:
+def saturate_six_faces(g: PlaneGraph) -> SaturationResult:
     """Chord every face of g whose walk is a 6-cycle, in one pass.
 
-    Faces are taken in g's face order.  Each chord joins the first pair of
-    opposite vertices, counted from the face's smallest dart, not already
-    joined, and splits the face into two 4-faces; that choice keeps the
-    graph bipartite.  A chord changes only the walk of its own face, so the
-    other 6-faces of g stay faces and one PlaneGraph is built at the end
-    (g itself when no face takes a chord).
+    Faces are taken in g's face order, each as its edge-id walk in
+    ``g.face_eids``: a walk of six distinct edges gives the vertex cycle
+    whose i-th vertex, the tail of the walk's dart i, is the one end edge i
+    shares with edge i - 1, counted from the face's smallest dart.  Each
+    chord joins the first pair of opposite vertices not already joined, and
+    splits the face into two 4-faces; that choice keeps the graph bipartite.
+    A chord changes only the walk of its own face, so the other 6-faces of g
+    stay faces and one PlaneGraph is built at the end (g itself when no face
+    takes a chord).
 
-    The input must satisfy the BI_C8C10 hypotheses: bipartite, C8-free,
-    C10-free with min degree >= 3 (skip the check with require_hypotheses,
-    for mechanical testing or when the caller has just made it).  The source
-    proves the chords cannot break them; as they survive deleting edges,
-    they are asserted once, on the result, and a failure there is an
-    implementation bug.
+    g must satisfy the BI_C8C10 hypotheses: bipartite, C8-free, C10-free
+    with min degree >= 3; the caller checks them.  The source proves the
+    chords cannot break them; as they survive deleting edges, they are
+    asserted once, on the result, and a failure there is an implementation
+    bug.
     """
-    hypotheses = PROFILES["BI_C8C10"].hypotheses
-    if require_hypotheses:
-        checks = hypotheses.checks(g.rotations, structural_stats(g.rotations))
-        problems = [f"{c.name} ({c.detail})" for c in checks if not c.ok]
-        if problems:
-            raise HypothesisViolated(
-                "saturation requires a bipartite C8/C10-free graph with "
-                f"min degree >= 3: {'; '.join(problems)}"
-            )
+    edges = g.edge_list
     rotations = list(g.rotations)  # gains each chord in turn
     chords: list[tuple[int, int]] = []
-    for face in g.faces:
-        cycle = [u for u, _ in face.darts]
-        if len(cycle) != 6 or len(set(cycle)) != 6:
+    for walk in g.face_eids:
+        if len(walk) != 6 or len(set(walk)) != 6:
+            continue
+        ends = [edges[i] for i in walk]
+        cycle = [a if a in prev else b for prev, (a, b) in zip(ends[-1:] + ends[:-1], ends)]
+        if len(set(cycle)) != 6:
             continue
         for shift in range(3):
             v0, v3 = cycle[shift], cycle[shift + 3]
             if v3 not in rotations[v0]:
                 break
         else:
-            raise AssertionError(
-                f"6-face {cycle} has all three opposite pairs already joined"
-            )
+            raise AssertionError(f"6-face {cycle} has all three opposite pairs already joined")
         insert_chord(rotations, cycle, v0, v3)
         chords.append((min(v0, v3), max(v0, v3)))
     if not chords:
         return SaturationResult(graph=g, chords=())
     g = PlaneGraph(rotations, g.outer_dart)
     # chords only raise degrees, so min degree is the one that cannot break
-    breakable = replace(hypotheses, min_degree=0)
+    breakable = replace(PROFILES["BI_C8C10"].hypotheses, min_degree=0)
     assert breakable.holds(
         g.rotations, structural_stats(g.rotations)
     ), "a saturation chord broke a BI_C8C10 hypothesis"

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from planeblocks import fixtures, graphio, search
+from planeblocks.plane import PlaneGraph
 
 EXTENDED = os.environ.get("PLANEBLOCKS_EXTENDED") == "1"
 
@@ -46,6 +47,16 @@ def hang_k4s(g, k, rng):
         edges += [(u, w), (v, w), (u, c), (v, c), (w, c)]
         n += 2
     return search.planar_embed(n, edges)
+
+
+def hexagonal_prism():
+    """The hexagonal prism: 3-regular and bipartite, with two 6-faces, but it
+    has a C8 (0-1-2-3, down to 9, back along 8-7-6), so it fails BI_C8C10."""
+    rotations = [
+        [1, 6, 5], [2, 7, 0], [3, 8, 1], [4, 9, 2], [5, 10, 3], [0, 11, 4],
+        [0, 7, 11], [1, 8, 6], [2, 9, 7], [3, 10, 8], [4, 11, 9], [5, 6, 10],
+    ]
+    return PlaneGraph(rotations, (0, 1))
 
 
 def plain(rep):

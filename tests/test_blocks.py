@@ -85,17 +85,39 @@ def reduce_by_tuples(d, face, pick):
             seq = [third] + seq[1:-1]
 
 
-def matches_left_to_right_reference(d, p):
-    """Assert that pseudoface ``p`` of ``d`` has the walk and rewrites of
-    `reduce_by_tuples` taking pairs left to right, and return those."""
+def left_to_right_reference(d):
+    """`reduce_by_tuples` taking pairs left to right on every face no block
+    absorbs, as {face id: (walk, rewrites, degenerate)}, degenerate meaning
+    that a same-K4 pair is left (see `k4_pair_left`)."""
+    k4_of = k4_exterior(d)
+    out = {}
+    for face in d.graph.faces:
+        if d.face_block[face.id] < 0:
+            seq, reductions = reduce_by_tuples(d, face, lambda options: options[0])
+            out[face.id] = (seq, reductions, k4_pair_left(k4_of, seq))
+    return out
+
+
+def matches_left_to_right_reference(d):
+    """Assert that ``refine_pseudofaces(d)`` holds exactly the faces whose
+    `left_to_right_reference` has a rewrite or is degenerate, each with the
+    reference's walk, rewrites and flag, so that every face missing from the
+    map is one the reference leaves unchanged and not degenerate; return the
+    reference."""
     edges = d.graph.edge_list
-    seq, reductions = reduce_by_tuples(d, d.graph.faces[p.face_id], lambda options: options[0])
-    assert [edges[i] for i in p.eids] == seq, p
-    assert [
-        (r.block_id, tuple([edges[i] for i in r.pair]), edges[r.replacement])
-        for r in p.reductions
-    ] == reductions, p
-    return seq, reductions
+    ref = left_to_right_reference(d)
+    pf = refine_pseudofaces(d)
+    assert list(pf) == [fid for fid, (_, reductions, degenerate) in ref.items()
+                        if reductions or degenerate]
+    for fid, p in pf.items():
+        seq, reductions, degenerate = ref[fid]
+        assert p.face_id == fid and [edges[i] for i in p.eids] == seq, p
+        assert [
+            (r.block_id, tuple([edges[i] for i in r.pair]), edges[r.replacement])
+            for r in p.reductions
+        ] == reductions, p
+        assert p.degenerate == degenerate, p
+    return ref
 
 
 @pytest.mark.parametrize("mode", ["triangular", "quadrangular"])
@@ -144,6 +166,30 @@ def test_verify_and_reports_build_no_block(fixture_graphs, monkeypatch):
                     graphio.write_report(rep, fmt)
     for d in decompositions:
         assert partition_of(d) == worklist_decompose(d.graph, d.mode, sorted(d.graph.edges))
+
+
+def test_c5_verify_builds_a_pseudoface_only_where_the_k4_rule_acts(fixture_graphs, monkeypatch):
+    """A C5 verify builds one `Pseudoface` per face that the left-to-right
+    reference rewrites or leaves degenerate, and none for any other face."""
+    rng = random.Random(29)
+    graphs = list(fixture_graphs.values())
+    for seed in range(40):
+        base = search.random_plane_graph(rng.randint(3, 12), 2900 + seed)
+        graphs.append(hang_k4s(base, rng.randint(2, 6), rng))
+    built = []
+    real = blocks.Pseudoface
+    monkeypatch.setattr(blocks, "Pseudoface",
+                        lambda fid, *args: built.append(fid) or real(fid, *args))
+    total = 0
+    for g in graphs:
+        built.clear()
+        verdict = theorems.verify(g, theorems.PROFILES["C5"], force=True)
+        ref = left_to_right_reference(verdict.ledger.decomposition)
+        assert built == [fid for fid, (_, reductions, degenerate) in ref.items()
+                         if reductions or degenerate]
+        assert built == list(verdict.ledger.pseudofaces)
+        total += len(built)
+    assert total >= 40, total
 
 
 def test_fixture_decompositions(fixture_graphs):
@@ -229,18 +275,15 @@ def test_pseudoface_pair_reduction():
     assert len(reduced) == 1
     p = reduced[0]
     face = next(f for f in g.faces if f.id == p.face_id)
-    assert p.length == face.length - 1
+    assert len(p.eids) == face.length - 1
     assert not p.degenerate
     (red,) = p.reductions
     k4 = next(b for b in d.blocks if b.kind == BlockKind.K4)
     assert red.block_id == k4.id
     assert red.replacement in k4.exterior_eids
     assert d.edge_block[red.replacement] == k4.id
-    # faces without a K4 pair map to themselves
-    for q in pf.values():
-        if not q.reductions and not q.degenerate:
-            f = next(f for f in g.faces if f.id == q.face_id)
-            assert q.eids == f.eids
+    # faces without a K4 pair are their own pseudofaces, missing from the map
+    assert list(pf) == [p.face_id]
 
 
 def test_pseudoface_reduction_order_independent():
@@ -249,11 +292,13 @@ def test_pseudoface_reduction_order_independent():
     d = decompose(g, "triangular")
     pf = refine_pseudofaces(d)
     for face in g.faces:
-        if face.id in d.interior_face_block:
+        if d.face_block[face.id] >= 0:
             continue
+        # a face missing from the map is its own pseudoface
+        want = sorted([g.edge_list[i] for i in (pf[face.id] if face.id in pf else face).eids])
         for seed in range(6):
             seq, _ = reduce_by_tuples(d, face, random.Random(seed).choice)
-            assert sorted(seq) == sorted([g.edge_list[i] for i in pf[face.id].eids])
+            assert sorted(seq) == want
 
 
 def k4_pair_left(k4_of, edges):
@@ -268,24 +313,30 @@ def k4_pair_left(k4_of, edges):
 
 def test_degenerate_iff_a_k4_pair_is_left():
     """A pseudoface is degenerate iff two consecutive edges of its reduced
-    boundary are exterior edges of one K4 block."""
+    boundary are exterior edges of one K4 block; a non-interior face missing
+    from the map has no such pair on its walk."""
     rng = random.Random(21)
     seen = set()
     for seed in range(1000):
         g = search.random_plane_graph(rng.randint(4, 14), 5000 + seed)
         d = decompose(g, "triangular")
         k4_of = k4_exterior(d)
-        for p in refine_pseudofaces(d).values():
-            pair = k4_pair_left(k4_of, [g.edge_list[i] for i in p.eids])
-            assert p.degenerate == pair, (seed, p)
-            seen.add((pair, bool(p.reductions)))
+        pf = refine_pseudofaces(d)
+        for fid, walk in enumerate(g.face_eids):
+            if d.face_block[fid] >= 0:
+                continue
+            p = pf.get(fid)
+            pair = k4_pair_left(k4_of, [g.edge_list[i] for i in (p.eids if p else walk)])
+            assert (p is not None and p.degenerate) == pair, (seed, fid)
+            seen.add((pair, p is not None and bool(p.reductions)))
     assert {(True, False), (False, True), (False, False)} <= seen
 
 
 def test_one_pass_pseudofaces_match_the_tuple_reference():
     """On graphs with K4s hung on random edges, and a random relabelling of
     each, every pseudoface is the tuple reference's walk and rewrites, pairs
-    taken left to right, and is degenerate iff a same-K4 pair is left."""
+    taken left to right, and is degenerate iff a same-K4 pair is left; every
+    other non-interior face is missing from the map."""
     rng = random.Random(27)
     rewrites = wraps = degenerate = 0
     for seed in range(300):
@@ -295,16 +346,13 @@ def test_one_pass_pseudofaces_match_the_tuple_reference():
         rng.shuffle(perm)
         h = search.planar_embed(g.n, [(perm[u], perm[v]) for u, v in g.edge_list])
         for x in (g, h):
-            d = decompose(x, "triangular")
-            k4_of = k4_exterior(d)
             edges = x.edge_list
-            for fid, p in refine_pseudofaces(d).items():
-                seq, reductions = matches_left_to_right_reference(d, p)
-                assert p.degenerate == k4_pair_left(k4_of, seq), (seed, fid)
+            ref = matches_left_to_right_reference(decompose(x, "triangular"))
+            for fid, (_, reductions, flag) in ref.items():
                 walk = x.face_eids[fid]
                 rewrites += len(reductions)
                 wraps += sum([pair == (edges[walk[-1]], edges[walk[0]]) for _, pair, _ in reductions])
-                degenerate += p.degenerate
+                degenerate += flag
     assert rewrites >= 500 and wraps >= 50 and degenerate >= 40, (rewrites, wraps, degenerate)
 
 
@@ -351,24 +399,29 @@ def test_c4_with_pendants():
 
 def test_slot_completeness_random():
     rng = random.Random(9)
+    in_map = 0
     for seed in range(40):
         g = search.random_plane_graph(rng.randint(4, 12), 900 + seed)
-        for mode in ("triangular", "quadrangular"):
-            d = decompose(g, mode)
-            pf = refine_pseudofaces(d) if mode == "triangular" else None
-            denom, shares = ledger.slot_table(d, pf)
-            # each face no block absorbs gives 1/L to each of the L entries
-            # of its (pseudo)face boundary, so each such face adds 1 in all
-            want = [F(0)] * len(d.eids)
-            for fid, eids in enumerate(g.face_eids):
-                if fid in d.interior_face_block:
-                    continue
-                boundary = pf[fid].eids if pf else eids
-                for i in boundary:
-                    want[d.edge_block[i]] += F(1, len(boundary))
-            assert [F(s, denom) for s in shares] == want, (seed, mode)
-            outside = g.f - len(d.interior_face_block)
-            assert sum(shares) == outside * denom, (seed, mode)
+        # hung K4s give faces that the K4 rule rewrites
+        for x in (g, hang_k4s(g, 3, random.Random(seed))):
+            for mode in ("triangular", "quadrangular"):
+                d = decompose(x, mode)
+                pf = refine_pseudofaces(d) if mode == "triangular" else None
+                denom, shares = ledger.slot_table(d, pf)
+                # each face no block absorbs gives 1/L to each of the L entries
+                # of its (pseudo)face boundary, so each such face adds 1 in all
+                want = [F(0)] * len(d.eids)
+                for fid, eids in enumerate(x.face_eids):
+                    if d.face_block[fid] >= 0:
+                        continue
+                    boundary = pf[fid].eids if pf and fid in pf else eids
+                    for i in boundary:
+                        want[d.edge_block[i]] += F(1, len(boundary))
+                assert [F(s, denom) for s in shares] == want, (seed, mode)
+                outside = d.face_block.count(-1)
+                assert sum(shares) == outside * denom, (seed, mode)
+                in_map += len(pf or ())
+    assert in_map >= 20, in_map
 
 
 def test_interior_faces_partition_block_faces(fixture_graphs):
@@ -381,9 +434,10 @@ def test_interior_faces_partition_block_faces(fixture_graphs):
                 for f in g.faces
                 if f.length == m and len({u for u, _ in f.darts}) == m
             }
-            assert set(d.interior_face_block) == cycles
-            for fid, bid in d.interior_face_block.items():
-                face = next(f for f in g.faces if f.id == fid)
+            assert len(d.face_block) == g.f
+            assert {fid for fid, bid in enumerate(d.face_block) if bid >= 0} == cycles
+            for fid in cycles:
+                face, bid = g.faces[fid], d.face_block[fid]
                 block_edges = {g.edge_list[i] for i in d.blocks[bid].eids}
                 assert all((min(u, v), max(u, v)) in block_edges for u, v in face.darts)
 
@@ -408,9 +462,7 @@ def test_edge_ids_run_from_faces_to_blocks(fixture_graphs, corpus7):
             for i, bid in enumerate(d.edge_block):
                 members[bid].append(i)
             assert [list(b.eids) for b in d.blocks] == members
-            border = {
-                i for f in g.faces if f.id not in d.interior_face_block for i in f.eids
-            }
+            border = {i for f in g.faces if d.face_block[f.id] < 0 for i in f.eids}
             for b in d.blocks:
                 assert all(x < y for x, y in zip(b.eids, b.eids[1:]))
                 assert b.exterior_eids == tuple([i for i in b.eids if i in border])
@@ -419,9 +471,8 @@ def test_edge_ids_run_from_faces_to_blocks(fixture_graphs, corpus7):
                     assert b.exterior_eids == b.eids
                     assert b.interior_faces == ()
             edge_ids_checked += g.e
-        d = decompose(g, "triangular")
-        for p in refine_pseudofaces(d).values():
-            pairs_reduced += len(matches_left_to_right_reference(d, p)[1])
+        ref = matches_left_to_right_reference(decompose(g, "triangular"))
+        pairs_reduced += sum([len(reductions) for _, reductions, _ in ref.values()])
     assert edge_ids_checked and pairs_reduced
 
 

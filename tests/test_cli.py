@@ -15,6 +15,8 @@ from planeblocks.cli import main
 from planeblocks.fixtures import FIXTURE_NAMES, fixture_text
 from planeblocks.theorems import PROFILES, verify
 
+from conftest import hexagonal_prism
+
 
 @pytest.fixture
 def fixture_dir(tmp_path_factory):
@@ -156,22 +158,29 @@ def test_saturate_hypothesis_failure_is_negative(fixture_dir, capsys):
     assert "hypotheses not satisfied" in capsys.readouterr().err
 
 
+def test_saturate_rejects_the_hexagonal_prism(tmp_path, capsys):
+    # 3-regular and bipartite, but it has a C8
+    graph = tmp_path / "prism.graph"
+    graph.write_text(graphio.serialize_graph(hexagonal_prism()))
+    assert main(["saturate", str(graph)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hypotheses not satisfied: saturation requires a bipartite")
+    assert "C8-free (contains a C8)" in err and err.count("\n") == 1
+
+
 def test_saturate_writes_parseable_output(fixture_dir, tmp_path, monkeypatch):
     # every graph small enough for a unit test violates some saturation
-    # hypothesis, so stub the core out and check only the CLI plumbing
+    # hypothesis, so the CLI's check is stubbed and C6 takes its two chords
     from planeblocks import theorems
 
-    monkeypatch.setattr(
-        theorems,
-        "saturate_six_faces",
-        lambda g: theorems.SaturationResult(graph=g, chords=((0, 3),)),
-    )
+    passed = theorems.HypothesisReport(checks=(), warnings=(), stats=None)
+    monkeypatch.setattr(theorems, "check_hypotheses", lambda g, p: passed)
     out = tmp_path / "saturated.graph"
-    assert main(["saturate", path(fixture_dir, "cube"), "--out", str(out)]) == 0
+    assert main(["saturate", path(fixture_dir, "c6"), "--out", str(out)]) == 0
     text = out.read_text()
-    assert "chords added: 0-3" in text
+    assert "chords added: 0-3, 2-5" in text
     g = graphio.parse_graph(text)
-    assert (g.n, g.e) == (8, 12)
+    assert (g.n, g.e) == (6, 8)
 
 
 def test_search_with_witnesses(tmp_path, capsys):
@@ -345,9 +354,8 @@ def test_unwritable_output_is_input_error(argv, fixture_dir, tmp_path, capsys, m
     monkeypatch.setattr(search, "extremal_search", boom)
     monkeypatch.setattr(theorems, "verify", boom)
     # saturation needs hypotheses no fixture meets; only the write is tested
-    monkeypatch.setattr(
-        theorems, "saturate_six_faces", lambda g: theorems.SaturationResult(g, ())
-    )
+    passed = theorems.HypothesisReport(checks=(), warnings=(), stats=None)
+    monkeypatch.setattr(theorems, "check_hypotheses", lambda g, p: passed)
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
     graph = path(fixture_dir, "cube")

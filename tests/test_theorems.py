@@ -5,12 +5,11 @@ from fractions import Fraction
 
 import pytest
 
-from planeblocks import graphio, ledger, search, structure, theorems
+from planeblocks import graphio, ledger, plane, search, structure, theorems
 from planeblocks.blocks import BlockKind
 from planeblocks.errors import (
     ConservationViolation,
     DegenerateProfile,
-    HypothesisViolated,
     UnexpectedBlock,
     UnknownProfile,
 )
@@ -26,7 +25,7 @@ from planeblocks.theorems import (
     verify_per_block,
 )
 
-from conftest import block_values, shares
+from conftest import block_values, hexagonal_prism, shares
 
 
 def F(a, b=1):
@@ -198,7 +197,7 @@ def test_degenerate_profile_row():
 
 def test_saturation_splits_hexagon(fixture_graphs):
     # both faces of C6 are 6-cycles, so each takes one chord
-    res = saturate_six_faces(fixture_graphs["c6"], require_hypotheses=False)
+    res = saturate_six_faces(fixture_graphs["c6"])
     assert len(res.chords) == 2
     g = res.graph
     assert (g.n, g.e) == (6, 8)
@@ -206,22 +205,35 @@ def test_saturation_splits_hexagon(fixture_graphs):
     for u, v in res.chords:
         assert v == u + 3  # a long chord, keeping the graph bipartite
     assert g.outer_dart == fixture_graphs["c6"].outer_dart
-    again = saturate_six_faces(g, require_hypotheses=False)
+    again = saturate_six_faces(g)
     assert again.chords == () and again.graph is g
 
 
-def hexagonal_prism():
-    rotations = [
-        [1, 6, 5], [2, 7, 0], [3, 8, 1], [4, 9, 2], [5, 10, 3], [0, 11, 4],
-        [0, 7, 11], [1, 8, 6], [2, 9, 7], [3, 10, 8], [4, 11, 9], [5, 6, 10],
-    ]
-    return PlaneGraph(rotations, (0, 1))
+def test_saturation_reads_no_face(fixture_graphs, monkeypatch):
+    """Saturation takes each 6-face's vertex cycle from ``face_eids``: with
+    `Face` made to raise, C6 takes the same chords, and the prism's two
+    hexagons are chorded as before, until the closing assert finds the C8
+    that the prism had all along."""
+    c6 = fixture_graphs["c6"]
+    graphs = [PlaneGraph(c6.rotations, c6.outer_dart), hexagonal_prism()]  # no cached faces
+    calls = []
+    real = theorems.insert_chord
 
+    def recorded(rotations, cycle, u, v):
+        calls.append((list(cycle), u, v))
+        real(rotations, cycle, u, v)
 
-def test_saturation_rejects_prism():
-    # 3-regular and bipartite, but its Hamiltonian cycles include a C8
-    with pytest.raises(HypothesisViolated):
-        saturate_six_faces(hexagonal_prism())
+    def no_face(*args):
+        raise AssertionError("a Face was built")
+
+    monkeypatch.setattr(theorems, "insert_chord", recorded)
+    monkeypatch.setattr(plane, "Face", no_face)
+    assert saturate_six_faces(graphs[0]).chords == ((0, 3), (2, 5))
+    assert calls == [([0, 1, 2, 3, 4, 5], 0, 3), ([0, 5, 4, 3, 2, 1], 5, 2)]
+    calls.clear()
+    with pytest.raises(AssertionError, match="saturation chord broke"):
+        saturate_six_faces(graphs[1])
+    assert calls == [([0, 1, 2, 3, 4, 5], 0, 3), ([6, 11, 10, 9, 8, 7], 6, 9)]
 
 
 def saturate_chord_at_a_time(g):
@@ -267,7 +279,7 @@ def test_one_pass_saturation_matches_chord_at_a_time(corpus9):
             return None
 
     def one_pass(g):
-        res = saturate_six_faces(g, require_hypotheses=False)
+        res = saturate_six_faces(g)
         return res.graph, res.chords
 
     finished = chorded = several = raised = 0
@@ -313,7 +325,7 @@ def test_saturation_builds_and_checks_once(fixture_graphs, monkeypatch):
         "contains_cycle_of_length",
         counted("cycles", structure.contains_cycle_of_length),
     )
-    res = saturate_six_faces(fixture_graphs["c6"], require_hypotheses=False)
+    res = saturate_six_faces(fixture_graphs["c6"])
     assert len(res.chords) == 2
     # one graph, one stats, one search per forbidden length (C8 and C10)
     assert counts == {"plane": 1, "stats": 1, "cycles": 2}
