@@ -14,14 +14,16 @@ list their edges as ids.
 
 Exterior pseudofaces: the boundary of a non-interior face, rewritten while it
 contains exactly two consecutive exterior edges of one K4 block (the pair is
-replaced by the block's third exterior edge).  A rewrite keeps the block id
-of every boundary entry next to it, so no pair through the new edge reduces
-and every other pair is judged as on the original walk: one left-to-right
-pass over each walk finds all rewrites.  A same-K4 pair that cannot be
-rewritten (a third edge of its block next to it) stays to the end and makes
-the face degenerate.  Only a face with a rewrite or that flag gets a
-`Pseudoface`; every other non-interior face is its own pseudoface, its walk
-in ``face_eids``.
+replaced by the block's third exterior edge).  Both modes have them, but only
+a triangular decomposition can hold a K4 block, so in quadrangular mode every
+face is its own pseudoface.  A rewrite keeps the block id of every boundary
+entry next to it, so no pair through the new edge reduces and every other
+pair is judged as on the original walk: one left-to-right pass over each
+walk finds all rewrites.  A same-K4 pair that cannot be rewritten (a third
+edge of its block next to it) stays to the end and makes the face
+degenerate.  Only a face with a rewrite or that flag gets a `Pseudoface`;
+every other non-interior face is its own pseudoface, its walk in
+``face_eids``.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from itertools import chain
 from typing import Literal
 
 from . import canon
-from .errors import WrongMode
 from .plane import Edge, PlaneGraph
 
 Mode = Literal["triangular", "quadrangular"]
@@ -238,7 +239,10 @@ class Pseudoface:
 def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
     """Pseudofaces of the non-interior faces of G that the K4 rule rewrites
     or flags degenerate, by face id; every other non-interior face is its own
-    pseudoface, its walk ``d.graph.face_eids[fid]``.
+    pseudoface, its walk ``d.graph.face_eids[fid]``.  The map is empty when
+    d has no K4 block, as in every quadrangular decomposition: a face of a
+    plane graph that is a 4-cycle of a K4 would leave the K4's other two
+    edges to cross outside it.
 
     One pass over each boundary walk judges its pairs left to right against
     the walk's own K4 block ids, which no rewrite changes.  A same-K4 pair
@@ -250,8 +254,8 @@ def refine_pseudofaces(d: BlockDecomposition) -> dict[int, Pseudoface]:
     first pair, walk[-1] lies outside that pair's block, so the pair that
     wraps around the end is not same-K4 and is skipped.
     """
-    if d.mode != "triangular":
-        raise WrongMode("pseudofaces are defined for triangular decompositions")
+    if BlockKind.K4 not in d.kinds:
+        return {}
     # k4_of[i]: the K4 block of which edge i is an exterior edge
     k4_of: dict[int, int] = {}
     for bid, kind in enumerate(d.kinds):

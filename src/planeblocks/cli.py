@@ -189,6 +189,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
+    if args.command != "fixtures":  # whose --out is a directory
+        _check_out(getattr(args, "out", None))
+
     if args.command == "decompose":
         g = _read_graph(args.graph)
         d = decompose(g, args.mode)
@@ -202,7 +205,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         return EXIT_OK
 
     if args.command == "verify":
-        _check_out(args.out)
         g = _read_graph(args.graph)
         profile = theorems.get_profile(args.theorem)
         verdict = theorems.verify(g, profile, force=args.force)
@@ -247,11 +249,9 @@ def _dispatch(args: argparse.Namespace) -> int:
             problems = "; ".join([f"{c.name} ({c.detail})" for c in hyp.checks if not c.ok])
             raise HypothesisViolated("saturation requires a bipartite C8/C10-free graph "
                                      f"with min degree >= 3: {problems}")
-        result = theorems.saturate_six_faces(g)
-        chords = ", ".join(f"{u}-{v}" for u, v in result.chords) or "none"
-        text = graphio.serialize_graph(
-            result.graph, comment=f"saturated; chords added: {chords}"
-        )
+        saturated, chords = theorems.saturate_six_faces(g)
+        added = ", ".join(f"{u}-{v}" for u, v in chords) or "none"
+        text = graphio.serialize_graph(saturated, comment=f"saturated; chords added: {added}")
         if args.out:
             with _writing(args.out):
                 Path(args.out).write_text(text)
@@ -267,7 +267,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         else:
             hypotheses = theorems.get_profile(args.theorem).hypotheses
             cs = search.ConstraintSet(n=args.n, **asdict(hypotheses))
-        _check_out(args.out)
         if args.witness_dir:
             with _writing(args.witness_dir):
                 Path(args.witness_dir).mkdir(parents=True, exist_ok=True)

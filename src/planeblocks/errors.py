@@ -49,14 +49,6 @@ class BadLength(PlaneBlocksError):
 
 # --- contribution ledger ---
 
-class WrongMode(PlaneBlocksError):
-    """Operation called with a decomposition of the wrong mode."""
-
-
-class MissingPseudoface(PlaneBlocksError):
-    """Triangular-mode face contributions need the pseudoface map."""
-
-
 class ConservationViolation(PlaneBlocksError):
     """A ledger total disagrees with the graph total; internal bug, never ignored."""
 

@@ -8,7 +8,8 @@ totals) are asserted exactly, on the numerators, on every ledger build, so
 any slot-accounting bug surfaces immediately as a ConservationViolation
 rather than a slightly-off bound.  Faces are read as edge-id walks and one
 owner column (``face_eids``, ``face_block``); the pseudoface map holds only
-the faces the K4 rule rewrites or flags degenerate.
+the faces the K4 rule rewrites or flags degenerate, so it is empty in
+quadrangular mode, and both modes take the same path through it.
 """
 
 from __future__ import annotations
@@ -16,10 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional
 
 from .blocks import BlockDecomposition, Mode, Pseudoface, decompose, refine_pseudofaces
-from .errors import ConservationViolation, MissingPseudoface
+from .errors import ConservationViolation
 from .plane import PlaneGraph
 from .structure import degree_classes
 
@@ -32,7 +32,7 @@ class ContributionLedger:
 
     mode: Mode
     decomposition: BlockDecomposition
-    pseudofaces: Optional[dict[int, Pseudoface]]  # rewritten or degenerate faces only
+    pseudofaces: dict[int, Pseudoface]  # rewritten or degenerate faces only
     vnum: list[int]
     fnum: list[int]
     knum: list[int]
@@ -41,9 +41,7 @@ class ContributionLedger:
     den: int  # every v, f and k is a multiple of 1/den
 
 
-def slot_table(
-    d: BlockDecomposition, pf: Optional[dict[int, Pseudoface]] = None
-) -> tuple[int, list[int]]:
+def slot_table(d: BlockDecomposition, pf: dict[int, Pseudoface]) -> tuple[int, list[int]]:
     """Each block's share of the non-interior faces, over one common
     denominator.
 
@@ -51,14 +49,12 @@ def slot_table(
     gives each entry's block the share 1/L = (D/L)/D, D is the lcm of those
     lengths, and shares[bid] is the numerator of block bid's summed shares.
     The faces are those ``d.face_block`` maps to -1; each one's boundary is
-    its pseudoface where ``pf`` has one, else its walk in ``face_eids``.
+    its pseudoface where ``pf``, the map from `refine_pseudofaces`, has one,
+    else its walk in ``face_eids``.
     """
-    if d.mode == "triangular" and pf is None:
-        raise MissingPseudoface("triangular face contributions need the pseudoface map")
-    reduced = pf or {}
     face_block = d.face_block
     boundaries = [
-        reduced[fid].eids if fid in reduced else eids
+        pf[fid].eids if fid in pf else eids
         for fid, eids in enumerate(d.graph.face_eids)
         if face_block[fid] < 0
     ]
@@ -75,7 +71,7 @@ def slot_table(
 def build_ledger(g: PlaneGraph, mode: Mode) -> ContributionLedger:
     """Decompose, compute all contributions, and assert conservation."""
     d = decompose(g, mode)
-    pf = refine_pseudofaces(d) if mode == "triangular" else None
+    pf = refine_pseudofaces(d)
     slot_den, shares = slot_table(d, pf)
     counts = d.vertex_block_count
     den = lcm(slot_den, *counts)

@@ -23,7 +23,7 @@ from itertools import count
 from typing import Iterable, Optional, Sequence
 
 from .errors import AsymmetricAdjacency, Disconnected, GenusNonZero, NonSimple, UnknownDart
-from .structure import is_connected
+from .structure import components
 
 Dart = tuple[int, int]
 Edge = tuple[int, int]
@@ -67,7 +67,7 @@ class PlaneGraph:
         pos, head, nxt = dart_tables(self.rotations)
         if self.n == 0:
             raise Disconnected("empty graph")
-        if not is_connected(self.rotations):
+        if any(components(self.rotations)[0]):
             raise Disconnected(f"graph on {self.n} vertices is not connected")
         # the darts (u, v) with u < v, in sorted order; eid[d]: dart d's edge id
         edge_list = [(u, v) for u, at in enumerate(pos) for v in at if u < v]

@@ -62,7 +62,7 @@ from .planarity import Rotations
 from .plane import (
     Edge, PlaneGraph, dart_tables, insert_chord, rotations_from_edges, trace_faces,
 )
-from .structure import Hypotheses, structural_stats
+from .structure import Hypotheses, components, structural_stats
 
 DEFAULT_CEILING = 10
 WITNESS_CAP = 100  # most witnesses one extremal search keeps
@@ -222,9 +222,8 @@ class _Parent:
         self.adj = adj
         self.rotations = rotations
         self.deg = deg = [len(rot) for rot in rotations]
+        self.comp, self.parity = components(rotations)
         by_pair: dict[tuple[int, int], list[Edge]] = {}
-        self.comp = comp = [-1] * len(adj)
-        self.parity = parity = [0] * len(adj)
         for x, rot in enumerate(rotations):
             dx = deg[x]
             for y in rot:
@@ -232,16 +231,6 @@ class _Parent:
                     dy = deg[y]
                     key = (dx, dy) if dx < dy else (dy, dx)
                     by_pair.setdefault(key, []).append((x, y))
-            if comp[x] < 0:
-                comp[x] = x
-                todo = [x]
-                while todo:
-                    w = todo.pop()
-                    for y in rotations[w]:
-                        if comp[y] < 0:
-                            comp[y] = x
-                            parity[y] = parity[w] ^ 1
-                            todo.append(y)
         self.by_pair = by_pair
         self.top = max(by_pair, default=(0, 0))
 

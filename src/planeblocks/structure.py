@@ -120,19 +120,26 @@ def is_bipartite(adj: Adjacency) -> tuple[bool, Optional[tuple[int, ...]]]:
     return True, tuple(color)
 
 
-def is_connected(adj: Adjacency) -> bool:
+def components(adj: Adjacency) -> tuple[list[int], list[int]]:
+    """(comp, parity) from one traversal: comp[v] is the smallest vertex of
+    v's component, so the graph is connected iff no comp[v] is nonzero, and
+    parity[v] is v's side in a 2-coloring of a spanning forest, which is a
+    proper 2-coloring exactly when the graph is bipartite."""
     n = len(adj)
-    if n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return len(seen) == n
+    comp = [-1] * n
+    parity = [0] * n
+    for x in range(n):
+        if comp[x] < 0:
+            comp[x] = x
+            todo = [x]
+            while todo:
+                w = todo.pop()
+                for y in adj[w]:
+                    if comp[y] < 0:
+                        comp[y] = x
+                        parity[y] = parity[w] ^ 1
+                        todo.append(y)
+    return comp, parity
 
 
 def biconnected_components(adj: Adjacency) -> Iterator[list[int]]:

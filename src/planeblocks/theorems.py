@@ -18,7 +18,7 @@ from typing import Optional
 from .blocks import QUADRANGULAR_KINDS, TRIANGULAR_KINDS, BlockKind, Mode
 from .errors import ConservationViolation, DegenerateProfile, UnexpectedBlock, UnknownProfile
 from .ledger import ContributionLedger, build_ledger
-from .plane import PlaneGraph, insert_chord
+from .plane import Edge, PlaneGraph, insert_chord
 # contains_cycle_of_length is not called here; it stays importable from this
 # module, where bench/tracer.py looks it up
 from .structure import (  # noqa: F401
@@ -214,8 +214,7 @@ def verify_per_block(
     (the source proves the catalogs exhaustive) and raises UnexpectedBlock.
     """
     warnings = list(hyp.warnings)
-    sat = saturate_six_faces(g) if p.saturate and hyp.ok else SaturationResult(g, ())
-    work, chords = sat.graph, sat.chords
+    work, chords = saturate_six_faces(g) if p.saturate and hyp.ok else (g, ())
     if chords:
         warnings.append(f"added {len(chords)} chord(s) to saturate 6-faces")
 
@@ -361,14 +360,9 @@ def verify(g: PlaneGraph, p: TheoremProfile, force: bool = False) -> Verdict:
 
 # -- hexagon saturation ------------------------------------------------------
 
-@dataclass(frozen=True)
-class SaturationResult:
-    graph: PlaneGraph
-    chords: tuple[tuple[int, int], ...]
-
-
-def saturate_six_faces(g: PlaneGraph) -> SaturationResult:
-    """Chord every face of g whose walk is a 6-cycle, in one pass.
+def saturate_six_faces(g: PlaneGraph) -> tuple[PlaneGraph, tuple[Edge, ...]]:
+    """Chord every face of g whose walk is a 6-cycle, in one pass; returns
+    the saturated graph and its chords (u, v), u < v, in the order added.
 
     Faces are taken in g's face order, each as its edge-id walk in
     ``g.face_eids``: a walk of six distinct edges gives the vertex cycle
@@ -388,7 +382,7 @@ def saturate_six_faces(g: PlaneGraph) -> SaturationResult:
     """
     edges = g.edge_list
     rotations = list(g.rotations)  # gains each chord in turn
-    chords: list[tuple[int, int]] = []
+    chords: list[Edge] = []
     for walk in g.face_eids:
         if len(walk) != 6 or len(set(walk)) != 6:
             continue
@@ -405,11 +399,11 @@ def saturate_six_faces(g: PlaneGraph) -> SaturationResult:
         insert_chord(rotations, cycle, v0, v3)
         chords.append((min(v0, v3), max(v0, v3)))
     if not chords:
-        return SaturationResult(graph=g, chords=())
+        return g, ()
     g = PlaneGraph(rotations, g.outer_dart)
     # chords only raise degrees, so min degree is the one that cannot break
     breakable = replace(PROFILES["BI_C8C10"].hypotheses, min_degree=0)
     assert breakable.holds(
         g.rotations, structural_stats(g.rotations)
     ), "a saturation chord broke a BI_C8C10 hypothesis"
-    return SaturationResult(graph=g, chords=tuple(chords))
+    return g, tuple(chords)

@@ -237,8 +237,7 @@ def test_criterion_7_saturation(criterion):
             if not theorems.check_hypotheses(g, p).ok:
                 continue
             instances += 1
-            res = theorems.saturate_six_faces(g)
-            h = res.graph
+            h, _ = theorems.saturate_six_faces(g)
             six_cycles = [
                 f for f in h.faces
                 if f.length == 6 and len({u for u, _ in f.darts}) == 6
@@ -249,8 +248,7 @@ def test_criterion_7_saturation(criterion):
             for length in (8, 10):
                 if length <= h.n and contains_cycle_of_length(h.rotations, length):
                     bad.append(adj)
-            again = theorems.saturate_six_faces(h)
-            if again.chords:
+            if theorems.saturate_six_faces(h)[1]:
                 bad.append(adj)
     criterion(
         7,

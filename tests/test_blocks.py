@@ -6,7 +6,6 @@ import pytest
 
 from planeblocks import blocks, canon, graphio, ledger, search, theorems
 from planeblocks.blocks import BlockKind, decompose, refine_pseudofaces
-from planeblocks.errors import WrongMode
 from planeblocks.plane import PlaneGraph
 
 from conftest import hang_k4s, k4_necklace
@@ -368,10 +367,13 @@ def test_k4_necklace_pseudofaces_take_linear_time():
     assert elapsed < 0.5, elapsed
 
 
-def test_refine_pseudofaces_requires_triangular(fixture_graphs):
-    d = decompose(fixture_graphs["c4"], "quadrangular")
-    with pytest.raises(WrongMode):
-        refine_pseudofaces(d)
+def test_quadrangular_decompositions_have_no_pseudofaces(fixture_graphs):
+    # a 4-cycle face of a K4 would leave the other two edges to cross, so no
+    # quadrangular block is a K4 and the K4 rule rewrites no face
+    for name, g in fixture_graphs.items():
+        d = decompose(g, "quadrangular")
+        assert BlockKind.K4 not in d.kinds, name
+        assert refine_pseudofaces(d) == {}, name
 
 
 def test_standalone_c4_has_no_junctions(fixture_graphs):
@@ -390,7 +392,7 @@ def test_c4_with_pendants():
     c4 = next(b for b in d.blocks if b.kind == BlockKind.C4)
     assert c4.junction_vertices == frozenset(range(4))
     assert c4.exterior_eids == c4.eids
-    denom, shares = ledger.slot_table(d)
+    denom, shares = ledger.slot_table(d, refine_pseudofaces(d))
     # the outer face, of length 12, is the only one no block absorbs: each
     # C4 edge appears on it once, each pendant edge twice
     assert shares[c4.id] * 12 == 4 * denom
@@ -406,7 +408,8 @@ def test_slot_completeness_random():
         for x in (g, hang_k4s(g, 3, random.Random(seed))):
             for mode in ("triangular", "quadrangular"):
                 d = decompose(x, mode)
-                pf = refine_pseudofaces(d) if mode == "triangular" else None
+                pf = refine_pseudofaces(d)
+                assert mode == "triangular" or pf == {}, seed
                 denom, shares = ledger.slot_table(d, pf)
                 # each face no block absorbs gives 1/L to each of the L entries
                 # of its (pseudo)face boundary, so each such face adds 1 in all
@@ -414,7 +417,7 @@ def test_slot_completeness_random():
                 for fid, eids in enumerate(x.face_eids):
                     if d.face_block[fid] >= 0:
                         continue
-                    boundary = pf[fid].eids if pf and fid in pf else eids
+                    boundary = pf[fid].eids if fid in pf else eids
                     for i in boundary:
                         want[d.edge_block[i]] += F(1, len(boundary))
                 assert [F(s, denom) for s in shares] == want, (seed, mode)

@@ -335,8 +335,10 @@ def test_verdict_ignores_the_outer_line(tmp_path, capsys):
         ["verify", "{graph}", "--theorem", "C5", "--out", "{tmp}/missing/report.json"],
         ["verify", "{graph}", "--theorem", "C5", "--out", "{tmp}/file/report.json"],
         ["verify", "{graph}", "--theorem", "C5", "--out", "{tmp}/dir"],
+        ["decompose", "{graph}", "--mode", "quadrangular", "--out", "{tmp}/missing/d.json"],
         ["ledger", "{graph}", "--mode", "triangular", "--out", "{tmp}/dir"],
         ["saturate", "{graph}", "--out", "{tmp}/missing/saturated.graph"],
+        ["saturate", "{graph}", "--out", "{tmp}/file/saturated.graph"],
         ["search", "--n", "9", "--witness-dir", "{tmp}/file"],
         ["search", "--n", "9", "--witness-dir", "{tmp}/file/sub"],
         ["search", "--n", "9", "--format", "json", "--out", "{tmp}/missing/search.json"],
@@ -345,17 +347,16 @@ def test_verdict_ignores_the_outer_line(tmp_path, capsys):
     ],
 )
 def test_unwritable_output_is_input_error(argv, fixture_dir, tmp_path, capsys, monkeypatch):
-    """``verify`` and ``search`` reject the path before doing any work."""
-    from planeblocks import search, theorems
+    """Every command that writes a file rejects the path before doing any work."""
+    from planeblocks import cli, ledger, search, theorems
 
     def boom(*args, **kwargs):
         raise AssertionError("work started before the output path was checked")
 
-    monkeypatch.setattr(search, "extremal_search", boom)
-    monkeypatch.setattr(theorems, "verify", boom)
-    # saturation needs hypotheses no fixture meets; only the write is tested
-    passed = theorems.HypothesisReport(checks=(), warnings=(), stats=None)
-    monkeypatch.setattr(theorems, "check_hypotheses", lambda g, p: passed)
+    for owner, name in [(search, "extremal_search"), (theorems, "verify"), (cli, "decompose"),
+                        (ledger, "build_ledger"), (theorems, "check_hypotheses"),
+                        (theorems, "saturate_six_faces")]:
+        monkeypatch.setattr(owner, name, boom)
     (tmp_path / "file").write_text("")
     (tmp_path / "dir").mkdir()
     graph = path(fixture_dir, "cube")

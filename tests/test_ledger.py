@@ -5,7 +5,7 @@ import pytest
 
 from planeblocks import ledger, search
 from planeblocks.blocks import BlockKind, decompose
-from planeblocks.errors import ConservationViolation, MissingPseudoface
+from planeblocks.errors import ConservationViolation
 from planeblocks.ledger import build_ledger
 from planeblocks.plane import PlaneGraph
 
@@ -45,6 +45,7 @@ def test_cube_triangular_ledger(fixture_graphs):
 def test_standalone_quadrangular_ledgers(name, v, e, f, k, e23, fixture_graphs):
     led = build_ledger(fixture_graphs[name], "quadrangular")
     assert len(led.vnum) == 1
+    assert led.pseudofaces == {}
     assert shares(led, 0) == (F(v), e, F(f), F(k), e23)
     assert led.totals == (F(v), e, F(f), F(k), e23)
 
@@ -102,12 +103,6 @@ def test_triangular_entries_carry_no_aux_terms(fixture_graphs):
     assert led.knum is not led.e23
 
 
-def test_slot_table_requires_pseudofaces_in_triangular_mode(fixture_graphs):
-    d = decompose(fixture_graphs["k4"], "triangular")
-    with pytest.raises(MissingPseudoface):
-        ledger.slot_table(d, None)
-
-
 def c4_with_pendant():
     # degrees: 0 has 3, 1-3 have 2, 4 has 1; the C4 block holds 0-3 and
     # the pendant edge 0-4 is a K2 block, so 1-3 and 4 sit in one block each
@@ -149,7 +144,7 @@ def test_tampered_slot_share_raises(mode, fixture_graphs, monkeypatch):
     name = "cube" if mode == "triangular" else "theta6"
     real = ledger.slot_table
 
-    def tampered(d, pf=None):
+    def tampered(d, pf):
         denom, shares = real(d, pf)
         bid = next(b for b, num in enumerate(shares) if num)  # a block with a face share
         shares[bid] += 1

@@ -12,7 +12,6 @@ from planeblocks.structure import (
     biconnected_components,
     contains_cycle_of_length,
     is_bipartite,
-    is_connected,
     is_two_connected,
     structural_stats,
 )
@@ -139,6 +138,9 @@ def test_biconnected_components_match_networkx():
             sorted(c) for c in nx.biconnected_components(graph)
         ), adj
         assert is_two_connected(adj) == (n >= 3 and nx.is_biconnected(graph))
+        comp, parity = structure.components(adj)
+        assert comp == [min(nx.node_connected_component(graph, v)) for v in range(n)], adj
+        assert all(parity[u] != parity[v] for u, v in graph.edges) == nx.is_bipartite(graph)
 
 
 def test_two_connected_edge_cases():
@@ -146,7 +148,7 @@ def test_two_connected_edge_cases():
     assert is_two_connected([[1, 2], [0, 2], [0, 1]])
     # bowtie: two triangles glued at vertex 2
     bowtie = [[1, 2], [0, 2], [0, 1, 3, 4], [2, 4], [2, 3]]
-    assert is_connected(bowtie)
+    assert not any(structure.components(bowtie)[0])  # connected
     assert not is_two_connected(bowtie)
     assert components(bowtie) == [[0, 1, 2], [2, 3, 4]]
 

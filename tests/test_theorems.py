@@ -197,16 +197,15 @@ def test_degenerate_profile_row():
 
 def test_saturation_splits_hexagon(fixture_graphs):
     # both faces of C6 are 6-cycles, so each takes one chord
-    res = saturate_six_faces(fixture_graphs["c6"])
-    assert len(res.chords) == 2
-    g = res.graph
+    g, chords = saturate_six_faces(fixture_graphs["c6"])
+    assert len(chords) == 2
     assert (g.n, g.e) == (6, 8)
     assert sorted(f.length for f in g.faces) == [4, 4, 4, 4]
-    for u, v in res.chords:
+    for u, v in chords:
         assert v == u + 3  # a long chord, keeping the graph bipartite
     assert g.outer_dart == fixture_graphs["c6"].outer_dart
-    again = saturate_six_faces(g)
-    assert again.chords == () and again.graph is g
+    again, more = saturate_six_faces(g)
+    assert more == () and again is g
 
 
 def test_saturation_reads_no_face(fixture_graphs, monkeypatch):
@@ -228,7 +227,7 @@ def test_saturation_reads_no_face(fixture_graphs, monkeypatch):
 
     monkeypatch.setattr(theorems, "insert_chord", recorded)
     monkeypatch.setattr(plane, "Face", no_face)
-    assert saturate_six_faces(graphs[0]).chords == ((0, 3), (2, 5))
+    assert saturate_six_faces(graphs[0])[1] == ((0, 3), (2, 5))
     assert calls == [([0, 1, 2, 3, 4, 5], 0, 3), ([0, 5, 4, 3, 2, 1], 5, 2)]
     calls.clear()
     with pytest.raises(AssertionError, match="saturation chord broke"):
@@ -278,10 +277,6 @@ def test_one_pass_saturation_matches_chord_at_a_time(corpus9):
         except AssertionError:
             return None
 
-    def one_pass(g):
-        res = saturate_six_faces(g)
-        return res.graph, res.chords
-
     finished = chorded = several = raised = 0
     for n in range(2, 10):  # n = 1 has no edge, so no plane graph
         for _, rot in corpus9[n]:
@@ -289,7 +284,7 @@ def test_one_pass_saturation_matches_chord_at_a_time(corpus9):
                 continue
             g = PlaneGraph(rot)
             want = outcome(saturate_chord_at_a_time, g)
-            got = outcome(one_pass, g)
+            got = outcome(saturate_six_faces, g)
             if want is None:
                 assert got is None, rot
                 raised += 1
@@ -325,8 +320,7 @@ def test_saturation_builds_and_checks_once(fixture_graphs, monkeypatch):
         "contains_cycle_of_length",
         counted("cycles", structure.contains_cycle_of_length),
     )
-    res = saturate_six_faces(fixture_graphs["c6"])
-    assert len(res.chords) == 2
+    assert len(saturate_six_faces(fixture_graphs["c6"])[1]) == 2
     # one graph, one stats, one search per forbidden length (C8 and C10)
     assert counts == {"plane": 1, "stats": 1, "cycles": 2}
 
