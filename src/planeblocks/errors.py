@@ -76,6 +76,3 @@ class DegenerateProfile(PlaneBlocksError):
 class CeilingExceeded(PlaneBlocksError):
     """Requested vertex count above the configured enumeration ceiling."""
 
-
-class RetriesExhausted(PlaneBlocksError):
-    """Random generation failed to satisfy the constraints within the retry budget."""

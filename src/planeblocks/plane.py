@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import AsymmetricAdjacency, Disconnected, GenusNonZero, NonSimple, UnknownDart
 from .structure import components
@@ -184,11 +184,3 @@ def insert_chord(rotations: list, walk: Sequence[int], u: int, v: int) -> None:
         i = rot.index(walk[walk.index(x) - 1]) + 1
         rotations[x] = (*rot[:i], y, *rot[i:])
 
-
-def rotations_from_edges(n: int, edges: Iterable[Edge]) -> list[list[int]]:
-    """Adjacency lists (sorted, not an embedding) from an edge list."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    return [sorted(a) for a in adj]

@@ -51,17 +51,14 @@ search's witnesses included, need no second embedding.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Optional, Sequence
 
 from . import canon, planarity
-from .errors import CeilingExceeded, RetriesExhausted
+from .errors import CeilingExceeded
 from .planarity import Rotations
-from .plane import (
-    Edge, PlaneGraph, dart_tables, insert_chord, rotations_from_edges, trace_faces,
-)
+from .plane import Edge, PlaneGraph, dart_tables, insert_chord, trace_faces
 from .structure import Hypotheses, components, structural_stats
 
 DEFAULT_CEILING = 10
@@ -424,82 +421,3 @@ def extremal_search(
         n=cs.n, max_edges=best, witnesses=embedded, stats=stats
     )
 
-
-# -- random plane graphs -----------------------------------------------------
-
-def random_plane_graph(
-    n: int,
-    seed: int,
-    cs: Optional[ConstraintSet] = None,
-) -> PlaneGraph:
-    """Deterministic random plane graph: a random stacked triangulation with
-    random edge deletions, retried up to 200 times until the optional
-    constraints hold."""
-    if n < 3:
-        raise ValueError("random_plane_graph needs n >= 3")
-    rng = random.Random(seed)
-    retries = 200
-    for _ in range(retries):
-        edges = _random_connected_planar_edges(n, rng)
-        if cs is not None:
-            adj = rotations_from_edges(n, edges)
-            if not cs.holds(adj, structural_stats(adj)):
-                continue
-        g = planar_embed(n, edges)
-        assert g is not None
-        return g
-    raise RetriesExhausted(
-        f"no constraint-satisfying graph on {n} vertices in {retries} tries"
-    )
-
-
-def _random_connected_planar_edges(n: int, rng: random.Random) -> list[Edge]:
-    # stacked triangulation: insert each vertex into a random bounded face
-    edges = {(0, 1), (0, 2), (1, 2)}
-    faces = [(0, 1, 2)]
-    for v in range(3, n):
-        i = rng.randrange(len(faces))
-        a, b, c = faces.pop(i)
-        edges |= {tuple(sorted((v, a))), tuple(sorted((v, b))), tuple(sorted((v, c)))}
-        faces += [(a, b, v), (b, c, v), (a, c, v)]
-    target = rng.randint(n - 1, len(edges))
-    order = sorted(edges)
-    rng.shuffle(order)
-    keep = set(order)
-    adj: list[set[int]] = [set() for _ in range(n)]
-    for u, w in order:
-        adj[u].add(w)
-        adj[w].add(u)
-    # delete each edge in turn unless it is a bridge of what is left
-    for u, w in order:
-        if len(keep) <= target:
-            break
-        adj[u].remove(w)
-        adj[w].remove(u)
-        if _still_joined(adj, u, w):
-            keep.remove((u, w))
-        else:
-            adj[u].add(w)
-            adj[w].add(u)
-    return sorted(keep)
-
-
-def _still_joined(adj: Sequence[set[int]], u: int, w: int) -> bool:
-    """True iff u and w are connected in adj.
-
-    Searches from u and from w in turn: stops when the two searches meet, or
-    when one side runs out, having explored the whole component of its root.
-    """
-    seen = ({u}, {w})
-    todo = ([u], [w])
-    side = 0
-    while todo[side]:
-        x = todo[side].pop()
-        for y in adj[x]:
-            if y in seen[1 - side]:
-                return True
-            if y not in seen[side]:
-                seen[side].add(y)
-                todo[side].append(y)
-        side = 1 - side
-    return False

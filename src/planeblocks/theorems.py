@@ -368,8 +368,9 @@ def saturate_six_faces(g: PlaneGraph) -> tuple[PlaneGraph, tuple[Edge, ...]]:
     ``g.face_eids``: a walk of six distinct edges gives the vertex cycle
     whose i-th vertex, the tail of the walk's dart i, is the one end edge i
     shares with edge i - 1, counted from the face's smallest dart.  Each
-    chord joins the first pair of opposite vertices not already joined, and
-    splits the face into two 4-faces; that choice keeps the graph bipartite.
+    chord joins vertices 0 and 3 of the cycle, or 1 and 4 if those are
+    already joined, and splits the face into two 4-faces; that choice keeps
+    the graph bipartite.
     A chord changes only the walk of its own face, so the other 6-faces of g
     stay faces and one PlaneGraph is built at the end (g itself when no face
     takes a chord).
@@ -390,12 +391,11 @@ def saturate_six_faces(g: PlaneGraph) -> tuple[PlaneGraph, tuple[Edge, ...]]:
         cycle = [a if a in prev else b for prev, (a, b) in zip(ends[-1:] + ends[:-1], ends)]
         if len(set(cycle)) != 6:
             continue
-        for shift in range(3):
-            v0, v3 = cycle[shift], cycle[shift + 3]
-            if v3 not in rotations[v0]:
-                break
-        else:
-            raise AssertionError(f"6-face {cycle} has all three opposite pairs already joined")
+        # any two opposite pairs interleave around the face and a chord can
+        # only lie outside it, so a plane graph joins at most one pair
+        v0, v3 = cycle[0], cycle[3]
+        if v3 in rotations[v0]:
+            v0, v3 = cycle[1], cycle[4]
         insert_chord(rotations, cycle, v0, v3)
         chords.append((min(v0, v3), max(v0, v3)))
     if not chords:

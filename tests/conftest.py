@@ -1,10 +1,12 @@
 import os
+import random
 from fractions import Fraction
 
 import pytest
 
 from planeblocks import fixtures, graphio, search
 from planeblocks.plane import PlaneGraph
+from planeblocks.structure import components, structural_stats
 
 EXTENDED = os.environ.get("PLANEBLOCKS_EXTENDED") == "1"
 
@@ -47,6 +49,67 @@ def hang_k4s(g, k, rng):
         edges += [(u, w), (v, w), (u, c), (v, c), (w, c)]
         n += 2
     return search.planar_embed(n, edges)
+
+
+class RetriesExhausted(Exception):
+    """``random_plane_graph`` found no graph meeting its constraints."""
+
+
+def random_plane_graph(n, seed, cs=None):
+    """Deterministic random plane graph: a random stacked triangulation with
+    random edge deletions, retried up to 200 times until the optional
+    ``search.ConstraintSet`` holds, embedded by ``search.planar_embed``."""
+    if n < 3:
+        raise ValueError("random_plane_graph needs n >= 3")
+    rng = random.Random(seed)
+    retries = 200
+    for _ in range(retries):
+        edges = _random_connected_planar_edges(n, rng)
+        if cs is not None:
+            adj = [[] for _ in range(n)]
+            for u, w in edges:
+                adj[u].append(w)
+                adj[w].append(u)
+            if not cs.holds(adj, structural_stats(adj)):
+                continue
+        g = search.planar_embed(n, edges)
+        assert g is not None
+        return g
+    raise RetriesExhausted(
+        f"no constraint-satisfying graph on {n} vertices in {retries} tries"
+    )
+
+
+def _random_connected_planar_edges(n, rng):
+    # stacked triangulation: insert each vertex into a random bounded face
+    edges = {(0, 1), (0, 2), (1, 2)}
+    faces = [(0, 1, 2)]
+    for v in range(3, n):
+        i = rng.randrange(len(faces))
+        a, b, c = faces.pop(i)
+        edges |= {tuple(sorted((v, a))), tuple(sorted((v, b))), tuple(sorted((v, c)))}
+        faces += [(a, b, v), (b, c, v), (a, c, v)]
+    target = rng.randint(n - 1, len(edges))
+    order = sorted(edges)
+    rng.shuffle(order)
+    keep = set(order)
+    adj = [set() for _ in range(n)]
+    for u, w in order:
+        adj[u].add(w)
+        adj[w].add(u)
+    # delete each edge in turn unless it is a bridge of what is left
+    for u, w in order:
+        if len(keep) <= target:
+            break
+        adj[u].remove(w)
+        adj[w].remove(u)
+        comp, _ = components(adj)
+        if comp[u] == comp[w]:
+            keep.remove((u, w))
+        else:
+            adj[u].add(w)
+            adj[w].add(u)
+    return sorted(keep)
 
 
 def hexagonal_prism():

@@ -28,7 +28,7 @@ from planeblocks.plane import PlaneGraph
 from planeblocks.structure import contains_cycle_of_length, structural_stats
 from planeblocks.theorems import PROFILES, derive_global_bound
 
-from conftest import EXTENDED, block_values, k4_necklace, shares
+from conftest import EXTENDED, block_values, k4_necklace, random_plane_graph, shares
 
 WITNESS_DIR = Path(__file__).parent / "witnesses"
 
@@ -67,7 +67,7 @@ def test_criterion_2_conservation(criterion, corpus9):
     digest = hashlib.sha256(repr([(9, adj) for adj, _ in corpus9[9]]).encode()).hexdigest()
     assert digest == "4344ace7e7eb8857d32389b1a1fffc6f952af8f0ee3cf136e320c661b03b4dd7"
     rng = random.Random(2024)
-    random_graphs = (search.random_plane_graph(rng.randint(3, 14), seed) for seed in range(500))
+    random_graphs = (random_plane_graph(rng.randint(3, 14), seed) for seed in range(500))
     enumerated = (PlaneGraph(rot) for n in range(2, 10) for _, rot in corpus9[n])
     graphs = checked = 0
     for g in itertools.chain(random_graphs, enumerated):

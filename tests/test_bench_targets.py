@@ -27,8 +27,7 @@ def test_every_traced_name_resolves_to_a_callable(monkeypatch):
     assert sites and missing == []
 
 
-# every span one parse, forced verify and report pass through; triangular
-# mode adds blocks.refine_pseudofaces
+# every span one parse, forced verify and report pass through, in either mode
 VERIFY_SPANS = (
     "graphio.parse_graph",
     "plane.PlaneGraph",
@@ -39,6 +38,7 @@ VERIFY_SPANS = (
     "theorems.verify_per_block",
     "ledger.build_ledger",
     "blocks.decompose",
+    "blocks.refine_pseudofaces",
     "ledger.slot_table",
     "theorems.check_bound",
     "graphio.verdict_report",
@@ -46,14 +46,8 @@ VERIFY_SPANS = (
 )
 
 
-@pytest.mark.parametrize(
-    "fixture, profile, spans",
-    [
-        ("k4", "C5", (*VERIFY_SPANS, "blocks.refine_pseudofaces")),
-        ("cube", "BI_C8", VERIFY_SPANS),
-    ],
-)
-def test_every_verify_span_records_a_call(monkeypatch, fixture, profile, spans):
+@pytest.mark.parametrize("fixture, profile", [("k4", "C5"), ("cube", "BI_C8")])
+def test_every_verify_span_records_a_call(monkeypatch, fixture, profile):
     # a refactor that routes the verify path around a traced name would
     # silently turn that layer's per-op metric into 0
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -64,5 +58,5 @@ def test_every_verify_span_records_a_call(monkeypatch, fixture, profile, spans):
         g = graphio.parse_graph(fixtures.fixture_text(fixture))
         verdict = theorems.verify(g, theorems.PROFILES[profile], force=True)
         graphio.write_report(graphio.verdict_report(g, verdict), "json")
-    silent = [name for name in spans if t.total(name, field=0) == 0]
+    silent = [name for name in VERIFY_SPANS if t.total(name, field=0) == 0]
     assert silent == []

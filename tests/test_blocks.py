@@ -8,7 +8,7 @@ from planeblocks import blocks, canon, graphio, ledger, search, theorems
 from planeblocks.blocks import BlockKind, decompose, refine_pseudofaces
 from planeblocks.plane import PlaneGraph
 
-from conftest import hang_k4s, k4_necklace
+from conftest import hang_k4s, k4_necklace, random_plane_graph
 
 
 def worklist_decompose(g, mode, edge_order):
@@ -124,7 +124,7 @@ def test_decompose_matches_worklist_oracle(mode, fixture_graphs):
     rng = random.Random(mode)
     graphs = list(fixture_graphs.values())
     for seed in range(40):
-        graphs.append(search.random_plane_graph(rng.randint(4, 11), 7000 + seed))
+        graphs.append(random_plane_graph(rng.randint(4, 11), 7000 + seed))
     for g in graphs:
         expected = None
         for trial in range(4):
@@ -173,7 +173,7 @@ def test_c5_verify_builds_a_pseudoface_only_where_the_k4_rule_acts(fixture_graph
     rng = random.Random(29)
     graphs = list(fixture_graphs.values())
     for seed in range(40):
-        base = search.random_plane_graph(rng.randint(3, 12), 2900 + seed)
+        base = random_plane_graph(rng.randint(3, 12), 2900 + seed)
         graphs.append(hang_k4s(base, rng.randint(2, 6), rng))
     built = []
     real = blocks.Pseudoface
@@ -234,11 +234,21 @@ def test_triangle_block_in_triangular_mode():
     assert [b.kind for b in dq.blocks] == [BlockKind.K2] * 3
 
 
+def test_walk_that_repeats_its_edges_makes_no_block():
+    # P3's one face walks 0-1-2-1-0: four darts but two edges, so it is no
+    # m-cycle in either mode and each edge is a K2 block of its own
+    g = PlaneGraph([[1], [0, 2], [1]])
+    for mode in ("triangular", "quadrangular"):
+        d = decompose(g, mode)
+        assert d.kinds == [BlockKind.K2, BlockKind.K2], mode
+        assert d.face_block == [-1], mode
+
+
 def test_edge_partition_and_counts(fixture_graphs):
     rng = random.Random(3)
     graphs = list(fixture_graphs.values())
     for seed in range(30):
-        graphs.append(search.random_plane_graph(rng.randint(4, 12), 300 + seed))
+        graphs.append(random_plane_graph(rng.randint(4, 12), 300 + seed))
     for g in graphs:
         for mode in ("triangular", "quadrangular"):
             d = decompose(g, mode)
@@ -317,7 +327,7 @@ def test_degenerate_iff_a_k4_pair_is_left():
     rng = random.Random(21)
     seen = set()
     for seed in range(1000):
-        g = search.random_plane_graph(rng.randint(4, 14), 5000 + seed)
+        g = random_plane_graph(rng.randint(4, 14), 5000 + seed)
         d = decompose(g, "triangular")
         k4_of = k4_exterior(d)
         pf = refine_pseudofaces(d)
@@ -339,7 +349,7 @@ def test_one_pass_pseudofaces_match_the_tuple_reference():
     rng = random.Random(27)
     rewrites = wraps = degenerate = 0
     for seed in range(300):
-        base = search.random_plane_graph(rng.randint(3, 12), seed)
+        base = random_plane_graph(rng.randint(3, 12), seed)
         g = hang_k4s(base, rng.randint(4, 8), rng)
         perm = list(range(g.n))
         rng.shuffle(perm)
@@ -403,7 +413,7 @@ def test_slot_completeness_random():
     rng = random.Random(9)
     in_map = 0
     for seed in range(40):
-        g = search.random_plane_graph(rng.randint(4, 12), 900 + seed)
+        g = random_plane_graph(rng.randint(4, 12), 900 + seed)
         # hung K4s give faces that the K4 rule rewrites
         for x in (g, hang_k4s(g, 3, random.Random(seed))):
             for mode in ("triangular", "quadrangular"):
@@ -451,7 +461,7 @@ def test_edge_ids_run_from_faces_to_blocks(fixture_graphs, corpus7):
     blocks."""
     graphs = list(fixture_graphs.values())
     graphs += [PlaneGraph(rot) for n, classes in corpus7.items() if n >= 2 for _, rot in classes]
-    graphs += [search.random_plane_graph(n, seed) for n in (30, 120) for seed in range(3)]
+    graphs += [random_plane_graph(n, seed) for n in (30, 120) for seed in range(3)]
     edge_ids_checked = pairs_reduced = 0
     for g in graphs:
         assert g.edge_list == sorted(g.edges)

@@ -22,6 +22,8 @@ from planeblocks.cli import main as cli_main
 from planeblocks.fixtures import FIXTURE_NAMES, fixture_text
 from planeblocks.theorems import PROFILES
 
+from conftest import random_plane_graph
+
 DATA = Path(__file__).with_name("golden_reports.json")
 
 SEARCH_CONSTRAINTS = (
@@ -87,7 +89,7 @@ def random_cases():
 
 def random_text(n, seed, kwargs) -> bytes:
     cs = None if kwargs is None else search.ConstraintSet(n=n, **kwargs)
-    return graphio.serialize_graph(search.random_plane_graph(n, seed, cs)).encode()
+    return graphio.serialize_graph(random_plane_graph(n, seed, cs)).encode()
 
 
 def digest(data: bytes) -> str:

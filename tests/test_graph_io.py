@@ -8,12 +8,12 @@ import jsonschema
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from planeblocks import graphio, ledger, search, theorems
+from planeblocks import graphio, ledger, theorems
 from planeblocks.blocks import decompose
 from planeblocks.errors import GraphSyntaxError, MissingOuterDart
 from planeblocks.fixtures import FIXTURE_NAMES, fixture_text
 
-from conftest import plain
+from conftest import plain, random_plane_graph
 
 
 def load_schema():
@@ -37,7 +37,7 @@ def test_fixture_round_trips(fixture_graphs):
 def test_random_round_trips():
     rng = random.Random(5)
     for seed in range(25):
-        g = search.random_plane_graph(rng.randint(3, 12), 2200 + seed)
+        g = random_plane_graph(rng.randint(3, 12), 2200 + seed)
         h = graphio.parse_graph(graphio.serialize_graph(g, comment="test\ngraph"))
         assert h.rotations == g.rotations and h.outer_dart == g.outer_dart
 
@@ -313,7 +313,7 @@ def test_reports_match_json_dumps(fixture_graphs):
 def test_rows_write_as_their_plain_dicts(n, seed):
     """Every report kind, each profile forced and both ledger modes, writes
     the bytes json.dumps writes for the report with its rows as lists."""
-    g = search.random_plane_graph(n, seed)
+    g = random_plane_graph(n, seed)
     reps = [graphio.verdict_report(g, theorems.verify(g, p, force=True))
             for p in theorems.PROFILES.values()]
     for mode in ("triangular", "quadrangular"):
@@ -343,7 +343,7 @@ def test_writer_peak_stays_near_two_copies_of_the_output():
     the traced peak of each writer stays under a small multiple of the
     output's length (JSON rows run longer than text lines, so less is spent
     per piece)."""
-    g = search.random_plane_graph(600, 0)
+    g = random_plane_graph(600, 0)
     cases = [
         (graphio.verdict_report(g, theorems.verify(g, theorems.PROFILES[p], force=True)), fmt, bound)
         for p in ("C5", "TRI_C6")

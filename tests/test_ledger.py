@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from planeblocks import ledger, search
+from planeblocks import ledger
 from planeblocks.blocks import BlockKind, decompose
 from planeblocks.errors import ConservationViolation
 from planeblocks.ledger import build_ledger
 from planeblocks.plane import PlaneGraph
 
-from conftest import shares
+from conftest import random_plane_graph, shares
 
 
 def F(a, b=1):
@@ -88,7 +88,7 @@ def test_bridge_gets_two_slot_entries():
 def test_conservation_on_random_graphs():
     rng = random.Random(17)
     for seed in range(80):
-        g = search.random_plane_graph(rng.randint(3, 13), 4400 + seed)
+        g = random_plane_graph(rng.randint(3, 13), 4400 + seed)
         for mode in ("triangular", "quadrangular"):
             led = build_ledger(g, mode)  # raises on any identity mismatch
             tv, te, tf, tk, te23 = led.totals

@@ -19,6 +19,8 @@ from planeblocks.errors import (
 from planeblocks.plane import PlaneGraph
 from planeblocks.theorems import PROFILES
 
+from conftest import random_plane_graph
+
 
 def test_c4_faces(fixture_graphs):
     g = fixture_graphs["c4"]
@@ -42,7 +44,7 @@ def test_path_face_length_counts_bridges_twice():
 
 def test_face_lengths_sum_to_twice_edges():
     for seed in range(30):
-        g = search.random_plane_graph(random.Random(seed).randint(4, 12), seed)
+        g = random_plane_graph(random.Random(seed).randint(4, 12), seed)
         assert sum(f.length for f in g.faces) == 2 * g.e
 
 
@@ -161,7 +163,7 @@ def oracle_cases(fixture_graphs, corpus7):
     cases += [rot for n in range(2, 8) for _, rot in corpus7[n]]
     for seed in range(40):
         rng = random.Random(seed)
-        g = search.random_plane_graph(rng.randint(3, 12), seed)
+        g = random_plane_graph(rng.randint(3, 12), seed)
         cases.append(with_pendants(g.rotations, rng, rng.randint(0, 6)))
     return cases
 
@@ -246,7 +248,7 @@ def test_faulty_rotation_systems_end_in_their_documented_error(
     n, seed, fault, tmp_path_factory, capsys
 ):
     rng = random.Random(seed)
-    rotations = search.random_plane_graph(n, seed).rotations
+    rotations = random_plane_graph(n, seed).rotations
     rot = with_fault(rotations, fault, rng)
     with pytest.raises(FAULTS[fault]):
         PlaneGraph(rot)
@@ -291,7 +293,7 @@ def test_random_rotation_systems_through_the_cli(
     """Every command on a random rotation system, valid or with one fault,
     ends in exit 0 or 1 (2 for a faulty one), never in an internal error,
     and every JSON report fits the schema."""
-    g = search.random_plane_graph(n, seed, search.ConstraintSet(n=n, **constraints))
+    g = random_plane_graph(n, seed, search.ConstraintSet(n=n, **constraints))
     if fault is None:
         text = graphio.serialize_graph(g)
     else:

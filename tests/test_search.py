@@ -5,10 +5,12 @@ import itertools
 import pytest
 
 from planeblocks import canon, planarity, search
-from planeblocks.errors import CeilingExceeded, RetriesExhausted
+from planeblocks.errors import CeilingExceeded
 from planeblocks.fixtures import load_fixture
 from planeblocks.plane import PlaneGraph
 from planeblocks.structure import components, is_bipartite, structural_stats
+
+from conftest import RetriesExhausted, random_plane_graph
 
 
 def brute_classes(n):
@@ -441,17 +443,17 @@ def test_extremal_stats_populated():
 
 
 def test_random_plane_graph_deterministic():
-    a = search.random_plane_graph(9, 123)
-    b = search.random_plane_graph(9, 123)
+    a = random_plane_graph(9, 123)
+    b = random_plane_graph(9, 123)
     assert a.rotations == b.rotations and a.outer_dart == b.outer_dart
-    c = search.random_plane_graph(9, 124)
+    c = random_plane_graph(9, 124)
     assert (a.rotations, a.outer_dart) != (c.rotations, c.outer_dart)
 
 
 def test_random_plane_graph_respects_constraints():
     cs = search.ConstraintSet(n=8, min_degree=2, two_connected=True)
     for seed in range(5):
-        g = search.random_plane_graph(8, 60 + seed, cs=cs)
+        g = random_plane_graph(8, 60 + seed, cs=cs)
         s = structural_stats(g.rotations)
         assert s.min_degree >= 2 and s.two_connected
 
@@ -460,7 +462,7 @@ def test_random_plane_graph_retries_exhausted():
     # no bipartite graph on 3 vertices has min degree 2
     cs = search.ConstraintSet(n=3, bipartite=True, min_degree=2)
     with pytest.raises(RetriesExhausted):
-        search.random_plane_graph(3, 1, cs=cs)
+        random_plane_graph(3, 1, cs=cs)
 
 
 @pytest.mark.parametrize("n", [0, -3])

@@ -25,7 +25,7 @@ from planeblocks.theorems import (
     verify_per_block,
 )
 
-from conftest import block_values, hexagonal_prism, shares
+from conftest import block_values, hexagonal_prism, random_plane_graph, shares
 
 
 def F(a, b=1):
@@ -101,6 +101,18 @@ def test_k4_whole_graph_below_floor_is_a_warning(fixture_graphs):
     assert any("spans the whole graph" in w for w in v.warnings)
     assert not v.bound.ok and not v.bound.asserted
     assert v.ok  # unasserted bound failure does not flip the verdict
+
+
+def test_spanning_block_at_the_floor_is_a_violation():
+    # a stacked triangulation is one spanning triangular block with e = 3n - 6;
+    # C5's floor is n >= 11, so n = 11 is the first n where L(B) > 0 counts
+    for n, violations in ((10, ()), (11, (0,))):
+        edges = [(0, 1), (0, 2), (1, 2)]
+        edges += [e for v in range(3, n) for e in ((0, v), (1, v), (v - 1, v))]
+        v = verify(search.planar_embed(n, edges), PROFILES["C5"], force=True)
+        ((_, value),) = block_values(v)
+        below = any("below the theorem floor" in w for w in v.warnings)
+        assert (value > 0, v.violations, below) == (True, violations, not violations), n
 
 
 def test_c8_under_bipartite_c6_profile(fixture_graphs):
@@ -342,7 +354,7 @@ def test_integer_rows_match_fraction_rows(pid, fixture_graphs):
     rng = random.Random(7)
     graphs = [*fixture_graphs.values()]
     graphs += [
-        search.random_plane_graph(rng.randint(3, 30), 4100 + i) for i in range(50)
+        random_plane_graph(rng.randint(3, 30), 4100 + i) for i in range(50)
     ]
     for g in graphs:
         v = verify_per_block(g, p, check_hypotheses(g, p))
